@@ -345,10 +345,11 @@ impl LandmarkSketch {
             + entries * 2 * word
     }
 
-    /// Feeds every content word of the sketch (in canonical order) to `f` —
-    /// the dynamic layer folds these into its state fingerprint. Covers
-    /// exactly the serialized fields (`nearest` is derived, so it is
-    /// excluded): seed, landmark count + IDs, rows, bunch lengths + entries.
+    /// Feeds every content word of the sketch (in canonical order) to `f`:
+    /// seed, landmark count + IDs, rows, bunch lengths + entries (`nearest`
+    /// is derived, so it is excluded). This is the one word layout of a
+    /// sketch: the `*.ccsnap` landmark section writes these words after
+    /// `n`, and the dynamic layer folds them into its state fingerprint.
     pub fn fold_words<F: FnMut(u64)>(&self, mut f: F) {
         f(self.seed);
         f(self.landmarks.len() as u64);

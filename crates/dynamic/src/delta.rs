@@ -10,16 +10,8 @@
 //!   from a full rebuild),
 //! * the fingerprint of the resulting state.
 //!
-//! The file form (conventionally `*.ccdelta`) uses the same framing style
-//! as the `*.ccsnap` snapshot format: magic, format version, section count,
-//! then length-prefixed FNV-1a-checksummed sections:
-//!
-//! ```text
-//! magic "CCDELTA\n" (8 bytes)
-//! format version      u32
-//! section count       u32
-//! per section: tag u32 · payload length u64 · FNV-1a checksum u64 · payload
-//! ```
+//! The file form (conventionally `*.ccdelta`) uses the checksummed
+//! section framing of [`cc_graph::codec`] under [`MAGIC`].
 //!
 //! Sections: header (n, strategy, base/result fingerprints), batch (ops),
 //! rows (repaired row indices + entries). Serialization is canonical, and
@@ -32,6 +24,7 @@
 
 use cc_apsp::landmark::LandmarkSketch;
 use cc_apsp::oracle::OracleBackend;
+use cc_graph::codec::{put_u64, read_sections, DecodeError, Fnv1a, Reader, SectionWriter};
 use cc_graph::graph::Direction;
 use cc_graph::{DistMatrix, Graph, NodeId, Weight};
 use cc_par::ExecPolicy;
@@ -52,59 +45,31 @@ const OP_INSERT: u8 = 1;
 const OP_DELETE: u8 = 2;
 const OP_REWEIGHT: u8 = 3;
 
-/// FNV-1a 64-bit hash (the same function the snapshot format checksums
-/// with, re-implemented here so `cc_dynamic` stays independent of the
-/// serving crate).
-pub fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h = (h ^ b as u64).wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
-}
-
-/// Word-wise FNV-1a accumulator: each `u64` is one absorption step.
-/// Hashing the estimate per word instead of per byte keeps the two
-/// fingerprint computations in every delta application well under the cost
-/// of a single repaired row.
-struct WordHasher(u64);
-
-impl WordHasher {
-    fn new() -> Self {
-        Self(0xcbf2_9ce4_8422_2325)
-    }
-
-    #[inline]
-    fn absorb(&mut self, w: u64) {
-        self.0 = (self.0 ^ w).wrapping_mul(0x0000_0100_0000_01b3);
-    }
-}
-
-/// Content fingerprint of a servable state: word-wise FNV-1a over a
+/// Content fingerprint of a servable state: FNV-1a word steps over a
 /// canonical encoding of the graph (n, direction, sorted edge triples) and
 /// the estimate (row-major entries). Two states agree iff their graphs and
 /// estimates are identical, independent of how either was produced — which
-/// is exactly the identity delta chains are checked against.
+/// is exactly the identity delta chains are checked against. Hashing per
+/// word instead of per byte keeps the two fingerprints in every delta
+/// application well under the cost of a single repaired row.
 pub fn state_fingerprint(graph: &Graph, estimate: &DistMatrix) -> u64 {
-    let mut h = WordHasher::new();
-    absorb_graph(&mut h, graph);
+    let mut h = graph_hash(graph);
     for &d in estimate.raw() {
-        h.absorb(d);
+        h.word(d);
     }
-    h.0
+    h.finish()
 }
 
-fn absorb_graph(h: &mut WordHasher, graph: &Graph) {
-    h.absorb(graph.n() as u64);
-    h.absorb(match graph.direction() {
+fn graph_hash(graph: &Graph) -> Fnv1a {
+    let mut h = Fnv1a::default();
+    h.word(graph.n() as u64).word(match graph.direction() {
         Direction::Undirected => 0,
         Direction::Directed => 1,
     });
     for (u, v, w) in graph.edges() {
-        h.absorb(u as u64);
-        h.absorb(v as u64);
-        h.absorb(w);
+        h.word(u as u64).word(v as u64).word(w);
     }
+    h
 }
 
 /// Backend-aware [`state_fingerprint`]: identical to the dense fingerprint
@@ -117,11 +82,12 @@ pub fn backend_state_fingerprint(graph: &Graph, backend: &OracleBackend) -> u64 
     match backend {
         OracleBackend::Dense(m) => state_fingerprint(graph, m),
         OracleBackend::Landmark(sketch) => {
-            let mut h = WordHasher::new();
-            absorb_graph(&mut h, graph);
-            h.absorb(u64::from_le_bytes(*b"LANDMARK"));
-            sketch.fold_words(|w| h.absorb(w));
-            h.0
+            let mut h = graph_hash(graph);
+            h.word(u64::from_le_bytes(*b"LANDMARK"));
+            sketch.fold_words(|w| {
+                h.word(w);
+            });
+            h.finish()
         }
     }
 }
@@ -267,111 +233,60 @@ impl From<UpdateError> for DeltaError {
     }
 }
 
-fn put_u32(buf: &mut Vec<u8>, v: u32) {
-    buf.extend_from_slice(&v.to_le_bytes());
-}
-
-fn put_u64(buf: &mut Vec<u8>, v: u64) {
-    buf.extend_from_slice(&v.to_le_bytes());
-}
-
-/// Bounded reader turning overruns into [`DeltaError::Truncated`].
-struct Cursor<'a> {
-    data: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> Cursor<'a> {
-    fn new(data: &'a [u8]) -> Self {
-        Self { data, pos: 0 }
-    }
-
-    fn remaining(&self) -> usize {
-        self.data.len() - self.pos
-    }
-
-    fn take(&mut self, n: usize) -> Result<&'a [u8], DeltaError> {
-        if self.remaining() < n {
-            return Err(DeltaError::Truncated {
-                needed: n,
-                available: self.remaining(),
-            });
+impl From<DecodeError> for DeltaError {
+    fn from(e: DecodeError) -> Self {
+        match e {
+            DecodeError::BadMagic => DeltaError::BadMagic,
+            DecodeError::UnsupportedVersion(v) => DeltaError::UnsupportedVersion(v),
+            DecodeError::Truncated { needed, available } => {
+                DeltaError::Truncated { needed, available }
+            }
+            DecodeError::ChecksumMismatch { section } => DeltaError::ChecksumMismatch { section },
+            DecodeError::Malformed(what) => DeltaError::Malformed(what),
         }
-        let slice = &self.data[self.pos..self.pos + n];
-        self.pos += n;
-        Ok(slice)
-    }
-
-    fn u8(&mut self) -> Result<u8, DeltaError> {
-        Ok(self.take(1)?[0])
-    }
-
-    fn u32(&mut self) -> Result<u32, DeltaError> {
-        Ok(u32::from_le_bytes(self.take(4)?.try_into().unwrap()))
-    }
-
-    fn u64(&mut self) -> Result<u64, DeltaError> {
-        Ok(u64::from_le_bytes(self.take(8)?.try_into().unwrap()))
     }
 }
 
 impl Delta {
     /// Serializes to the canonical byte form (see the [module docs](self)).
     pub fn to_bytes(&self) -> Vec<u8> {
-        let mut head = Vec::new();
-        put_u64(&mut head, self.n as u64);
-        head.push(match self.strategy {
-            DeltaStrategy::Repaired => 0,
-            DeltaStrategy::Rebuilt => 1,
-        });
-        put_u64(&mut head, self.base_fingerprint);
-        put_u64(&mut head, self.result_fingerprint);
-
-        let mut batch = Vec::new();
-        put_u64(&mut batch, self.batch.ops.len() as u64);
-        for op in &self.batch.ops {
-            match *op {
-                EdgeOp::Insert(u, v, w) => {
-                    batch.push(OP_INSERT);
-                    put_u64(&mut batch, u as u64);
-                    put_u64(&mut batch, v as u64);
-                    put_u64(&mut batch, w);
+        SectionWriter::new(&MAGIC, FORMAT_VERSION)
+            .section(SEC_HEAD, |b| {
+                put_u64(b, self.n as u64);
+                b.push(match self.strategy {
+                    DeltaStrategy::Repaired => 0,
+                    DeltaStrategy::Rebuilt => 1,
+                });
+                put_u64(b, self.base_fingerprint);
+                put_u64(b, self.result_fingerprint);
+            })
+            .section(SEC_BATCH, |b| {
+                put_u64(b, self.batch.ops.len() as u64);
+                for op in &self.batch.ops {
+                    let (tag, u, v, w) = match *op {
+                        EdgeOp::Insert(u, v, w) => (OP_INSERT, u, v, Some(w)),
+                        EdgeOp::Delete(u, v) => (OP_DELETE, u, v, None),
+                        EdgeOp::Reweight(u, v, w) => (OP_REWEIGHT, u, v, Some(w)),
+                    };
+                    b.push(tag);
+                    put_u64(b, u as u64);
+                    put_u64(b, v as u64);
+                    if let Some(w) = w {
+                        put_u64(b, w);
+                    }
                 }
-                EdgeOp::Delete(u, v) => {
-                    batch.push(OP_DELETE);
-                    put_u64(&mut batch, u as u64);
-                    put_u64(&mut batch, v as u64);
+            })
+            .section(SEC_ROWS, |b| {
+                b.reserve(8 + self.rows.len() * (8 + 8 * self.n));
+                put_u64(b, self.rows.len() as u64);
+                for (idx, row) in &self.rows {
+                    put_u64(b, *idx as u64);
+                    for &d in row {
+                        put_u64(b, d);
+                    }
                 }
-                EdgeOp::Reweight(u, v, w) => {
-                    batch.push(OP_REWEIGHT);
-                    put_u64(&mut batch, u as u64);
-                    put_u64(&mut batch, v as u64);
-                    put_u64(&mut batch, w);
-                }
-            }
-        }
-
-        let mut rows = Vec::with_capacity(8 + self.rows.len() * (8 + 8 * self.n));
-        put_u64(&mut rows, self.rows.len() as u64);
-        for (idx, row) in &self.rows {
-            put_u64(&mut rows, *idx as u64);
-            for &d in row {
-                put_u64(&mut rows, d);
-            }
-        }
-
-        let sections = [(SEC_HEAD, head), (SEC_BATCH, batch), (SEC_ROWS, rows)];
-        let mut out = Vec::new();
-        out.extend_from_slice(&MAGIC);
-        put_u32(&mut out, FORMAT_VERSION);
-        put_u32(&mut out, sections.len() as u32);
-        for (tag, payload) in &sections {
-            put_u32(&mut out, *tag);
-            put_u64(&mut out, payload.len() as u64);
-            put_u64(&mut out, fnv1a(payload));
-            out.extend_from_slice(payload);
-        }
-        out
+            })
+            .finish()
     }
 
     /// Decodes a delta, validating magic, version, per-section checksums,
@@ -382,74 +297,35 @@ impl Delta {
     /// Every decoding failure maps to a specific [`DeltaError`] variant; no
     /// input panics.
     pub fn from_bytes(data: &[u8]) -> Result<Self, DeltaError> {
-        let mut cur = Cursor::new(data);
-        if cur.take(MAGIC.len())? != MAGIC {
-            return Err(DeltaError::BadMagic);
-        }
-        let version = cur.u32()?;
-        if version != FORMAT_VERSION {
-            return Err(DeltaError::UnsupportedVersion(version));
-        }
-        let section_count = cur.u32()?;
-        let mut head_payload: Option<&[u8]> = None;
-        let mut batch_payload: Option<&[u8]> = None;
-        let mut rows_payload: Option<&[u8]> = None;
-        for _ in 0..section_count {
-            let tag = cur.u32()?;
-            let len = cur.u64()? as usize;
-            let checksum = cur.u64()?;
-            let payload = cur.take(len)?;
-            let (slot, name) = match tag {
-                SEC_HEAD => (&mut head_payload, "header"),
-                SEC_BATCH => (&mut batch_payload, "batch"),
-                SEC_ROWS => (&mut rows_payload, "rows"),
-                other => {
-                    return Err(DeltaError::Malformed(format!(
-                        "unknown section tag {other}"
-                    )))
-                }
-            };
-            if fnv1a(payload) != checksum {
-                return Err(DeltaError::ChecksumMismatch { section: name });
-            }
-            if slot.replace(payload).is_some() {
-                return Err(DeltaError::Malformed(format!("duplicate {name} section")));
-            }
-        }
-        if cur.remaining() != 0 {
-            return Err(DeltaError::Malformed(format!(
-                "{} trailing bytes after the last section",
-                cur.remaining()
-            )));
-        }
-        let (n, strategy, base_fingerprint, result_fingerprint) = decode_head(
-            head_payload.ok_or_else(|| DeltaError::Malformed("missing header section".into()))?,
+        let (_, [head, batch, rows]) = read_sections(
+            data,
+            &MAGIC,
+            &[FORMAT_VERSION],
+            [
+                (SEC_HEAD, "header"),
+                (SEC_BATCH, "batch"),
+                (SEC_ROWS, "rows"),
+            ],
         )?;
-        let batch = decode_batch(
-            batch_payload.ok_or_else(|| DeltaError::Malformed("missing batch section".into()))?,
-        )?;
-        let rows = decode_rows(
-            rows_payload.ok_or_else(|| DeltaError::Malformed("missing rows section".into()))?,
-            n,
-        )?;
+        let (n, strategy, base_fingerprint, result_fingerprint) = decode_head(head)?;
         Ok(Delta {
             n,
             strategy,
             base_fingerprint,
             result_fingerprint,
-            batch,
-            rows,
+            batch: decode_batch(batch)?,
+            rows: decode_rows(rows, n)?,
         })
     }
 
-    /// Writes the delta to `path`.
+    /// Writes the delta to `path` atomically (see
+    /// [`cc_graph::codec::write_atomic`]).
     ///
     /// # Errors
     ///
     /// Propagates I/O errors.
     pub fn save(&self, path: impl AsRef<std::path::Path>) -> Result<(), DeltaError> {
-        std::fs::write(path, self.to_bytes())?;
-        Ok(())
+        Ok(cc_graph::codec::write_atomic(path, &self.to_bytes())?)
     }
 
     /// Reads a delta from `path`.
@@ -566,8 +442,8 @@ impl Delta {
 }
 
 fn decode_head(payload: &[u8]) -> Result<(usize, DeltaStrategy, u64, u64), DeltaError> {
-    let mut cur = Cursor::new(payload);
-    let n = cur.u64()? as usize;
+    let mut cur = Reader::new(payload);
+    let n = cur.len_u64()?;
     let strategy = match cur.u8()? {
         0 => DeltaStrategy::Repaired,
         1 => DeltaStrategy::Rebuilt,
@@ -579,24 +455,20 @@ fn decode_head(payload: &[u8]) -> Result<(usize, DeltaStrategy, u64, u64), Delta
     };
     let base = cur.u64()?;
     let result = cur.u64()?;
-    if cur.remaining() != 0 {
-        return Err(DeltaError::Malformed(
-            "trailing bytes in header section".into(),
-        ));
-    }
+    cur.finish("in header section")?;
     Ok((n, strategy, base, result))
 }
 
 fn decode_batch(payload: &[u8]) -> Result<UpdateBatch, DeltaError> {
-    let mut cur = Cursor::new(payload);
-    let count = cur.u64()? as usize;
+    let mut cur = Reader::new(payload);
+    let count = cur.len_u64()?;
     // Cap pre-allocation by the bytes present (17 per op minimum): a lying
     // count must surface as Truncated, not a capacity panic.
     let mut ops = Vec::with_capacity(count.min(cur.remaining() / 17));
     for _ in 0..count {
         let tag = cur.u8()?;
-        let u = cur.u64()? as NodeId;
-        let v = cur.u64()? as NodeId;
+        let u = cur.len_u64()?;
+        let v = cur.len_u64()?;
         ops.push(match tag {
             OP_INSERT => EdgeOp::Insert(u, v, cur.u64()?),
             OP_DELETE => EdgeOp::Delete(u, v),
@@ -604,17 +476,13 @@ fn decode_batch(payload: &[u8]) -> Result<UpdateBatch, DeltaError> {
             other => return Err(DeltaError::Malformed(format!("invalid op tag {other}"))),
         });
     }
-    if cur.remaining() != 0 {
-        return Err(DeltaError::Malformed(
-            "trailing bytes in batch section".into(),
-        ));
-    }
+    cur.finish("in batch section")?;
     Ok(UpdateBatch::new(ops))
 }
 
 fn decode_rows(payload: &[u8], n: usize) -> Result<Vec<(NodeId, Vec<Weight>)>, DeltaError> {
-    let mut cur = Cursor::new(payload);
-    let count = cur.u64()? as usize;
+    let mut cur = Reader::new(payload);
+    let count = cur.len_u64()?;
     // Saturating math: a crafted header can declare an absurd n, and the
     // per-row byte estimate must degrade to "no pre-allocation", never
     // overflow (the per-cell reads below then fail as Truncated).
@@ -622,7 +490,7 @@ fn decode_rows(payload: &[u8], n: usize) -> Result<Vec<(NodeId, Vec<Weight>)>, D
     let mut rows = Vec::with_capacity(count.min(cur.remaining() / per_row));
     let mut prev: Option<NodeId> = None;
     for _ in 0..count {
-        let idx = cur.u64()? as NodeId;
+        let idx = cur.len_u64()?;
         if idx >= n {
             return Err(DeltaError::Malformed(format!(
                 "row index {idx} out of range for n={n}"
@@ -634,17 +502,9 @@ fn decode_rows(payload: &[u8], n: usize) -> Result<Vec<(NodeId, Vec<Weight>)>, D
             ));
         }
         prev = Some(idx);
-        let mut row = Vec::with_capacity(n.min(cur.remaining() / 8));
-        for _ in 0..n {
-            row.push(cur.u64()?);
-        }
-        rows.push((idx, row));
+        rows.push((idx, cur.u64s(n)?));
     }
-    if cur.remaining() != 0 {
-        return Err(DeltaError::Malformed(
-            "trailing bytes in rows section".into(),
-        ));
-    }
+    cur.finish("in rows section")?;
     Ok(rows)
 }
 
@@ -893,17 +753,11 @@ mod tests {
         put_u64(&mut batch, 0);
         let mut rows = Vec::new();
         put_u64(&mut rows, 1); // one row claimed, no bytes behind it
-        let sections = [(SEC_HEAD, head), (SEC_BATCH, batch), (SEC_ROWS, rows)];
-        let mut bytes = Vec::new();
-        bytes.extend_from_slice(&MAGIC);
-        put_u32(&mut bytes, FORMAT_VERSION);
-        put_u32(&mut bytes, sections.len() as u32);
-        for (tag, payload) in &sections {
-            put_u32(&mut bytes, *tag);
-            put_u64(&mut bytes, payload.len() as u64);
-            put_u64(&mut bytes, fnv1a(payload));
-            bytes.extend_from_slice(payload);
-        }
+        let bytes = SectionWriter::new(&MAGIC, FORMAT_VERSION)
+            .section(SEC_HEAD, |b| b.extend_from_slice(&head))
+            .section(SEC_BATCH, |b| b.extend_from_slice(&batch))
+            .section(SEC_ROWS, |b| b.extend_from_slice(&rows))
+            .finish();
         assert!(matches!(
             Delta::from_bytes(&bytes),
             Err(DeltaError::Truncated { .. })

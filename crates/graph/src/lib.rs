@@ -20,6 +20,8 @@
 //!   ([`StretchStats`]) used by every experiment.
 //! * [`unionfind`], [`mst`], [`components`] — supporting structures for the
 //!   zero-weight reduction (Theorem 2.1 of the paper) and generators.
+//! * [`codec`] — the byte codec (FNV-1a, bounded reader, checksummed
+//!   sections, atomic file writes) under every binary format downstream.
 //!
 //! # Example
 //!
@@ -35,6 +37,7 @@
 //! ```
 
 pub mod apsp;
+pub mod codec;
 pub mod components;
 pub mod dist;
 pub mod generators;

@@ -10,8 +10,9 @@ use std::time::{Duration, Instant};
 use cc_obs::Histogram;
 
 use crate::loadgen::{generate_queries, LoadSpec, ServeBenchResult};
+use cc_graph::codec::fnv1a;
+
 use crate::service::{fingerprint, Query};
-use crate::snapshot::fnv1a;
 use crate::wire::{self, Reply, Request, ServeInfo, WireError};
 
 /// Backoff between retries of a batch the server answered
@@ -82,17 +83,6 @@ impl Client {
             Reply::Error(msg) => Err(WireError::Remote(msg)),
             other => Err(WireError::Malformed(format!(
                 "unexpected reply to info: {other:?}"
-            ))),
-        }
-    }
-
-    /// Fetches the metrics report.
-    pub fn metrics(&mut self) -> Result<String, WireError> {
-        match self.request(&Request::Metrics)? {
-            Reply::Metrics(text) => Ok(text),
-            Reply::Error(msg) => Err(WireError::Remote(msg)),
-            other => Err(WireError::Malformed(format!(
-                "unexpected reply to metrics: {other:?}"
             ))),
         }
     }
@@ -346,7 +336,8 @@ fn expect_error_or_close(stream: &mut TcpStream, what: &str) -> Result<(), Strin
     }
 }
 
-/// A healthy server must answer a metrics request on a fresh connection.
+/// A healthy server must answer an exposition request on a fresh
+/// connection.
 fn assert_alive(addr: &(impl ToSocketAddrs + ?Sized), after: &str) -> Result<(), String> {
     let mut client =
         Client::connect(addr).map_err(|e| format!("after {after}: reconnect failed: {e}"))?;
@@ -355,9 +346,9 @@ fn assert_alive(addr: &(impl ToSocketAddrs + ?Sized), after: &str) -> Result<(),
         .set_read_timeout(Some(CHAOS_READ_TIMEOUT))
         .ok();
     client
-        .metrics()
+        .metrics_v2()
         .map(|_| ())
-        .map_err(|e| format!("after {after}: metrics failed: {e}"))
+        .map_err(|e| format!("after {after}: metrics-v2 failed: {e}"))
 }
 
 /// Feeds the server hostile input — random bytes, lying lengths, checksum
@@ -384,7 +375,7 @@ pub fn chaos(addr: impl ToSocketAddrs) -> ChaosReport {
         "lying-length",
         (|| {
             let mut s = chaos_stream(addr)?;
-            let mut bytes = Request::Metrics.to_frame().encode();
+            let mut bytes = Request::MetricsV2.to_frame().encode();
             bytes[16..24].copy_from_slice(&u64::MAX.to_le_bytes());
             s.write_all(&bytes)
                 .map_err(|e| format!("write failed: {e}"))?;

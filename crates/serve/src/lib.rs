@@ -67,7 +67,6 @@
 //! ```
 
 pub mod client;
-mod cursor;
 pub mod loadgen;
 pub mod server;
 pub mod service;

@@ -15,6 +15,7 @@
 use cc_bench::report::BenchRecord;
 use cc_dynamic::incremental::{DynamicConfig, IncrementalOracle};
 use cc_dynamic::update::{random_batch, MutationProfile};
+use cc_graph::codec::fnv1a;
 use cc_graph::NodeId;
 use cc_par::ExecPolicy;
 use rand::rngs::StdRng;
@@ -22,7 +23,6 @@ use rand::{Rng, SeedableRng};
 use std::time::Instant;
 
 use crate::service::{fingerprint, OracleService, Query, SnapshotId};
-use crate::snapshot::fnv1a;
 
 /// Source-node popularity distribution of the generated stream.
 #[derive(Debug, Clone, Copy, PartialEq)]

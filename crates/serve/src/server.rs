@@ -93,7 +93,7 @@ impl Default for ServerConfig {
 }
 
 /// Monotone serving counters, readable while the server runs and reported
-/// in the metrics frame.
+/// in the Prometheus-style exposition.
 #[derive(Debug, Default)]
 pub struct ServerStats {
     /// Connections accepted.
@@ -110,21 +110,6 @@ pub struct ServerStats {
     pub sweeps: AtomicU64,
     /// Queries answered through the batcher.
     pub queries: AtomicU64,
-}
-
-impl ServerStats {
-    fn text(&self) -> String {
-        format!(
-            "server    conns={} frames={} sweeps={} queries={} overloads={} wire_errors={} slow_closes={}\n",
-            self.connections.load(Ordering::Relaxed),
-            self.frames.load(Ordering::Relaxed),
-            self.sweeps.load(Ordering::Relaxed),
-            self.queries.load(Ordering::Relaxed),
-            self.overloads.load(Ordering::Relaxed),
-            self.wire_errors.load(Ordering::Relaxed),
-            self.slow_closes.load(Ordering::Relaxed),
-        )
-    }
 }
 
 /// One enqueued batch request: the queries plus the way home.
@@ -507,13 +492,6 @@ fn handle_request(request: Request, ctx: &ConnCtx, out_tx: &SyncSender<Frame>) -
                     send_or_close(out_tx, Reply::Error("server stopping".into()), ctx)
                 }
             }
-        }
-        Request::Metrics => {
-            let text = {
-                let svc = read_recovering(&ctx.service);
-                svc.metrics_text()
-            } + &ctx.stats.text();
-            send_or_close(out_tx, Reply::Metrics(text), ctx)
         }
         Request::MetricsV2 => {
             let text = {

@@ -22,24 +22,25 @@
 //! response.
 
 use cc_apsp::oracle::DistanceOracle;
+use cc_graph::codec::{fnv1a, put_u64};
 use cc_graph::sssp::k_nearest_from_dists;
 use cc_graph::{NodeId, Weight};
-use cc_obs::Histogram;
 use cc_par::ExecPolicy;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 use std::time::Instant;
 
-use crate::snapshot::{fnv1a, Snapshot, SnapshotMeta};
+use crate::snapshot::{Snapshot, SnapshotMeta};
 
 /// Locks a mutex, recovering from poisoning instead of propagating the
 /// panic: a worker that panicked mid-query (out-of-range node id, allocation
-/// failure, …) must not take the whole service down with it. Every mutex in
-/// this module guards state whose invariants hold at every statement — the
-/// row cache never changes an answer and the histograms are append-only —
-/// so the contents are valid even when a holder panicked, and a long-lived
-/// server (`ccapsp serve`) keeps answering after an isolated crash.
+/// failure, …) must not take the whole service down with it. Every mutex
+/// locked through here guards state whose invariants hold at every
+/// statement — the row cache never changes an answer, and the telemetry
+/// histograms are append-only — so the contents are valid even when a
+/// holder panicked, and a long-lived server (`ccapsp serve`) keeps
+/// answering after an isolated crash.
 pub(crate) fn lock_recovering<T>(m: &Mutex<T>) -> std::sync::MutexGuard<'_, T> {
     m.lock().unwrap_or_else(|e| e.into_inner())
 }
@@ -99,35 +100,37 @@ pub enum Response {
 pub fn fingerprint(responses: &[Response]) -> u64 {
     let mut bytes = Vec::new();
     for r in responses {
-        match r {
-            Response::Dist(d) => {
-                bytes.push(1);
-                bytes.extend_from_slice(&d.to_le_bytes());
+        put_response(&mut bytes, r);
+    }
+    fnv1a(&bytes)
+}
+
+/// Appends one response in its byte layout: a type tag, then the
+/// distance, the optional route, or the k-nearest pairs. The wire protocol
+/// ships responses in this layout and [`fingerprint`] hashes it.
+pub(crate) fn put_response(out: &mut Vec<u8>, r: &Response) {
+    match r {
+        Response::Dist(d) => {
+            out.push(1);
+            put_u64(out, *d);
+        }
+        Response::Route(None) => out.extend_from_slice(&[2, 0]),
+        Response::Route(Some(nodes)) => {
+            out.extend_from_slice(&[2, 1]);
+            put_u64(out, nodes.len() as u64);
+            for &x in nodes {
+                put_u64(out, x as u64);
             }
-            Response::Route(path) => {
-                bytes.push(2);
-                match path {
-                    None => bytes.push(0),
-                    Some(nodes) => {
-                        bytes.push(1);
-                        bytes.extend_from_slice(&(nodes.len() as u64).to_le_bytes());
-                        for &x in nodes {
-                            bytes.extend_from_slice(&(x as u64).to_le_bytes());
-                        }
-                    }
-                }
-            }
-            Response::KNearest(rows) => {
-                bytes.push(3);
-                bytes.extend_from_slice(&(rows.len() as u64).to_le_bytes());
-                for &(v, d) in rows {
-                    bytes.extend_from_slice(&(v as u64).to_le_bytes());
-                    bytes.extend_from_slice(&d.to_le_bytes());
-                }
+        }
+        Response::KNearest(rows) => {
+            out.push(3);
+            put_u64(out, rows.len() as u64);
+            for &(v, d) in rows {
+                put_u64(out, v as u64);
+                put_u64(out, d);
             }
         }
     }
-    fnv1a(&bytes)
 }
 
 /// Tuning knobs for [`OracleService`].
@@ -254,30 +257,6 @@ impl std::error::Error for ApplyDeltaError {
     }
 }
 
-/// Per-query-type serving counters of one snapshot: how many queries of
-/// the type ran and the latency distribution of the batched ones.
-#[derive(Default)]
-struct TypeStat {
-    count: AtomicU64,
-    latency_ns: Mutex<Histogram>,
-}
-
-/// Point-in-time summary of one query type's serving stats; see
-/// [`OracleService::query_type_stats`].
-#[derive(Debug, Clone, Copy, PartialEq, Default)]
-pub struct QueryTypeStats {
-    /// Queries of this type answered (batched or direct).
-    pub count: u64,
-    /// Batched queries of this type with a recorded latency.
-    pub timed: u64,
-    /// Median batched latency, microseconds.
-    pub p50_us: f64,
-    /// 95th-percentile batched latency, microseconds.
-    pub p95_us: f64,
-    /// 99th-percentile batched latency, microseconds.
-    pub p99_us: f64,
-}
-
 /// One loaded snapshot: the oracle plus its serving-side state.
 struct Entry {
     name: String,
@@ -287,7 +266,8 @@ struct Entry {
     cache: Mutex<RowCache>,
     hits: AtomicU64,
     misses: AtomicU64,
-    type_stats: [TypeStat; 3],
+    /// Queries answered per type, indexed by [`Query::type_index`].
+    query_counts: [AtomicU64; 3],
 }
 
 /// The outcome of one [`OracleService::run_batch`] call.
@@ -306,7 +286,6 @@ pub struct OracleService {
     cfg: ServiceConfig,
     entries: Vec<Entry>,
     by_name: HashMap<String, Vec<usize>>,
-    started: Instant,
 }
 
 impl std::fmt::Debug for OracleService {
@@ -331,15 +310,7 @@ impl OracleService {
             cfg,
             entries: Vec::new(),
             by_name: HashMap::new(),
-            started: Instant::now(),
         }
-    }
-
-    /// Seconds since this service was constructed — the daemon's uptime,
-    /// reported by [`OracleService::metrics_text`] and the Prometheus-style
-    /// exposition so a scraper can spot restarts.
-    pub fn uptime_secs(&self) -> f64 {
-        self.started.elapsed().as_secs_f64()
     }
 
     /// Every registered snapshot id (all names, all versions), in
@@ -386,7 +357,7 @@ impl OracleService {
             cache: Mutex::new(RowCache::new(self.cfg.cache_rows)),
             hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
-            type_stats: Default::default(),
+            query_counts: Default::default(),
         });
         SnapshotId(idx)
     }
@@ -510,9 +481,7 @@ impl OracleService {
     /// (callers own validation; the CLI checks before calling).
     pub fn answer(&self, id: SnapshotId, query: &Query) -> Response {
         let e = &self.entries[id.0];
-        e.type_stats[query.type_index()]
-            .count
-            .fetch_add(1, Ordering::Relaxed);
+        e.query_counts[query.type_index()].fetch_add(1, Ordering::Relaxed);
         match *query {
             Query::Dist(u, v) => Response::Dist(e.oracle.query(u, v)),
             Query::Route(u, v) => Response::Route(e.oracle.route(u, v)),
@@ -581,15 +550,8 @@ impl OracleService {
             "serve.latency.route",
             "serve.latency.knearest",
         ];
-        let e = &self.entries[id.0];
-        for (ti, hist_name) in LATENCY_HISTS.iter().enumerate() {
-            let mut hist = lock_recovering(&e.type_stats[ti].latency_ns);
-            for (q, &ns) in queries.iter().zip(&latencies_ns) {
-                if q.type_index() == ti {
-                    hist.record(ns);
-                    cc_obs::record_hist(hist_name, ns);
-                }
-            }
+        for (q, &ns) in queries.iter().zip(&latencies_ns) {
+            cc_obs::record_hist(LATENCY_HISTS[q.type_index()], ns);
         }
         BatchOutcome {
             responses,
@@ -598,64 +560,11 @@ impl OracleService {
         }
     }
 
-    /// Per-query-type serving stats of a registered snapshot, indexed like
-    /// [`QUERY_TYPE_NAMES`]. Percentiles cover the batched queries
-    /// ([`OracleService::run_batch`] records each query's service time into
-    /// a per-type [`cc_obs::Histogram`]); `count` also includes direct
-    /// [`OracleService::answer`] calls.
-    pub fn query_type_stats(&self, id: SnapshotId) -> [QueryTypeStats; 3] {
-        let e = &self.entries[id.0];
-        std::array::from_fn(|ti| {
-            let stat = &e.type_stats[ti];
-            let hist = lock_recovering(&stat.latency_ns);
-            QueryTypeStats {
-                count: stat.count.load(Ordering::Relaxed),
-                timed: hist.count(),
-                p50_us: hist.percentile(0.50) / 1e3,
-                p95_us: hist.percentile(0.95) / 1e3,
-                p99_us: hist.percentile(0.99) / 1e3,
-            }
-        })
-    }
-
-    /// The text metrics report over every registered snapshot: per-type
-    /// query counts and latency percentiles plus cache hit rates. This is
-    /// the body a future networked `ccapsp serve` exposes on its metrics
-    /// endpoint (ROADMAP item 1).
-    pub fn metrics_text(&self) -> String {
-        let mut out = String::from("== serve metrics ==\n");
-        out.push_str(&format!("uptime    {:.1}s\n", self.uptime_secs()));
-        for (idx, e) in self.entries.iter().enumerate() {
-            let id = SnapshotId(idx);
-            out.push_str(&format!(
-                "snapshot {name} v{version} n={n} algo={algo} backend={backend} mem_bytes={mem}\n",
-                name = e.name,
-                version = e.version,
-                n = e.oracle.graph().n(),
-                algo = e.meta.algo,
-                backend = self.backend_kind(id),
-                mem = self.estimate_mem_bytes(id),
-            ));
-            for (ti, stats) in self.query_type_stats(id).iter().enumerate() {
-                out.push_str(&format!(
-                    "  {ty:<9} count={count:<8} timed={timed:<8} p50={p50:.1}us p95={p95:.1}us p99={p99:.1}us\n",
-                    ty = QUERY_TYPE_NAMES[ti],
-                    count = stats.count,
-                    timed = stats.timed,
-                    p50 = stats.p50_us,
-                    p95 = stats.p95_us,
-                    p99 = stats.p99_us,
-                ));
-            }
-            let cache = self.cache_stats(id);
-            out.push_str(&format!(
-                "  cache     hits={hits} misses={misses} hit_rate={rate:.3}\n",
-                hits = cache.hits,
-                misses = cache.misses,
-                rate = cache.hit_rate(),
-            ));
-        }
-        out
+    /// Queries answered per type (batched or direct) by a registered
+    /// snapshot, indexed like [`QUERY_TYPE_NAMES`].
+    pub fn query_counts(&self, id: SnapshotId) -> [u64; 3] {
+        let counts = &self.entries[id.0].query_counts;
+        std::array::from_fn(|ti| counts[ti].load(Ordering::Relaxed))
     }
 }
 
@@ -965,9 +874,9 @@ mod tests {
 
     #[test]
     fn poisoned_cache_mutex_does_not_kill_the_service() {
-        // A panicking worker used to poison the row-cache (and latency)
-        // mutexes, making every later query panic in `.lock().unwrap()`.
-        // The cache contents stay valid across a holder's panic (it never
+        // A panicking worker used to poison the row-cache mutex, making
+        // every later query panic in `.lock().unwrap()`. The cache
+        // contents stay valid across a holder's panic (it never
         // changes answers), so the service must recover and keep serving.
         let snap = exact_snapshot(20, 6);
         let (service, id) = OracleService::single(snap);
@@ -979,11 +888,6 @@ mod tests {
         }));
         assert!(caught.is_err());
         assert!(entry.cache.is_poisoned(), "the panic must have poisoned it");
-        let hist_caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            let _guard = entry.type_stats[0].latency_ns.lock().unwrap();
-            panic!("and another one holding a latency histogram");
-        }));
-        assert!(hist_caught.is_err());
         // Every query path that touches a poisoned mutex must still answer.
         assert_eq!(service.answer(id, &Query::KNearest(3, 5)), before);
         let outcome = service.run_batch(
@@ -993,9 +897,7 @@ mod tests {
         );
         assert_eq!(outcome.responses.len(), 3);
         assert_eq!(outcome.responses[1], before);
-        let stats = service.query_type_stats(id);
-        assert!(stats[0].count >= 1);
-        assert!(!service.metrics_text().is_empty());
+        assert!(service.query_counts(id)[0] >= 1);
     }
 
     #[test]

@@ -3,31 +3,24 @@
 //! A [`Snapshot`] packages everything a query node needs — the graph, the
 //! oracle backend (dense matrix or landmark sketch), and the run's
 //! provenance ([`SnapshotMeta`]) — into a single self-validating file
-//! (conventionally `*.ccsnap`):
+//! (conventionally `*.ccsnap`) in the checksummed section framing of
+//! [`cc_graph::codec`] under [`MAGIC`].
 //!
-//! ```text
-//! magic "CCSNAP\0\n" (8 bytes)
-//! format version      u32
-//! section count       u32
-//! per section: tag u32 · payload length u64 · FNV-1a checksum u64 · payload
-//! ```
-//!
-//! All integers are little-endian. Three sections are defined (graph,
-//! estimate, metadata); each carries its own checksum so corruption is
-//! localized in the error. Since format version 2 the estimate payload
-//! opens with a backend tag byte (`0` dense matrix, `1` landmark sketch);
-//! version-1 files — always dense, no tag — still load (the writer always
-//! emits the current version). Serialization is canonical — the same
-//! snapshot always produces the same bytes — which is what the round-trip
-//! property test (`save → load → save` is bit-identical) pins down.
+//! Three sections are defined (graph, estimate, metadata); each carries
+//! its own checksum so corruption is localized in the error. Since format
+//! version 2 the estimate payload opens with a backend tag byte (`0` dense
+//! matrix, `1` landmark sketch); version-1 files — always dense, no tag —
+//! still load (the writer always emits the current version).
+//! Serialization is canonical — the same snapshot always produces the same
+//! bytes — which is what the round-trip property test (`save → load →
+//! save` is bit-identical) pins down.
 
 use cc_apsp::landmark::LandmarkSketch;
 use cc_apsp::oracle::OracleBackend;
+use cc_graph::codec::{put_bytes, put_u64, read_sections, DecodeError, Reader, SectionWriter};
 use cc_graph::graph::{Direction, Graph};
 use cc_graph::{DistMatrix, NodeId, Weight};
 use std::path::Path;
-
-use crate::cursor::{Cursor, ReadError};
 
 /// File magic: identifies a snapshot regardless of format version.
 pub const MAGIC: [u8; 8] = *b"CCSNAP\0\n";
@@ -42,19 +35,14 @@ pub const LEGACY_VERSION: u32 = 1;
 const SEC_GRAPH: u32 = 1;
 const SEC_ESTIMATE: u32 = 2;
 const SEC_META: u32 = 3;
+const SECTIONS: [(u32, &str); 3] = [
+    (SEC_GRAPH, "graph"),
+    (SEC_ESTIMATE, "estimate"),
+    (SEC_META, "meta"),
+];
 
 const BACKEND_DENSE: u8 = 0;
 const BACKEND_LANDMARK: u8 = 1;
-
-/// FNV-1a 64-bit hash; the per-section checksum (and the response
-/// fingerprint in [`crate::service`]).
-pub fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h = (h ^ b as u64).wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
-}
 
 /// Provenance of the run that produced a snapshot's estimate.
 #[derive(Debug, Clone, PartialEq)]
@@ -145,34 +133,20 @@ impl From<std::io::Error> for SnapshotError {
     }
 }
 
-impl From<ReadError> for SnapshotError {
-    fn from(e: ReadError) -> Self {
+impl From<DecodeError> for SnapshotError {
+    fn from(e: DecodeError) -> Self {
         match e {
-            ReadError::Truncated { needed, available } => {
+            DecodeError::BadMagic => SnapshotError::BadMagic,
+            DecodeError::UnsupportedVersion(v) => SnapshotError::UnsupportedVersion(v),
+            DecodeError::Truncated { needed, available } => {
                 SnapshotError::Truncated { needed, available }
             }
-            // A length that does not fit the platform's address space can
-            // never be satisfied by real bytes — it is a crafted header,
-            // not a short read.
-            ReadError::LengthOverflow(v) => SnapshotError::Malformed(format!(
-                "length field {v} exceeds this platform's addressable size"
-            )),
-            ReadError::InvalidUtf8 => SnapshotError::Malformed("non-utf8 string".into()),
+            DecodeError::ChecksumMismatch { section } => {
+                SnapshotError::ChecksumMismatch { section }
+            }
+            DecodeError::Malformed(what) => SnapshotError::Malformed(what),
         }
     }
-}
-
-fn put_u32(buf: &mut Vec<u8>, v: u32) {
-    buf.extend_from_slice(&v.to_le_bytes());
-}
-
-fn put_u64(buf: &mut Vec<u8>, v: u64) {
-    buf.extend_from_slice(&v.to_le_bytes());
-}
-
-fn put_str(buf: &mut Vec<u8>, s: &str) {
-    put_u64(buf, s.len() as u64);
-    buf.extend_from_slice(s.as_bytes());
 }
 
 impl Snapshot {
@@ -249,89 +223,53 @@ impl Snapshot {
 
     /// Serializes to the canonical byte form (see the [module docs](self)).
     pub fn to_bytes(&self) -> Vec<u8> {
-        // Graph section: n, direction, edge count, (u, v, w) triples. The
-        // edge list from `Graph::edges` is already deduped and sorted, so
-        // rebuilding through `Graph::from_edges` reproduces the CSR exactly.
-        let mut graph = Vec::new();
-        put_u64(&mut graph, self.graph.n() as u64);
-        graph.push(match self.graph.direction() {
-            Direction::Undirected => 0,
-            Direction::Directed => 1,
-        });
-        let edges = self.graph.edges();
-        put_u64(&mut graph, edges.len() as u64);
-        for (u, v, w) in edges {
-            put_u64(&mut graph, u as u64);
-            put_u64(&mut graph, v as u64);
-            put_u64(&mut graph, w);
-        }
-
-        // Estimate section: backend tag, then the backend-specific layout.
-        let mut estimate = Vec::new();
-        match &self.backend {
-            OracleBackend::Dense(matrix) => {
-                // Dense: n then the row-major entries (the v1 layout,
-                // shifted one byte by the tag).
-                estimate.reserve(1 + 8 + 8 * matrix.raw().len());
-                estimate.push(BACKEND_DENSE);
-                put_u64(&mut estimate, matrix.n() as u64);
-                for &d in matrix.raw() {
-                    put_u64(&mut estimate, d);
+        SectionWriter::new(&MAGIC, FORMAT_VERSION)
+            .section(SEC_GRAPH, |b| {
+                // n, direction, edge count, (u, v, w) triples. The edge
+                // list from `Graph::edges` is already deduped and sorted, so
+                // rebuilding through `Graph::from_edges` reproduces the CSR
+                // exactly.
+                put_u64(b, self.graph.n() as u64);
+                b.push(match self.graph.direction() {
+                    Direction::Undirected => 0,
+                    Direction::Directed => 1,
+                });
+                let edges = self.graph.edges();
+                put_u64(b, edges.len() as u64);
+                for (u, v, w) in edges {
+                    put_u64(b, u as u64);
+                    put_u64(b, v as u64);
+                    put_u64(b, w);
                 }
-            }
-            OracleBackend::Landmark(sketch) => {
-                // Landmark: n, seed, landmark count L, the L landmark ids,
-                // the L×n distance rows, then per vertex its bunch as a
-                // count followed by (id, dist) pairs. `nearest` is derived
-                // and not serialized.
-                estimate.push(BACKEND_LANDMARK);
-                put_u64(&mut estimate, sketch.n() as u64);
-                put_u64(&mut estimate, sketch.seed());
-                let landmarks = sketch.landmarks();
-                put_u64(&mut estimate, landmarks.len() as u64);
-                for &l in landmarks {
-                    put_u64(&mut estimate, l as u64);
-                }
-                for i in 0..landmarks.len() {
-                    for &d in sketch.landmark_row(i) {
-                        put_u64(&mut estimate, d);
+            })
+            .section(SEC_ESTIMATE, |b| match &self.backend {
+                // Dense: tag, n, then the row-major entries (the v1
+                // layout, shifted one byte by the tag).
+                OracleBackend::Dense(matrix) => {
+                    b.reserve(1 + 8 + 8 * matrix.raw().len());
+                    b.push(BACKEND_DENSE);
+                    put_u64(b, matrix.n() as u64);
+                    for &d in matrix.raw() {
+                        put_u64(b, d);
                     }
                 }
-                for u in 0..sketch.n() {
-                    let bunch = sketch.bunch(u);
-                    put_u64(&mut estimate, bunch.len() as u64);
-                    for &(v, d) in bunch {
-                        put_u64(&mut estimate, v as u64);
-                        put_u64(&mut estimate, d);
-                    }
+                // Landmark: tag, n, then the sketch's content words —
+                // seed, landmark count L, the L ids, the L×n rows, and per
+                // vertex its bunch as a count and (id, dist) pairs.
+                OracleBackend::Landmark(sketch) => {
+                    b.push(BACKEND_LANDMARK);
+                    put_u64(b, sketch.n() as u64);
+                    sketch.fold_words(|w| put_u64(b, w));
                 }
-            }
-        }
-
-        // Meta section.
-        let mut meta = Vec::new();
-        put_str(&mut meta, &self.meta.algo);
-        put_str(&mut meta, &self.meta.source);
-        put_u64(&mut meta, self.meta.seed);
-        put_u64(&mut meta, self.meta.stretch_bound.to_bits());
-        put_u64(&mut meta, self.meta.rounds);
-
-        let sections = [
-            (SEC_GRAPH, graph),
-            (SEC_ESTIMATE, estimate),
-            (SEC_META, meta),
-        ];
-        let mut out = Vec::new();
-        out.extend_from_slice(&MAGIC);
-        put_u32(&mut out, FORMAT_VERSION);
-        put_u32(&mut out, sections.len() as u32);
-        for (tag, payload) in &sections {
-            put_u32(&mut out, *tag);
-            put_u64(&mut out, payload.len() as u64);
-            put_u64(&mut out, fnv1a(payload));
-            out.extend_from_slice(payload);
-        }
-        out
+            })
+            .section(SEC_META, |b| {
+                put_bytes(b, self.meta.algo.as_bytes());
+                put_bytes(b, self.meta.source.as_bytes());
+                put_u64(b, self.meta.seed);
+                put_u64(b, self.meta.stretch_bound.to_bits());
+                put_u64(b, self.meta.rounds);
+            })
+            .finish()
     }
 
     /// Decodes a snapshot, validating magic, version, per-section checksums,
@@ -342,81 +280,29 @@ impl Snapshot {
     /// Every decoding failure maps to a specific [`SnapshotError`] variant;
     /// no input panics.
     pub fn from_bytes(data: &[u8]) -> Result<Self, SnapshotError> {
-        let mut cur = Cursor::new(data);
-        if cur.take(MAGIC.len())? != MAGIC {
-            return Err(SnapshotError::BadMagic);
-        }
-        let version = cur.u32()?;
-        if version != FORMAT_VERSION && version != LEGACY_VERSION {
-            return Err(SnapshotError::UnsupportedVersion(version));
-        }
-        let section_count = cur.u32()?;
-        let mut graph_payload: Option<&[u8]> = None;
-        let mut estimate_payload: Option<&[u8]> = None;
-        let mut meta_payload: Option<&[u8]> = None;
-        for _ in 0..section_count {
-            let tag = cur.u32()?;
-            let len = cur.len_u64()?;
-            let checksum = cur.u64()?;
-            let payload = cur.take(len)?;
-            let (slot, name) = match tag {
-                SEC_GRAPH => (&mut graph_payload, "graph"),
-                SEC_ESTIMATE => (&mut estimate_payload, "estimate"),
-                SEC_META => (&mut meta_payload, "meta"),
-                other => {
-                    return Err(SnapshotError::Malformed(format!(
-                        "unknown section tag {other}"
-                    )))
-                }
-            };
-            if fnv1a(payload) != checksum {
-                return Err(SnapshotError::ChecksumMismatch { section: name });
-            }
-            if slot.replace(payload).is_some() {
-                return Err(SnapshotError::Malformed(format!(
-                    "duplicate {name} section"
-                )));
-            }
-        }
-        if cur.remaining() != 0 {
-            return Err(SnapshotError::Malformed(format!(
-                "{} trailing bytes after the last section",
-                cur.remaining()
-            )));
-        }
+        let (version, [graph, estimate, meta]) =
+            read_sections(data, &MAGIC, &[FORMAT_VERSION, LEGACY_VERSION], SECTIONS)?;
         // Decode the estimate first: its node count is self-bounding (a
         // lying n fails the per-cell reads long before any n²-sized
         // allocation). The graph decoder then validates its own n against it
         // *before* building the CSR, so no length field in the file can
         // trigger an allocation bigger than the file itself.
-        let backend = decode_backend(
-            estimate_payload
-                .ok_or_else(|| SnapshotError::Malformed("missing estimate section".into()))?,
-            version,
-        )?;
-        let graph = decode_graph(
-            graph_payload
-                .ok_or_else(|| SnapshotError::Malformed("missing graph section".into()))?,
-            backend.n(),
-        )?;
-        let meta = decode_meta(
-            meta_payload.ok_or_else(|| SnapshotError::Malformed("missing meta section".into()))?,
-        )?;
+        let backend = decode_backend(estimate, version)?;
         Ok(Snapshot {
-            graph,
+            graph: decode_graph(graph, backend.n())?,
             backend,
-            meta,
+            meta: decode_meta(meta)?,
         })
     }
 
-    /// Writes the snapshot to `path`.
+    /// Writes the snapshot to `path` atomically (see
+    /// [`cc_graph::codec::write_atomic`]).
     ///
     /// # Errors
     ///
     /// Propagates I/O errors.
     pub fn save(&self, path: impl AsRef<Path>) -> Result<(), SnapshotError> {
-        std::fs::write(path, self.to_bytes())?;
-        Ok(())
+        Ok(cc_graph::codec::write_atomic(path, &self.to_bytes())?)
     }
 
     /// Reads a snapshot from `path`.
@@ -431,7 +317,7 @@ impl Snapshot {
 }
 
 fn decode_graph(payload: &[u8], expected_n: usize) -> Result<Graph, SnapshotError> {
-    let mut cur = Cursor::new(payload);
+    let mut cur = Reader::new(payload);
     let n = cur.len_u64()?;
     if n != expected_n {
         return Err(SnapshotError::Malformed(format!(
@@ -462,16 +348,12 @@ fn decode_graph(payload: &[u8], expected_n: usize) -> Result<Graph, SnapshotErro
         }
         edges.push((u, v, w));
     }
-    if cur.remaining() != 0 {
-        return Err(SnapshotError::Malformed(
-            "trailing bytes in graph section".into(),
-        ));
-    }
+    cur.finish("in graph section")?;
     Ok(Graph::from_edges(n, direction, &edges))
 }
 
 fn decode_backend(payload: &[u8], version: u32) -> Result<OracleBackend, SnapshotError> {
-    let mut cur = Cursor::new(payload);
+    let mut cur = Reader::new(payload);
     // Version-1 estimate sections have no tag byte and are always dense.
     let tag = if version == LEGACY_VERSION {
         BACKEND_DENSE
@@ -487,28 +369,19 @@ fn decode_backend(payload: &[u8], version: u32) -> Result<OracleBackend, Snapsho
             )))
         }
     };
-    if cur.remaining() != 0 {
-        return Err(SnapshotError::Malformed(
-            "trailing bytes in estimate section".into(),
-        ));
-    }
+    cur.finish("in estimate section")?;
     Ok(backend)
 }
 
-fn decode_dense(cur: &mut Cursor<'_>) -> Result<DistMatrix, SnapshotError> {
+fn decode_dense(cur: &mut Reader<'_>) -> Result<DistMatrix, SnapshotError> {
     let n = cur.len_u64()?;
     let cells = n
         .checked_mul(n)
         .ok_or_else(|| SnapshotError::Malformed("estimate dimension overflows".into()))?;
-    // As in decode_graph: never pre-allocate more than the payload can hold.
-    let mut data = Vec::with_capacity(cells.min(cur.remaining() / 8));
-    for _ in 0..cells {
-        data.push(cur.u64()?);
-    }
-    Ok(DistMatrix::from_raw(n, data))
+    Ok(DistMatrix::from_raw(n, cur.u64s(cells)?))
 }
 
-fn decode_landmark(cur: &mut Cursor<'_>) -> Result<LandmarkSketch, SnapshotError> {
+fn decode_landmark(cur: &mut Reader<'_>) -> Result<LandmarkSketch, SnapshotError> {
     let n = cur.len_u64()?;
     let seed = cur.u64()?;
     let count = cur.len_u64()?;
@@ -522,10 +395,7 @@ fn decode_landmark(cur: &mut Cursor<'_>) -> Result<LandmarkSketch, SnapshotError
     let cells = count
         .checked_mul(n)
         .ok_or_else(|| SnapshotError::Malformed("landmark row length overflows".into()))?;
-    let mut rows: Vec<Weight> = Vec::with_capacity(cells.min(cur.remaining() / 8));
-    for _ in 0..cells {
-        rows.push(cur.u64()?);
-    }
+    let rows = cur.u64s(cells)?;
     let mut bunches: Vec<Vec<(NodeId, Weight)>> = Vec::with_capacity(n.min(cur.remaining() / 8));
     for _ in 0..n {
         let len = cur.len_u64()?;
@@ -542,17 +412,13 @@ fn decode_landmark(cur: &mut Cursor<'_>) -> Result<LandmarkSketch, SnapshotError
 }
 
 fn decode_meta(payload: &[u8]) -> Result<SnapshotMeta, SnapshotError> {
-    let mut cur = Cursor::new(payload);
+    let mut cur = Reader::new(payload);
     let algo = cur.str()?;
     let source = cur.str()?;
     let seed = cur.u64()?;
     let stretch_bound = f64::from_bits(cur.u64()?);
     let rounds = cur.u64()?;
-    if cur.remaining() != 0 {
-        return Err(SnapshotError::Malformed(
-            "trailing bytes in meta section".into(),
-        ));
-    }
+    cur.finish("in meta section")?;
     Ok(SnapshotMeta {
         algo,
         seed,
@@ -663,21 +529,22 @@ mod tests {
     /// A syntactically valid frame around arbitrary section payloads (with
     /// correct checksums), for crafting adversarial inputs.
     fn frame_v(version: u32, sections: &[(u32, Vec<u8>)]) -> Vec<u8> {
-        let mut out = Vec::new();
-        out.extend_from_slice(&MAGIC);
-        put_u32(&mut out, version);
-        put_u32(&mut out, sections.len() as u32);
-        for (tag, payload) in sections {
-            put_u32(&mut out, *tag);
-            put_u64(&mut out, payload.len() as u64);
-            put_u64(&mut out, fnv1a(payload));
-            out.extend_from_slice(payload);
-        }
-        out
+        sections
+            .iter()
+            .fold(SectionWriter::new(&MAGIC, version), |w, (tag, payload)| {
+                w.section(*tag, |b| b.extend_from_slice(payload))
+            })
+            .finish()
     }
 
     fn frame(sections: &[(u32, Vec<u8>)]) -> Vec<u8> {
         frame_v(FORMAT_VERSION, sections)
+    }
+
+    /// The graph, estimate and meta payloads of an encoded snapshot.
+    fn payloads(bytes: &[u8]) -> [Vec<u8>; 3] {
+        let (_, payloads) = read_sections(bytes, &MAGIC, &[FORMAT_VERSION], SECTIONS).unwrap();
+        payloads.map(<[u8]>::to_vec)
     }
 
     #[test]
@@ -690,8 +557,8 @@ mod tests {
         lying_graph.push(0); // undirected
         put_u64(&mut lying_graph, 1 << 60); // m — a lie
         let mut meta = Vec::new();
-        put_str(&mut meta, "x");
-        put_str(&mut meta, "y");
+        put_bytes(&mut meta, b"x");
+        put_bytes(&mut meta, b"y");
         put_u64(&mut meta, 0);
         put_u64(&mut meta, 1.0f64.to_bits());
         put_u64(&mut meta, 0);
@@ -795,20 +662,11 @@ mod tests {
     fn landmark_estimate_byte_flips_are_checksum_mismatches() {
         let snap = landmark_sample();
         let clean = snap.to_bytes();
-        // Locate the estimate section's payload in the framed bytes and
-        // flip every byte in it, one at a time.
-        let mut pos = MAGIC.len() + 4 + 4;
-        let (mut est_start, mut est_len) = (0usize, 0usize);
-        for _ in 0..3 {
-            let tag = u32::from_le_bytes(clean[pos..pos + 4].try_into().unwrap());
-            let len = u64::from_le_bytes(clean[pos + 4..pos + 12].try_into().unwrap()) as usize;
-            let payload_at = pos + 4 + 8 + 8;
-            if tag == SEC_ESTIMATE {
-                est_start = payload_at;
-                est_len = len;
-            }
-            pos = payload_at + len;
-        }
+        // Flip bytes across the estimate payload, which follows the file
+        // header, the graph section and its own 20-byte section header.
+        let [graph, estimate, _] = payloads(&clean);
+        let est_start = MAGIC.len() + 8 + (20 + graph.len()) + 20;
+        let est_len = estimate.len();
         assert!(est_len > 0, "estimate section not found");
         for off in (0..est_len).step_by(97.max(est_len / 64)) {
             let mut corrupt = clean.clone();
@@ -827,24 +685,15 @@ mod tests {
 
     #[test]
     fn unknown_backend_tags_are_malformed() {
-        let snap = sample();
-        let mut bytes = snap.to_bytes();
-        // The estimate section is the second section; find its payload's
-        // first byte (the backend tag) and set it to an unknown value, then
-        // re-checksum so the tag check (not the checksum) fires.
-        let mut pos = MAGIC.len() + 4 + 4;
-        for _ in 0..3 {
-            let tag = u32::from_le_bytes(bytes[pos..pos + 4].try_into().unwrap());
-            let len = u64::from_le_bytes(bytes[pos + 4..pos + 12].try_into().unwrap()) as usize;
-            let payload_at = pos + 4 + 8 + 8;
-            if tag == SEC_ESTIMATE {
-                bytes[payload_at] = 7;
-                let sum = fnv1a(&bytes[payload_at..payload_at + len]);
-                bytes[pos + 12..pos + 20].copy_from_slice(&sum.to_le_bytes());
-                break;
-            }
-            pos = payload_at + len;
-        }
+        // Set the estimate payload's first byte (the backend tag) to an
+        // unknown value under a valid checksum, so the tag check fires.
+        let [graph, mut estimate, meta] = payloads(&sample().to_bytes());
+        estimate[0] = 7;
+        let bytes = frame(&[
+            (SEC_GRAPH, graph),
+            (SEC_ESTIMATE, estimate),
+            (SEC_META, meta),
+        ]);
         match Snapshot::from_bytes(&bytes) {
             Err(SnapshotError::Malformed(msg)) => assert!(msg.contains("backend tag"), "{msg}"),
             other => panic!("expected Malformed, got {other:?}"),
@@ -857,20 +706,16 @@ mod tests {
         let v2 = snap.to_bytes();
         // Rebuild the same snapshot as a version-1 file: same graph and
         // meta payloads, estimate payload without the leading tag byte.
-        let mut pos = MAGIC.len() + 4 + 4;
-        let mut sections: Vec<(u32, Vec<u8>)> = Vec::new();
-        for _ in 0..3 {
-            let tag = u32::from_le_bytes(v2[pos..pos + 4].try_into().unwrap());
-            let len = u64::from_le_bytes(v2[pos + 4..pos + 12].try_into().unwrap()) as usize;
-            let payload_at = pos + 4 + 8 + 8;
-            let mut payload = v2[payload_at..payload_at + len].to_vec();
-            if tag == SEC_ESTIMATE {
-                payload.remove(0); // drop the v2 backend tag
-            }
-            sections.push((tag, payload));
-            pos = payload_at + len;
-        }
-        let v1 = frame_v(LEGACY_VERSION, &sections);
+        let [graph, mut estimate, meta] = payloads(&v2);
+        estimate.remove(0);
+        let v1 = frame_v(
+            LEGACY_VERSION,
+            &[
+                (SEC_GRAPH, graph),
+                (SEC_ESTIMATE, estimate),
+                (SEC_META, meta),
+            ],
+        );
         let back = Snapshot::from_bytes(&v1).expect("legacy decode");
         assert_eq!(back, snap);
         // Re-encoding a legacy snapshot produces the current format.
@@ -884,8 +729,8 @@ mod tests {
         ok_graph.push(0);
         put_u64(&mut ok_graph, 0);
         let mut meta = Vec::new();
-        put_str(&mut meta, "x");
-        put_str(&mut meta, "y");
+        put_bytes(&mut meta, b"x");
+        put_bytes(&mut meta, b"y");
         put_u64(&mut meta, 0);
         put_u64(&mut meta, 3.0f64.to_bits());
         put_u64(&mut meta, 0);

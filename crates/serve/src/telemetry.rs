@@ -367,13 +367,10 @@ pub fn prometheus_text(svc: &OracleService, stats: &ServerStats, tel: &ServeTele
             format!("{{name=\"{name}\",version=\"{version}\"}}"),
             svc.estimate_mem_bytes(id) as f64,
         ));
-        for (ti, stats) in svc.query_type_stats(id).iter().enumerate() {
+        for (ty, count) in QUERY_TYPE_NAMES.iter().zip(svc.query_counts(id)) {
             by_type.push((
-                format!(
-                    "{{name=\"{name}\",version=\"{version}\",type=\"{ty}\"}}",
-                    ty = QUERY_TYPE_NAMES[ti]
-                ),
-                stats.count as f64,
+                format!("{{name=\"{name}\",version=\"{version}\",type=\"{ty}\"}}"),
+                count as f64,
             ));
         }
         let cache = svc.cache_stats(id);

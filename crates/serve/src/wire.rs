@@ -33,16 +33,21 @@
 //!   [`WireError::Malformed`].
 //!
 //! Node-count/length fields inside payloads go through the same checked
-//! `u64 → usize` cursor as the snapshot decoder ([`crate::cursor`]), so
-//! 32-bit builds reject rather than truncate.
+//! `u64 → usize` reader as the file decoders
+//! ([`cc_graph::codec::Reader::len_u64`]), so 32-bit builds reject rather
+//! than truncate.
+//!
+//! Kinds 2 and 18 carried the retired text metrics report; they are no
+//! longer assigned, so a frame of either kind is
+//! [`WireError::UnknownKind`]. The Prometheus-style exposition (kinds 7
+//! and 24) replaces them.
 
 use std::io::{Read, Write};
 
+use cc_graph::codec::{put_bytes, put_u32, put_u64, DecodeError, Fnv1a, Reader};
 use cc_graph::{NodeId, Weight};
 
-use crate::cursor::{Cursor, ReadError};
-use crate::service::{Query, Response};
-use crate::snapshot::fnv1a;
+use crate::service::{put_response, Query, Response};
 
 /// Leading bytes of every frame.
 pub const WIRE_MAGIC: [u8; 8] = *b"CCWIRE\0\n";
@@ -134,29 +139,28 @@ impl From<std::io::Error> for WireError {
     }
 }
 
-impl From<ReadError> for WireError {
-    fn from(e: ReadError) -> Self {
+impl From<DecodeError> for WireError {
+    fn from(e: DecodeError) -> Self {
         match e {
-            ReadError::Truncated { needed, available } => {
+            DecodeError::BadMagic => WireError::BadMagic,
+            DecodeError::UnsupportedVersion(v) => WireError::UnsupportedVersion(v),
+            DecodeError::Truncated { needed, available } => {
                 WireError::Truncated { needed, available }
             }
-            ReadError::LengthOverflow(v) => WireError::Malformed(format!(
-                "length field {v} exceeds this platform's addressable size"
-            )),
-            ReadError::InvalidUtf8 => WireError::Malformed("non-utf8 string".into()),
+            DecodeError::ChecksumMismatch { .. } => WireError::ChecksumMismatch,
+            DecodeError::Malformed(what) => WireError::Malformed(what),
         }
     }
 }
 
 /// Frame discriminants. Requests are 1–8, replies 17–25, so a stray reply
-/// can never be mistaken for a request (and vice versa).
+/// can never be mistaken for a request (and vice versa); 2 and 18 are
+/// retired (see the [module docs](self)).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 #[repr(u32)]
 pub enum FrameKind {
     /// Client → server: a batch of queries against a named snapshot.
     Batch = 1,
-    /// Client → server: request the text metrics report.
-    Metrics = 2,
     /// Client → server: request a named snapshot's serving info.
     Info = 3,
     /// Client → server: apply a `cc_dynamic` delta to a named snapshot.
@@ -172,8 +176,6 @@ pub enum FrameKind {
     FlightDump = 8,
     /// Server → client: the responses to a [`FrameKind::Batch`], in order.
     BatchOk = 17,
-    /// Server → client: the metrics report body.
-    MetricsOk = 18,
     /// Server → client: snapshot serving info.
     InfoOk = 19,
     /// Server → client: an admin operation succeeded.
@@ -194,7 +196,6 @@ impl FrameKind {
     fn from_u32(k: u32) -> Option<Self> {
         Some(match k {
             1 => FrameKind::Batch,
-            2 => FrameKind::Metrics,
             3 => FrameKind::Info,
             4 => FrameKind::ApplyDelta,
             5 => FrameKind::SwapSnapshot,
@@ -202,7 +203,6 @@ impl FrameKind {
             7 => FrameKind::MetricsV2,
             8 => FrameKind::FlightDump,
             17 => FrameKind::BatchOk,
-            18 => FrameKind::MetricsOk,
             19 => FrameKind::InfoOk,
             20 => FrameKind::AdminOk,
             21 => FrameKind::Overload,
@@ -229,10 +229,10 @@ impl Frame {
     pub fn encode(&self) -> Vec<u8> {
         let mut out = Vec::with_capacity(HEADER_LEN + self.payload.len());
         out.extend_from_slice(&WIRE_MAGIC);
-        out.extend_from_slice(&WIRE_VERSION.to_le_bytes());
-        out.extend_from_slice(&(self.kind as u32).to_le_bytes());
-        out.extend_from_slice(&(self.payload.len() as u64).to_le_bytes());
-        out.extend_from_slice(&frame_checksum(self.kind as u32, &self.payload).to_le_bytes());
+        put_u32(&mut out, WIRE_VERSION);
+        put_u32(&mut out, self.kind as u32);
+        put_u64(&mut out, self.payload.len() as u64);
+        put_u64(&mut out, frame_checksum(self.kind as u32, &self.payload));
         out.extend_from_slice(&self.payload);
         out
     }
@@ -240,51 +240,57 @@ impl Frame {
 
 /// The checksummed region: `kind ‖ length ‖ payload`.
 fn frame_checksum(kind: u32, payload: &[u8]) -> u64 {
-    let mut bytes = Vec::with_capacity(12 + payload.len());
-    bytes.extend_from_slice(&kind.to_le_bytes());
-    bytes.extend_from_slice(&(payload.len() as u64).to_le_bytes());
-    bytes.extend_from_slice(payload);
-    fnv1a(&bytes)
+    Fnv1a::default()
+        .bytes(&kind.to_le_bytes())
+        .bytes(&(payload.len() as u64).to_le_bytes())
+        .bytes(payload)
+        .finish()
 }
 
-/// Decodes one frame from the front of `data`, returning it plus the byte
-/// count consumed. Never allocates more than `cap` bytes no matter what the
-/// header declares.
-pub fn decode_frame(data: &[u8], cap: u64) -> Result<(Frame, usize), WireError> {
-    let mut cur = Cursor::new(data);
-    let magic = cur.take(WIRE_MAGIC.len())?;
-    if magic != WIRE_MAGIC {
+/// Parses a frame header from the front of `cur` into `(kind, payload
+/// length, checksum)`. The cap check runs on the raw `u64` before any
+/// `usize` conversion, so a 16-exabyte header is Oversized, not a 32-bit
+/// overflow.
+fn read_header(cur: &mut Reader<'_>, cap: u64) -> Result<(u32, usize, u64), WireError> {
+    if cur.take(WIRE_MAGIC.len())? != WIRE_MAGIC {
         return Err(WireError::BadMagic);
     }
     let version = cur.u32()?;
     if version != WIRE_VERSION {
         return Err(WireError::UnsupportedVersion(version));
     }
-    let kind_raw = cur.u32()?;
-    // The cap check runs on the raw u64 before any usize conversion, so a
-    // 16-exabyte header is Oversized, not a 32-bit overflow.
+    let kind = cur.u32()?;
     let declared = cur.u64()?;
     if declared > cap {
         return Err(WireError::Oversized { declared, cap });
     }
     let len = usize::try_from(declared).map_err(|_| WireError::Oversized { declared, cap })?;
-    let checksum = cur.u64()?;
-    let payload = cur.take(len)?;
-    // Kind validity is checked *after* the payload is in hand but the
-    // checksum verdict comes first: a bit-flipped kind field fails the
-    // checksum (it is covered), which is the more precise diagnosis.
-    if frame_checksum(kind_raw, payload) != checksum {
+    Ok((kind, len, cur.u64()?))
+}
+
+/// Checks a received payload against its header. The checksum verdict
+/// comes before the kind lookup: a bit-flipped kind field fails the
+/// checksum (it is covered), which is the more precise diagnosis.
+fn verify(kind: u32, checksum: u64, payload: &[u8]) -> Result<FrameKind, WireError> {
+    if frame_checksum(kind, payload) != checksum {
         return Err(WireError::ChecksumMismatch);
     }
-    let kind = FrameKind::from_u32(kind_raw).ok_or(WireError::UnknownKind(kind_raw))?;
-    let consumed = HEADER_LEN + len;
-    Ok((
-        Frame {
-            kind,
-            payload: payload.to_vec(),
-        },
-        consumed,
-    ))
+    FrameKind::from_u32(kind).ok_or(WireError::UnknownKind(kind))
+}
+
+/// Decodes one frame from the front of `data`, returning it plus the byte
+/// count consumed. Never allocates more than `cap` bytes no matter what the
+/// header declares.
+pub fn decode_frame(data: &[u8], cap: u64) -> Result<(Frame, usize), WireError> {
+    let mut cur = Reader::new(data);
+    let (kind, len, checksum) = read_header(&mut cur, cap)?;
+    let payload = cur.take(len)?;
+    let kind = verify(kind, checksum, payload)?;
+    let frame = Frame {
+        kind,
+        payload: payload.to_vec(),
+    };
+    Ok((frame, HEADER_LEN + len))
 }
 
 /// Reads exactly `buf.len()` bytes, looping over short reads. `Ok(0)` from
@@ -320,21 +326,7 @@ pub fn read_frame(r: &mut impl Read, cap: u64) -> Result<Option<Frame>, WireErro
     if !read_full(r, &mut header)? {
         return Ok(None);
     }
-    let mut cur = Cursor::new(&header);
-    if cur.take(WIRE_MAGIC.len())? != WIRE_MAGIC {
-        return Err(WireError::BadMagic);
-    }
-    let version = cur.u32()?;
-    if version != WIRE_VERSION {
-        return Err(WireError::UnsupportedVersion(version));
-    }
-    let kind_raw = cur.u32()?;
-    let declared = cur.u64()?;
-    if declared > cap {
-        return Err(WireError::Oversized { declared, cap });
-    }
-    let len = usize::try_from(declared).map_err(|_| WireError::Oversized { declared, cap })?;
-    let checksum = cur.u64()?;
+    let (kind, len, checksum) = read_header(&mut Reader::new(&header), cap)?;
     let mut payload = vec![0u8; len];
     if !read_full(r, &mut payload)? && len > 0 {
         return Err(WireError::Truncated {
@@ -342,10 +334,7 @@ pub fn read_frame(r: &mut impl Read, cap: u64) -> Result<Option<Frame>, WireErro
             available: 0,
         });
     }
-    if frame_checksum(kind_raw, &payload) != checksum {
-        return Err(WireError::ChecksumMismatch);
-    }
-    let kind = FrameKind::from_u32(kind_raw).ok_or(WireError::UnknownKind(kind_raw))?;
+    let kind = verify(kind, checksum, &payload)?;
     Ok(Some(Frame { kind, payload }))
 }
 
@@ -370,8 +359,6 @@ pub enum Request {
         /// Queries, answered in order.
         queries: Vec<Query>,
     },
-    /// Request the metrics report; answered by [`Reply::Metrics`].
-    Metrics,
     /// Request serving info for a named snapshot; answered by
     /// [`Reply::Info`].
     Info {
@@ -431,9 +418,6 @@ pub struct ServeInfo {
 pub enum Reply {
     /// Responses to a [`Request::Batch`], in query order.
     Batch(Vec<Response>),
-    /// The text metrics report ([`crate::OracleService::metrics_text`] plus
-    /// server counters).
-    Metrics(String),
     /// Serving info for the requested snapshot.
     Info(ServeInfo),
     /// An admin operation succeeded (human-readable detail).
@@ -451,26 +435,21 @@ pub enum Reply {
     FlightDump(String),
 }
 
-fn put_str(out: &mut Vec<u8>, s: &str) {
-    out.extend_from_slice(&(s.len() as u64).to_le_bytes());
-    out.extend_from_slice(s.as_bytes());
-}
-
 fn encode_queries(out: &mut Vec<u8>, queries: &[Query]) {
-    out.extend_from_slice(&(queries.len() as u64).to_le_bytes());
+    put_u64(out, queries.len() as u64);
     for q in queries {
         let (tag, a, b) = match *q {
-            Query::Dist(u, v) => (1u8, u as u64, v as u64),
-            Query::Route(u, v) => (2, u as u64, v as u64),
-            Query::KNearest(u, k) => (3, u as u64, k as u64),
+            Query::Dist(u, v) => (1u8, u, v),
+            Query::Route(u, v) => (2, u, v),
+            Query::KNearest(u, k) => (3, u, k),
         };
         out.push(tag);
-        out.extend_from_slice(&a.to_le_bytes());
-        out.extend_from_slice(&b.to_le_bytes());
+        put_u64(out, a as u64);
+        put_u64(out, b as u64);
     }
 }
 
-fn decode_queries(cur: &mut Cursor<'_>) -> Result<Vec<Query>, WireError> {
+fn decode_queries(cur: &mut Reader<'_>) -> Result<Vec<Query>, WireError> {
     let count = cur.len_u64()?;
     // Each query is 17 bytes; cap the preallocation by what the payload can
     // actually hold, same discipline as the snapshot decoder.
@@ -489,43 +468,17 @@ fn decode_queries(cur: &mut Cursor<'_>) -> Result<Vec<Query>, WireError> {
     Ok(queries)
 }
 
-/// Encodes responses with the exact same byte layout the response
-/// fingerprint hashes ([`crate::service::fingerprint`]), so what is checked
-/// end-to-end is literally what crossed the wire.
+/// Encodes responses as a count followed by each response in the byte
+/// layout the response fingerprint hashes ([`crate::service::put_response`]),
+/// so what is checked end-to-end is literally what crossed the wire.
 fn encode_responses(out: &mut Vec<u8>, responses: &[Response]) {
-    out.extend_from_slice(&(responses.len() as u64).to_le_bytes());
+    put_u64(out, responses.len() as u64);
     for r in responses {
-        match r {
-            Response::Dist(d) => {
-                out.push(1);
-                out.extend_from_slice(&d.to_le_bytes());
-            }
-            Response::Route(path) => {
-                out.push(2);
-                match path {
-                    None => out.push(0),
-                    Some(nodes) => {
-                        out.push(1);
-                        out.extend_from_slice(&(nodes.len() as u64).to_le_bytes());
-                        for &x in nodes {
-                            out.extend_from_slice(&(x as u64).to_le_bytes());
-                        }
-                    }
-                }
-            }
-            Response::KNearest(rows) => {
-                out.push(3);
-                out.extend_from_slice(&(rows.len() as u64).to_le_bytes());
-                for &(v, d) in rows {
-                    out.extend_from_slice(&(v as u64).to_le_bytes());
-                    out.extend_from_slice(&d.to_le_bytes());
-                }
-            }
-        }
+        put_response(out, r);
     }
 }
 
-fn decode_responses(cur: &mut Cursor<'_>) -> Result<Vec<Response>, WireError> {
+fn decode_responses(cur: &mut Reader<'_>) -> Result<Vec<Response>, WireError> {
     let count = cur.len_u64()?;
     let mut responses = Vec::with_capacity(count.min(cur.remaining() / 9 + 1));
     for _ in 0..count {
@@ -562,48 +515,27 @@ fn decode_responses(cur: &mut Cursor<'_>) -> Result<Vec<Response>, WireError> {
     Ok(responses)
 }
 
-fn put_bytes(out: &mut Vec<u8>, bytes: &[u8]) {
-    out.extend_from_slice(&(bytes.len() as u64).to_le_bytes());
-    out.extend_from_slice(bytes);
-}
-
-fn take_bytes(cur: &mut Cursor<'_>) -> Result<Vec<u8>, WireError> {
-    let len = cur.len_u64()?;
-    Ok(cur.take(len)?.to_vec())
-}
-
-fn finish(cur: &Cursor<'_>) -> Result<(), WireError> {
-    if cur.remaining() != 0 {
-        return Err(WireError::Malformed(format!(
-            "{} trailing bytes after payload body",
-            cur.remaining()
-        )));
-    }
-    Ok(())
-}
-
 impl Request {
     /// Encodes the request as a frame.
     pub fn to_frame(&self) -> Frame {
         let mut payload = Vec::new();
         let kind = match self {
             Request::Batch { name, queries } => {
-                put_str(&mut payload, name);
+                put_bytes(&mut payload, name.as_bytes());
                 encode_queries(&mut payload, queries);
                 FrameKind::Batch
             }
-            Request::Metrics => FrameKind::Metrics,
             Request::Info { name } => {
-                put_str(&mut payload, name);
+                put_bytes(&mut payload, name.as_bytes());
                 FrameKind::Info
             }
             Request::ApplyDelta { name, delta } => {
-                put_str(&mut payload, name);
+                put_bytes(&mut payload, name.as_bytes());
                 put_bytes(&mut payload, delta);
                 FrameKind::ApplyDelta
             }
             Request::SwapSnapshot { name, snapshot } => {
-                put_str(&mut payload, name);
+                put_bytes(&mut payload, name.as_bytes());
                 put_bytes(&mut payload, snapshot);
                 FrameKind::SwapSnapshot
             }
@@ -617,21 +549,20 @@ impl Request {
     /// Decodes a request from a frame. Reply kinds are
     /// [`WireError::Malformed`] here — a server never accepts them.
     pub fn from_frame(frame: &Frame) -> Result<Self, WireError> {
-        let mut cur = Cursor::new(&frame.payload);
+        let mut cur = Reader::new(&frame.payload);
         let req = match frame.kind {
             FrameKind::Batch => Request::Batch {
                 name: cur.str()?,
                 queries: decode_queries(&mut cur)?,
             },
-            FrameKind::Metrics => Request::Metrics,
             FrameKind::Info => Request::Info { name: cur.str()? },
             FrameKind::ApplyDelta => Request::ApplyDelta {
                 name: cur.str()?,
-                delta: take_bytes(&mut cur)?,
+                delta: cur.bytes()?.to_vec(),
             },
             FrameKind::SwapSnapshot => Request::SwapSnapshot {
                 name: cur.str()?,
-                snapshot: take_bytes(&mut cur)?,
+                snapshot: cur.bytes()?.to_vec(),
             },
             FrameKind::Shutdown => Request::Shutdown,
             FrameKind::MetricsV2 => Request::MetricsV2,
@@ -643,7 +574,7 @@ impl Request {
                 )))
             }
         };
-        finish(&cur)?;
+        cur.finish("after payload body")?;
         Ok(req)
     }
 }
@@ -657,39 +588,35 @@ impl Reply {
                 encode_responses(&mut payload, responses);
                 FrameKind::BatchOk
             }
-            Reply::Metrics(text) => {
-                put_str(&mut payload, text);
-                FrameKind::MetricsOk
-            }
             Reply::Info(info) => {
-                put_str(&mut payload, &info.name);
-                payload.extend_from_slice(&info.version.to_le_bytes());
-                payload.extend_from_slice(&(info.n as u64).to_le_bytes());
-                put_str(&mut payload, &info.algo);
-                payload.extend_from_slice(&info.mem_bytes.to_le_bytes());
-                payload.extend_from_slice(&info.cache_hits.to_le_bytes());
-                payload.extend_from_slice(&info.cache_misses.to_le_bytes());
+                put_bytes(&mut payload, info.name.as_bytes());
+                put_u32(&mut payload, info.version);
+                put_u64(&mut payload, info.n as u64);
+                put_bytes(&mut payload, info.algo.as_bytes());
+                put_u64(&mut payload, info.mem_bytes);
+                put_u64(&mut payload, info.cache_hits);
+                put_u64(&mut payload, info.cache_misses);
                 FrameKind::InfoOk
             }
             Reply::AdminOk(msg) => {
-                put_str(&mut payload, msg);
+                put_bytes(&mut payload, msg.as_bytes());
                 FrameKind::AdminOk
             }
             Reply::Overload(depth) => {
-                payload.extend_from_slice(&depth.to_le_bytes());
+                put_u64(&mut payload, *depth);
                 FrameKind::Overload
             }
             Reply::Error(msg) => {
-                put_str(&mut payload, msg);
+                put_bytes(&mut payload, msg.as_bytes());
                 FrameKind::Error
             }
             Reply::ShutdownOk => FrameKind::ShutdownOk,
             Reply::MetricsV2(text) => {
-                put_str(&mut payload, text);
+                put_bytes(&mut payload, text.as_bytes());
                 FrameKind::MetricsV2Ok
             }
             Reply::FlightDump(json) => {
-                put_str(&mut payload, json);
+                put_bytes(&mut payload, json.as_bytes());
                 FrameKind::FlightDumpOk
             }
         };
@@ -699,10 +626,9 @@ impl Reply {
     /// Decodes a reply from a frame. Request kinds are
     /// [`WireError::Malformed`] here — a client never accepts them.
     pub fn from_frame(frame: &Frame) -> Result<Self, WireError> {
-        let mut cur = Cursor::new(&frame.payload);
+        let mut cur = Reader::new(&frame.payload);
         let reply = match frame.kind {
             FrameKind::BatchOk => Reply::Batch(decode_responses(&mut cur)?),
-            FrameKind::MetricsOk => Reply::Metrics(cur.str()?),
             FrameKind::InfoOk => Reply::Info(ServeInfo {
                 name: cur.str()?,
                 version: cur.u32()?,
@@ -725,7 +651,7 @@ impl Reply {
                 )))
             }
         };
-        finish(&cur)?;
+        cur.finish("after payload body")?;
         Ok(reply)
     }
 }
@@ -749,7 +675,6 @@ mod tests {
             name: "default".into(),
             queries: vec![Query::Dist(0, 5), Query::Route(3, 4), Query::KNearest(2, 8)],
         });
-        roundtrip_request(Request::Metrics);
         roundtrip_request(Request::Info { name: "x".into() });
         roundtrip_request(Request::ApplyDelta {
             name: "default".into(),
@@ -773,7 +698,6 @@ mod tests {
                 Response::Route(Some(vec![1, 2, 3])),
                 Response::KNearest(vec![(4, 9), (5, 11)]),
             ]),
-            Reply::Metrics("== serve metrics ==\n".into()),
             Reply::Info(ServeInfo {
                 name: "default".into(),
                 version: 3,
@@ -798,7 +722,7 @@ mod tests {
 
     #[test]
     fn lying_length_is_capped_before_allocation() {
-        let mut bytes = Request::Metrics.to_frame().encode();
+        let mut bytes = Request::MetricsV2.to_frame().encode();
         // Overwrite the length field (offset 16) with 16 EiB.
         bytes[16..24].copy_from_slice(&u64::MAX.to_le_bytes());
         match decode_frame(&bytes, DEFAULT_FRAME_CAP) {
@@ -812,7 +736,7 @@ mod tests {
 
     #[test]
     fn trailing_bytes_in_payload_are_malformed() {
-        let mut frame = Request::Metrics.to_frame();
+        let mut frame = Request::MetricsV2.to_frame();
         frame.payload.push(0);
         let (decoded, _) = decode_frame(&frame.encode(), DEFAULT_FRAME_CAP).unwrap();
         assert!(matches!(
@@ -822,8 +746,25 @@ mod tests {
     }
 
     #[test]
+    fn retired_metrics_kinds_decode_to_unknown_kind() {
+        for kind in [2u32, 18] {
+            let mut bytes = Request::MetricsV2.to_frame().encode();
+            bytes[12..16].copy_from_slice(&kind.to_le_bytes());
+            bytes[24..32].copy_from_slice(&frame_checksum(kind, &[]).to_le_bytes());
+            assert!(matches!(
+                decode_frame(&bytes, DEFAULT_FRAME_CAP),
+                Err(WireError::UnknownKind(k)) if k == kind
+            ));
+            assert!(matches!(
+                read_frame(&mut &bytes[..], DEFAULT_FRAME_CAP),
+                Err(WireError::UnknownKind(k)) if k == kind
+            ));
+        }
+    }
+
+    #[test]
     fn read_frame_distinguishes_clean_eof_from_mid_frame_close() {
-        let bytes = Request::Metrics.to_frame().encode();
+        let bytes = Request::MetricsV2.to_frame().encode();
         let mut empty: &[u8] = &[];
         assert!(matches!(
             read_frame(&mut empty, DEFAULT_FRAME_CAP),
@@ -836,6 +777,6 @@ mod tests {
         ));
         let mut whole = &bytes[..];
         let frame = read_frame(&mut whole, DEFAULT_FRAME_CAP).unwrap().unwrap();
-        assert_eq!(Request::from_frame(&frame).unwrap(), Request::Metrics);
+        assert_eq!(Request::from_frame(&frame).unwrap(), Request::MetricsV2);
     }
 }

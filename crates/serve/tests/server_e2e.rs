@@ -81,6 +81,7 @@ fn networked_fingerprint_matches_in_process() {
 /// serving; well-behaved clients on the same server keep getting answers.
 #[test]
 fn chaos_clients_cannot_kill_the_server() {
+    use cc_serve::telemetry::prom_value;
     let handle = spawn_server(ExecPolicy::Seq);
     let addr = handle.local_addr();
 
@@ -89,8 +90,9 @@ fn chaos_clients_cannot_kill_the_server() {
 
     // A normal client still works after the abuse.
     let mut client = Client::connect(addr).expect("connect after chaos");
-    let metrics = client.metrics().expect("metrics after chaos");
-    assert!(metrics.contains("server"), "metrics text: {metrics}");
+    let metrics = client.metrics_v2().expect("metrics-v2 after chaos");
+    let wire_errors = prom_value(&metrics, "ccapsp_wire_errors_total", &[]);
+    assert!(wire_errors >= Some(1.0), "exposition: {metrics}");
     let responses = client
         .batch("default", &[Query::Dist(0, 1), Query::Route(0, N - 1)])
         .expect("batch after chaos");

@@ -1,7 +1,11 @@
 //! Property tests for the snapshot format: `save → load` is bit-identical
 //! for arbitrary graphs and estimates, and every class of corruption maps
-//! to a typed error instead of a panic or a silently wrong artifact.
+//! to a typed error instead of a panic or a silently wrong artifact. The
+//! `*.ccdelta` format shares the snapshot's section framing, so arbitrary
+//! deltas ride along as one more input to the same properties.
 
+use cc_dynamic::update::{EdgeOp, UpdateBatch};
+use cc_dynamic::{Delta, DeltaError, DeltaStrategy};
 use cc_graph::graph::{Direction, Graph};
 use cc_graph::{DistMatrix, NodeId, Weight, INF};
 use cc_serve::snapshot::{
@@ -86,16 +90,63 @@ fn arb_landmark_snapshot() -> impl Strategy<Value = Snapshot> {
     })
 }
 
+/// Strategy: an arbitrary well-formed delta — any node count, op list and
+/// strictly increasing row set (decoding does not check fingerprints, so
+/// those are arbitrary too).
+fn arb_delta() -> impl Strategy<Value = Delta> {
+    (1usize..12, any::<u64>(), any::<bool>()).prop_flat_map(|(n, print, rebuilt)| {
+        let ops = proptest::collection::vec((0u8..3, 0..n, 0..n, 1..=50 as Weight), 0..8);
+        let rows = proptest::collection::vec(
+            (
+                any::<bool>(),
+                proptest::collection::vec(0..=200 as Weight, n..=n),
+            ),
+            n..=n,
+        );
+        (Just(n), Just(print), Just(rebuilt), ops, rows).prop_map(
+            |(n, print, rebuilt, ops, rows)| Delta {
+                n,
+                strategy: if rebuilt {
+                    DeltaStrategy::Rebuilt
+                } else {
+                    DeltaStrategy::Repaired
+                },
+                base_fingerprint: print,
+                result_fingerprint: print.rotate_left(17),
+                batch: UpdateBatch::new(
+                    ops.into_iter()
+                        .map(|(sel, u, v, w)| match sel {
+                            0 => EdgeOp::Insert(u, v, w),
+                            1 => EdgeOp::Delete(u, v),
+                            _ => EdgeOp::Reweight(u, v, w),
+                        })
+                        .collect(),
+                ),
+                rows: rows
+                    .into_iter()
+                    .enumerate()
+                    .filter(|(_, (keep, _))| *keep)
+                    .map(|(i, (_, row))| (i, row))
+                    .collect(),
+            },
+        )
+    })
+}
+
 proptest! {
     #![proptest_config(ProptestConfig { cases: 32, ..ProptestConfig::default() })]
 
     /// The round-trip law: decode(encode(s)) == s and the canonical bytes
     /// are stable — encode(decode(encode(s))) == encode(s).
     #[test]
-    fn save_load_round_trip_is_bit_identical(snap in arb_snapshot()) {
+    fn save_load_round_trip_is_bit_identical(snap in arb_snapshot(), delta in arb_delta()) {
         let bytes = snap.to_bytes();
         let back = Snapshot::from_bytes(&bytes).expect("decode of freshly encoded snapshot");
         prop_assert_eq!(&back, &snap);
+        prop_assert_eq!(back.to_bytes(), bytes);
+        let bytes = delta.to_bytes();
+        let back = Delta::from_bytes(&bytes).expect("decode of freshly encoded delta");
+        prop_assert_eq!(&back, &delta);
         prop_assert_eq!(back.to_bytes(), bytes);
     }
 
@@ -132,13 +183,20 @@ proptest! {
     /// Every strict prefix of a valid snapshot is Truncated — never a panic,
     /// never a success.
     #[test]
-    fn any_truncation_is_detected(snap in arb_snapshot(), cut in 0u64..1000) {
+    fn any_truncation_is_detected(snap in arb_snapshot(), delta in arb_delta(), cut in 0u64..1000) {
         let bytes = snap.to_bytes();
         let len = (bytes.len() - 1) * cut as usize / 1000;
         let err = Snapshot::from_bytes(&bytes[..len]).unwrap_err();
         prop_assert!(
             matches!(err, SnapshotError::Truncated { .. }),
             "prefix {} of {} gave {:?}", len, bytes.len(), err
+        );
+        let bytes = delta.to_bytes();
+        let len = (bytes.len() - 1) * cut as usize / 1000;
+        let err = Delta::from_bytes(&bytes[..len]).unwrap_err();
+        prop_assert!(
+            matches!(err, DeltaError::Truncated { .. }),
+            "delta prefix {} of {} gave {:?}", len, bytes.len(), err
         );
     }
 
@@ -158,7 +216,7 @@ proptest! {
     /// headers; we flip within the first section's payload to keep the
     /// framing intact).
     #[test]
-    fn payload_corruption_is_a_checksum_mismatch(snap in arb_snapshot(), off in 0usize..8, flip in 1u8..=255) {
+    fn payload_corruption_is_a_checksum_mismatch(snap in arb_snapshot(), delta in arb_delta(), off in 0usize..8, flip in 1u8..=255) {
         let bytes = snap.to_bytes();
         // First section header sits at 16; its payload starts at 16 + 20.
         let payload_start = MAGIC.len() + 4 + 4 + (4 + 8 + 8);
@@ -168,11 +226,19 @@ proptest! {
             Snapshot::from_bytes(&corrupt),
             Err(SnapshotError::ChecksumMismatch { .. })
         ));
+        // The delta shares the framing; its first (header) payload is 25
+        // bytes, so the same offsets land inside it.
+        let mut corrupt = delta.to_bytes();
+        corrupt[payload_start + off] ^= flip;
+        prop_assert!(matches!(
+            Delta::from_bytes(&corrupt),
+            Err(DeltaError::ChecksumMismatch { section: "header" })
+        ));
     }
 
     /// Any version other than FORMAT_VERSION is rejected as unsupported.
     #[test]
-    fn other_versions_are_rejected(snap in arb_snapshot(), version in any::<u32>()) {
+    fn other_versions_are_rejected(snap in arb_snapshot(), delta in arb_delta(), version in any::<u32>()) {
         // The vendored proptest has no prop_assume; dodge the accepted
         // versions (current and legacy) deterministically instead.
         let version = if version == FORMAT_VERSION || version == LEGACY_VERSION {
@@ -185,6 +251,13 @@ proptest! {
         prop_assert!(matches!(
             Snapshot::from_bytes(&bytes),
             Err(SnapshotError::UnsupportedVersion(v)) if v == version
+        ));
+        // Neither accepted snapshot version is the delta's only version, 1.
+        let mut bytes = delta.to_bytes();
+        bytes[MAGIC.len()..MAGIC.len() + 4].copy_from_slice(&version.to_le_bytes());
+        prop_assert!(matches!(
+            Delta::from_bytes(&bytes),
+            Err(DeltaError::UnsupportedVersion(v)) if v == version
         ));
     }
 }
@@ -200,6 +273,9 @@ fn fuzz_soup_never_panics() {
         let len = rng.gen_range(0..600usize);
         let soup: Vec<u8> = (0..len).map(|_| rng.gen_range(0..=255u64) as u8).collect();
         let _ = Snapshot::from_bytes(&soup);
+        let _ = Delta::from_bytes(&soup);
+        // Behind a valid magic the soup reaches the section parser.
+        let _ = Delta::from_bytes(&[&cc_dynamic::delta::MAGIC[..], &soup].concat());
     }
 }
 

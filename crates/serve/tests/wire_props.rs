@@ -50,7 +50,7 @@ fn arb_request() -> impl Strategy<Value = Request> {
     )
         .prop_map(|(sel, name, queries, bytes)| match sel {
             0 => Request::Batch { name, queries },
-            1 => Request::Metrics,
+            1 => Request::MetricsV2,
             2 => Request::Info { name },
             3 => Request::ApplyDelta { name, delta: bytes },
             4 => Request::SwapSnapshot {
@@ -71,7 +71,7 @@ fn arb_reply() -> impl Strategy<Value = Reply> {
     )
         .prop_map(|(sel, name, text, responses, (x, version, n))| match sel {
             0 => Reply::Batch(responses),
-            1 => Reply::Metrics(text),
+            1 => Reply::MetricsV2(text),
             2 => Reply::Info(ServeInfo {
                 name,
                 version,

@@ -23,7 +23,7 @@
 //!                 [--queue-cap Q] [--batch-max B]
 //!                 [--metrics-addr HOST:PORT] [--slow-query-us N]
 //!                                                        TCP oracle daemon
-//! ccapsp serve-admin --addr HOST:PORT metrics|metrics-v2|info|shutdown|
+//! ccapsp serve-admin --addr HOST:PORT metrics-v2|info|shutdown|
 //!                 apply-delta <d.ccdelta>|swap <s.ccsnap>|
 //!                 flight-dump [--out FILE] [--name N]    admin frames to a daemon
 //! ccapsp serve-admin --metrics-addr HOST:PORT scrape     plain-HTTP /metrics scrape
@@ -100,7 +100,7 @@ fn usage() -> ExitCode {
          [--sources S] [--threads T] [--out FILE]\n  \
          ccapsp serve <snap.ccsnap> [--addr HOST:PORT] [--name N] [--threads T] \
          [--queue-cap Q] [--batch-max B] [--metrics-addr HOST:PORT] [--slow-query-us N]\n  \
-         ccapsp serve-admin --addr HOST:PORT metrics|metrics-v2|info|shutdown|\
+         ccapsp serve-admin --addr HOST:PORT metrics-v2|info|shutdown|\
 apply-delta <d.ccdelta>|swap <s.ccsnap>|flight-dump [--out FILE] [--name N]\n  \
          ccapsp serve-admin --metrics-addr HOST:PORT scrape\n  \
          ccapsp top --addr HOST:PORT [--interval-ms N] [--frames K]\n  \
@@ -602,7 +602,7 @@ fn cmd_snapshot(args: &[String]) -> ExitCode {
     );
     let encoded = snapshot.to_bytes();
     let bytes = encoded.len();
-    if let Err(e) = std::fs::write(out, &encoded) {
+    if let Err(e) = cc_graph::codec::write_atomic(out, &encoded) {
         eprintln!("cannot write {out}: {e}");
         return ExitCode::FAILURE;
     }
@@ -1048,7 +1048,6 @@ fn cmd_bench_serve(args: &[String]) -> ExitCode {
     );
     println!("cache hit      {:.1}%", result.cache_hit_rate * 100.0);
     println!("fingerprint    {:016x}", result.fingerprint);
-    print!("{}", service.metrics_text());
     if let Err(e) = write_report(out, &[record]) {
         eprintln!("cannot write {out}: {e}");
         return ExitCode::FAILURE;
@@ -1244,7 +1243,6 @@ fn cmd_serve_admin(args: &[String]) -> ExitCode {
         }
     };
     let outcome = match positional[..] {
-        ["metrics"] => client.metrics().map(|text| print!("{text}")),
         ["metrics-v2"] => client.metrics_v2().map(|text| print!("{text}")),
         ["flight-dump"] => client
             .flight_dump()
@@ -1290,7 +1288,7 @@ fn cmd_serve_admin(args: &[String]) -> ExitCode {
         },
         _ => {
             eprintln!(
-                "serve-admin expects one action: metrics|metrics-v2|info|shutdown|\
+                "serve-admin expects one action: metrics-v2|info|shutdown|\
                  apply-delta <d.ccdelta>|swap <s.ccsnap>|flight-dump|scrape"
             );
             return usage();

@@ -351,6 +351,46 @@ fn update_compact_chain_reproduces_the_direct_snapshot() {
     assert!(String::from_utf8_lossy(&wrong.stderr).contains("applies to state"));
 }
 
+/// `update … -o` onto its own input path replaces the file whole: the
+/// rewritten snapshot holds the printed result state, and no temporary
+/// file is left beside it.
+#[test]
+fn update_in_place_rewrites_the_snapshot_whole() {
+    let dir = std::env::temp_dir().join(format!("ccapsp_smoke_in_place_{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let snap = dir.join("s.ccsnap");
+    let snap = snap.to_str().unwrap();
+    let made = ccapsp(&[
+        "snapshot", "--n", "32", "--seed", "7", "--algo", "exact", "-o", snap,
+    ]);
+    assert!(made.status.success(), "snapshot failed: {made:?}");
+
+    let up = ccapsp(&["update", snap, "--random", "2", "--seed", "4", "-o", snap]);
+    assert!(up.status.success(), "in-place update failed: {up:?}");
+    let written = result_fingerprint(&stdout(&up));
+
+    // A dry run on the rewritten file starts from exactly that state.
+    let again = ccapsp(&["update", snap, "--random", "1", "--seed", "5"]);
+    assert!(
+        again.status.success(),
+        "update of rewritten file: {again:?}"
+    );
+    let out = stdout(&again);
+    let base = out
+        .lines()
+        .find(|l| l.starts_with("state"))
+        .and_then(|l| l.split_whitespace().nth(1))
+        .expect("update prints a state line");
+    assert_eq!(base, written);
+
+    let names: Vec<_> = std::fs::read_dir(&dir)
+        .unwrap()
+        .map(|e| e.unwrap().file_name())
+        .collect();
+    assert_eq!(names, ["s.ccsnap"]);
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
 #[test]
 fn update_reads_ops_files_and_rejects_bad_ones() {
     let snap = TempEdges::with_ext("dyn_ops", "ccsnap");

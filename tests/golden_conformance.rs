@@ -90,7 +90,7 @@ const CASES: &[GoldenCase] = &[
 /// hash the snapshot format checksums with.
 fn fingerprint(m: &DistMatrix) -> u64 {
     let bytes: Vec<u8> = m.raw().iter().flat_map(|w| w.to_le_bytes()).collect();
-    cc_serve::snapshot::fnv1a(&bytes)
+    cc_graph::codec::fnv1a(&bytes)
 }
 
 /// Runs one case under the given config defaults; mirrors the CLI's
