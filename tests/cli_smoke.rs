@@ -2,8 +2,10 @@
 //! crate-level doc comment advertises must exit 0, and `gen → info → run`
 //! must round-trip through a file on disk.
 
+use cc_bench::envelope::validate_json;
+use std::io::{BufRead, BufReader};
 use std::path::PathBuf;
-use std::process::{Command, Output};
+use std::process::{Child, Command, Output, Stdio};
 
 fn ccapsp(args: &[&str]) -> Output {
     Command::new(env!("CARGO_BIN_EXE_ccapsp"))
@@ -227,6 +229,11 @@ fn usage_lists_every_subcommand() {
         "update",
         "compact",
         "bench-serve",
+        "bench-oracle",
+        "serve",
+        "serve-admin",
+        "top",
+        "serve-chaos",
     ] {
         assert!(
             usage.contains(&format!("ccapsp {sub}")),
@@ -494,4 +501,160 @@ fn bench_serve_write_ratio_reports_the_write_path() {
     for key in ["\"repairs\"", "\"rebuilds\"", "\"write_p50_ms\""] {
         assert!(json.contains(key), "missing {key}: {json}");
     }
+}
+
+#[test]
+fn bench_oracle_writes_both_backend_rows() {
+    let report = TempEdges::with_ext("oracle", "json");
+    let out = ccapsp(&[
+        "bench-oracle",
+        "--n",
+        "64",
+        "--seed",
+        "2",
+        "--queries",
+        "500",
+        "--sources",
+        "4",
+        "--out",
+        report.as_str(),
+    ]);
+    assert!(out.status.success(), "bench-oracle failed: {out:?}");
+    let json = std::fs::read_to_string(report.as_str()).unwrap();
+    for row in ["oracle_dense", "oracle_landmark"] {
+        assert!(
+            json.contains(&format!("\"experiment\":\"{row}\"")),
+            "missing {row}: {json}"
+        );
+    }
+}
+
+/// `--trace` (and its `CC_TRACE` / `CC_TRACE_FORMAT` environment defaults)
+/// dumps a valid span tree in either format, wherever the flag sits.
+#[test]
+fn trace_flag_works_before_and_after_the_subcommand() {
+    for (format, marker) in [
+        ("json", "\"schema\":\"cc-obs/v1\""),
+        ("chrome", "\"traceEvents\""),
+    ] {
+        let path = TempEdges::with_ext(&format!("trace_{format}"), "json");
+        let trace = ["--trace", path.as_str(), "--trace-format", format];
+        let run = ["run", "--n", "32"];
+        let command = |args: &[&str]| {
+            let mut c = Command::new(env!("CARGO_BIN_EXE_ccapsp"));
+            c.args(args);
+            c
+        };
+        let mut by_env = command(&run);
+        by_env
+            .env("CC_TRACE", path.as_str())
+            .env("CC_TRACE_FORMAT", format);
+        for mut traced in [
+            command(&[&trace[..], &run[..]].concat()),
+            command(&[&run[..], &trace[..]].concat()),
+            by_env,
+        ] {
+            let out = traced.output().expect("failed to spawn ccapsp");
+            assert!(out.status.success(), "traced run failed: {out:?}");
+            assert!(stdout(&out).contains("wrote trace"), "{}", stdout(&out));
+            let doc = std::fs::read_to_string(path.as_str()).unwrap();
+            assert!(doc.contains(marker), "{format} trace lacks {marker}");
+            validate_json(&doc).unwrap();
+            std::fs::remove_file(path.as_str()).unwrap();
+        }
+    }
+}
+
+/// A `ccapsp serve` child, killed on drop so a failed assertion never
+/// leaves a daemon behind.
+struct Daemon(Child);
+
+impl Drop for Daemon {
+    fn drop(&mut self) {
+        let _ = self.0.kill();
+        let _ = self.0.wait();
+    }
+}
+
+/// Every client subcommand against one daemon on OS-assigned ports, then a
+/// clean shutdown.
+#[test]
+fn serve_daemon_answers_every_client_subcommand() {
+    let snap = TempEdges::with_ext("daemon", "ccsnap");
+    let report = TempEdges::with_ext("daemon", "json");
+    let flight = TempEdges::with_ext("daemon_flight", "json");
+    let snap = snap.as_str();
+    assert!(
+        ccapsp(&["snapshot", "--n", "48", "--seed", "7", "-o", snap])
+            .status
+            .success()
+    );
+    let mut daemon = Daemon(
+        Command::new(env!("CARGO_BIN_EXE_ccapsp"))
+            .args(["serve", snap, "--addr", "127.0.0.1:0"])
+            .args(["--metrics-addr", "127.0.0.1:0"])
+            .stdout(Stdio::piped())
+            .stderr(Stdio::null())
+            .spawn()
+            .expect("failed to spawn ccapsp serve"),
+    );
+    let mut lines = BufReader::new(daemon.0.stdout.take().unwrap()).lines();
+    let (mut addr, mut maddr) = (String::new(), String::new());
+    for line in &mut lines {
+        let line = line.unwrap();
+        if let Some(rest) = line.strip_prefix("listening") {
+            addr = rest.trim().to_string();
+        } else if let Some(rest) = line.strip_prefix("metrics http") {
+            maddr = rest.split_whitespace().next().unwrap().to_string();
+        } else if line.starts_with("stop with") {
+            break;
+        }
+    }
+    assert!(!addr.is_empty() && !maddr.is_empty(), "{addr:?} {maddr:?}");
+    let ok = |args: &[&str]| {
+        let out = ccapsp(args);
+        assert!(out.status.success(), "{args:?} failed: {out:?}");
+        stdout(&out)
+    };
+    let addr = addr.as_str();
+    assert!(ok(&["serve-admin", "--addr", addr, "info"]).contains("nodes          48"));
+    assert!(
+        ok(&["serve-admin", "--addr", addr, "metrics-v2"]).contains("ccapsp_qps{window=\"1s\"}")
+    );
+    assert!(ok(&["serve-admin", "--metrics-addr", &maddr, "scrape"])
+        .contains("# TYPE ccapsp_uptime_seconds "));
+    ok(&[
+        "serve-admin",
+        "--addr",
+        addr,
+        "flight-dump",
+        "--out",
+        flight.as_str(),
+    ]);
+    let doc = std::fs::read_to_string(flight.as_str()).unwrap();
+    assert!(doc.contains("\"schema\":\"cc-flight/v1\""), "{doc}");
+    assert!(ok(&["top", "--addr", addr, "--frames", "1"]).contains("ccapsp top"));
+    assert!(ok(&["serve-chaos", "--addr", addr]).contains("scenarios survived"));
+    let bench = ok(&[
+        "bench-serve",
+        snap,
+        "--addr",
+        addr,
+        "--conns",
+        "2",
+        "--queries",
+        "2000",
+        "--out",
+        report.as_str(),
+    ]);
+    assert!(bench.contains("verified"), "{bench}");
+    let json = std::fs::read_to_string(report.as_str()).unwrap();
+    assert!(json.contains("\"experiment\":\"serve_net\""), "{json}");
+    assert!(ok(&["serve-admin", "--addr", addr, "shutdown"]).contains("shutdown acknowledged"));
+    assert!(daemon.0.wait().unwrap().success());
+    let rest: Vec<String> = lines.map(Result::unwrap).collect();
+    assert!(
+        rest.iter().any(|l| l.starts_with("shutdown       drained")),
+        "{rest:?}"
+    );
 }
