@@ -36,7 +36,7 @@ pub fn doubling_k_nearest(
 /// engine (no clique, no round charges): `⌈log₂ hop_target⌉` engine-backed
 /// square-and-filter steps. A filtered matrix is `k`-sparse per row, so the
 /// engine's auto-dispatch runs these on the sparse kernel; bounded-weight
-/// instances use the compact tiled kernel when a step fills in. Bit-identical
+/// instances use a compact dense kernel when a step fills in. Bit-identical
 /// to [`doubling_k_nearest`]'s output (property: the distributed bins
 /// machinery computes exactly `filter_k(Ā²)` per step — Lemma 5.4).
 pub fn doubling_k_nearest_central(

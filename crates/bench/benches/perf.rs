@@ -2,7 +2,7 @@
 //!
 //! Times the parallel hot kernels (per-source Dijkstra APSP, dense min-plus
 //! product, the full Theorem 1.1 pipeline, and the min-plus **kernel
-//! engine** — naive vs tiled vs sparse vs auto-dispatch, plus per-family
+//! engine** — naive vs lanes vs sparse vs auto-dispatch, plus per-family
 //! auto rows on power-law/grid/geometric workloads) at thread counts 1/2/4
 //! and writes the records machine-readably (see [`cc_bench::report`]) so the
 //! perf trajectory is tracked from this PR onward.
@@ -21,10 +21,7 @@ use cc_bench::experiments::fast;
 use cc_bench::report::{time_best_of, write_report, BenchRecord};
 use cc_graph::generators::Family;
 use cc_graph::{apsp, DistMatrix, INF};
-use cc_matrix::dense::{
-    adjacency_matrix, distance_product_lanes_with, distance_product_tiled_with,
-    distance_product_with,
-};
+use cc_matrix::dense::{adjacency_matrix, distance_product_lanes_with, distance_product_with};
 use cc_matrix::engine::{self, KernelChoice, KernelMode, KernelPlan, ULTRA_MAX_ENTRY};
 use cc_par::ExecPolicy;
 use rand::rngs::StdRng;
@@ -137,21 +134,16 @@ fn main() {
     }
 
     // Kernel 4: the min-plus kernel engine at n = 512 — always full size,
-    // so BENCH_kernels.json records the tiled-vs-naive comparison the
+    // so BENCH_kernels.json records the kernel-vs-naive comparison the
     // engine exists for. Operands: a fully dense distance matrix (the shape
     // of skeleton/closure products; the engine's auto path dispatches it to
-    // the compact tiled kernel) and the sparse adjacency matrix itself
+    // a narrow lane kernel) and the sparse adjacency matrix itself
     // (auto dispatches it to the sparse kernel).
     let n_kern = 512;
     let kern_reps = if fast() { 1 } else { 3 };
     let adj = adjacency_matrix(&workload(n_kern, 11));
     let (dense_mat, _) = engine::closure(&adj, KernelMode::Auto, ExecPolicy::from_env());
-    let kernel_code = |c: KernelChoice| match c {
-        KernelChoice::DenseLanes => 0.0,
-        KernelChoice::DenseCompact => 1.0,
-        KernelChoice::SparseSharded => 2.0,
-        KernelChoice::DenseUltra => 3.0,
-    };
+    let kernel_code = |c: KernelChoice| c.code() as f64;
     let lane_code = |c: KernelChoice| c.lane_width().map_or(-1.0, |w| w as f64);
     // The same closure matrix with every finite entry clamped to the u16
     // ultra bound — the weight-scaled-instance shape; auto dispatch must
@@ -187,7 +179,7 @@ fn main() {
     );
     for threads in THREADS {
         let exec = ExecPolicy::with_threads(threads);
-        let runs: [KernelRun<'_>; 7] = [
+        let runs: [KernelRun<'_>; 6] = [
             (
                 "minplus_naive",
                 Box::new(|| distance_product_with(&dense_mat, &dense_mat, exec)),
@@ -196,17 +188,10 @@ fn main() {
                 -1.0,
             ),
             (
-                "minplus_tiled",
-                Box::new(|| distance_product_tiled_with(&dense_mat, &dense_mat, exec)),
-                &dense_reference,
-                -1.0,
-                -1.0,
-            ),
-            (
                 "minplus_lanes",
                 Box::new(|| distance_product_lanes_with(&dense_mat, &dense_mat, exec)),
                 &dense_reference,
-                0.0,
+                kernel_code(KernelChoice::DenseLanes),
                 lane_code(KernelChoice::DenseLanes),
             ),
             (
@@ -234,7 +219,7 @@ fn main() {
                 "minplus_sparse",
                 Box::new(|| engine::min_plus(&adj, &adj, KernelMode::Sparse, exec)),
                 &sparse_reference,
-                2.0,
+                kernel_code(KernelChoice::SparseSharded),
                 -1.0,
             ),
         ];

@@ -1,18 +1,11 @@
 //! Dense min-plus products and exponentiation.
 //!
-//! Four dense kernels live here:
+//! Three dense kernels live here:
 //!
 //! * [`distance_product_with`] — the naive row-blocked triple loop. This is
 //!   the **reference semantics** every other kernel is tested against; it is
 //!   deliberately left simple.
-//! * [`distance_product_tiled_with`] — the v1 cache-blocked kernel: the
-//!   right operand is transposed once so the inner loop reads both operands
-//!   contiguously, the `k` dimension is processed in `CC_TILE`-sized tiles,
-//!   and each output entry's minimum accumulates across four registers.
-//!   Kept as a measured baseline (`minplus_tiled` in `BENCH_kernels.json`);
-//!   its dot-product shape bottoms out in horizontal min-reductions that
-//!   autovectorize poorly.
-//! * [`distance_product_lanes_with`] — the v2 **lane kernel** and the
+//! * [`distance_product_lanes_with`] — the **lane kernel** and the
 //!   production dense path ([`crate::engine`] routes every dense multiply
 //!   here). Loop order is `i, k, j`: the innermost loop broadcasts one
 //!   pre-clamped `A[i,k]` against a contiguous row of `B` and min-folds it
@@ -20,7 +13,11 @@
 //!   over [`TropicalEntry::LANES`]-wide lanes with a scalar tail, no
 //!   transposition, no `∞` branches, no reduction across lanes. The same
 //!   generic kernel instantiates at `u64` (full range), `u32` (compact),
-//!   and `u16` (ultra-compact) entry widths.
+//!   and `u16` (ultra-compact) entry widths. The `u64` arm stays whatever
+//!   its speed against the naive loop: it is the same generic code as the
+//!   narrow arms, not a kernel of its own; it is the only lawful arm for
+//!   entries past the `u32` bound; and the wide *squares* that dominate
+//!   [`power`]/[`closure`] already take the k-tiled kernel below.
 //! * [`square_ktiled_with`] — the blocked-Floyd–Warshall-style self-product
 //!   used by [`power`]/[`closure`]-shaped squarings: the output is walked in
 //!   [`KTILED_ROWS`]-row accumulator strips and the *full* `k` sweep runs
@@ -95,16 +92,15 @@ pub fn distance_product_with(a: &DistMatrix, b: &DistMatrix, exec: ExecPolicy) -
     DistMatrix::from_raw(n, data)
 }
 
-/// Default tile size (rows/columns of `k`-dimension per tile) for the
-/// blocked kernel when `CC_TILE` is unset: 64 entries = 512 bytes of each
-/// operand row per tile, small enough that a full `n × tile` slice of the
-/// transposed operand fits in L2 at the sizes the pipelines use.
+/// Default tile size (rows of the `k` dimension per tile) for the blocked
+/// kernels when `CC_TILE` is unset: small enough that a full `tile × n`
+/// slice of the right operand fits in L2 at the sizes the pipelines use.
 pub const DEFAULT_TILE: usize = 64;
 
-/// The tile size used by [`distance_product_tiled_with`]: the `CC_TILE`
-/// environment variable (read once per process), else [`DEFAULT_TILE`].
-/// Values are clamped to at least 1. The tile size never changes results,
-/// only wall-clock time.
+/// The tile size used by [`distance_product_lanes_with`] and
+/// [`square_ktiled_with`]: the `CC_TILE` environment variable (read once
+/// per process), else [`DEFAULT_TILE`]. Values are clamped to at least 1.
+/// The tile size never changes results, only wall-clock time.
 pub fn tile_size() -> usize {
     static CACHED: OnceLock<usize> = OnceLock::new();
     *CACHED.get_or_init(|| {
@@ -135,14 +131,14 @@ pub const ULTRA_LANES: usize = 16;
 /// the ultra-compact small-weight path (see [`crate::engine`]). `TOP`
 /// plays the role of `∞`.
 ///
-/// **Kernel precondition:** every entry fed to [`tiled_kernel`],
-/// [`lanes_kernel`], or [`ktiled_kernel`] must be at most `TOP` (callers
-/// clamp once, O(n²), before the O(n³) loop). Because `TOP ≤ MAX/4`, the
-/// sum of two clamped entries never overflows, so `tadd` is a plain
-/// wrapping add — no per-element saturation in the hot loop — and any sum
-/// involving a `TOP` operand lands at or above `TOP`, where it can never
-/// win a minimum against an output entry (those start at `TOP` and only
-/// decrease). That is exactly `wadd`'s observable behaviour.
+/// **Kernel precondition:** every entry fed to [`lanes_kernel`] or
+/// [`ktiled_kernel`] must be at most `TOP` (callers clamp once, O(n²),
+/// before the O(n³) loop). Because `TOP ≤ MAX/4`, the sum of two clamped
+/// entries never overflows, so `tadd` is a plain wrapping add — no
+/// per-element saturation in the hot loop — and any sum involving a `TOP`
+/// operand lands at or above `TOP`, where it can never win a minimum
+/// against an output entry (those start at `TOP` and only decrease). That
+/// is exactly `wadd`'s observable behaviour.
 pub(crate) trait TropicalEntry: Copy + Ord + Send + Sync {
     /// The infinity sentinel for this width (≤ `MAX/4`).
     const TOP: Self;
@@ -179,79 +175,10 @@ impl TropicalEntry for u16 {
     }
 }
 
-/// The transposed raw data of an `n × n` row-major matrix.
-pub(crate) fn transpose_raw<T: Copy>(n: usize, src: &[T]) -> Vec<T> {
-    debug_assert_eq!(src.len(), n * n);
-    let mut out = Vec::with_capacity(n * n);
-    for j in 0..n {
-        for i in 0..n {
-            out.push(src[i * n + j]);
-        }
-    }
-    out
-}
-
 /// A copy with every entry clamped to `TOP` — establishes the
 /// [`TropicalEntry`] kernel precondition (values above `TOP` all mean `∞`).
 fn clamp_top<T: TropicalEntry>(src: &[T]) -> Vec<T> {
     src.iter().map(|&w| w.min(T::TOP)).collect()
-}
-
-/// The tiled min-plus kernel over raw row-major `a` and **transposed** `bt`:
-/// returns row-major `C` with `C[i][j] = min_k sat_add(a[i][k], bt[j][k])`.
-///
-/// Row strips are computed in disjoint chunks (parallel under `exec`); the
-/// `k` dimension is walked in `tile`-sized blocks so the `bt` slice for one
-/// block is reused across every row of the strip. Exact min ⇒ bit-identical
-/// output for every `(tile, exec)`.
-pub(crate) fn tiled_kernel<T: TropicalEntry>(
-    n: usize,
-    a: &[T],
-    bt: &[T],
-    exec: ExecPolicy,
-    tile: usize,
-) -> Vec<T> {
-    debug_assert_eq!(a.len(), n * n);
-    debug_assert_eq!(bt.len(), n * n);
-    let tile = tile.max(1);
-    let rows_per_block = exec.row_block_len(n, 1);
-    let mut data = vec![T::TOP; n * n];
-    exec.for_each_chunk_mut(&mut data, rows_per_block * n.max(1), |block, chunk| {
-        let i0 = block * rows_per_block;
-        let rows_here = chunk.len() / n.max(1);
-        let mut kk = 0;
-        while kk < n {
-            let kmax = (kk + tile).min(n);
-            for off in 0..rows_here {
-                let i = i0 + off;
-                let arow = &a[i * n + kk..i * n + kmax];
-                let crow = &mut chunk[off * n..off * n + n];
-                for (j, cj) in crow.iter_mut().enumerate() {
-                    let brow = &bt[j * n + kk..j * n + kmax];
-                    // Four independent accumulators break the min-reduction
-                    // dependency chain; exact min, so still bit-identical.
-                    let mut acc = [*cj, T::TOP, T::TOP, T::TOP];
-                    let mut pairs = arow.chunks_exact(4).zip(brow.chunks_exact(4));
-                    for (ax, bx) in &mut pairs {
-                        acc[0] = acc[0].min(ax[0].tadd(bx[0]));
-                        acc[1] = acc[1].min(ax[1].tadd(bx[1]));
-                        acc[2] = acc[2].min(ax[2].tadd(bx[2]));
-                        acc[3] = acc[3].min(ax[3].tadd(bx[3]));
-                    }
-                    let rem = arow.len() % 4;
-                    for (&x, &y) in arow[arow.len() - rem..]
-                        .iter()
-                        .zip(brow[brow.len() - rem..].iter())
-                    {
-                        acc[0] = acc[0].min(x.tadd(y));
-                    }
-                    *cj = acc[0].min(acc[1]).min(acc[2]).min(acc[3]);
-                }
-            }
-            kk = kmax;
-        }
-    });
-    data
 }
 
 /// Min-folds `aik + brow[j]` into `crow[j]` for every `j`: the branchless
@@ -447,50 +374,6 @@ pub fn square_ktiled_opts(a: &DistMatrix, exec: ExecPolicy, tile: usize) -> Dist
     DistMatrix::from_raw(n, ktiled_kernel(n, &ac, exec, tile))
 }
 
-/// The cache-blocked distance product: same result as
-/// [`distance_product`], computed by the tiled kernel with the `CC_TILE`
-/// tile size and the `CC_THREADS` execution default.
-///
-/// # Panics
-///
-/// Panics if dimensions differ.
-pub fn distance_product_tiled(a: &DistMatrix, b: &DistMatrix) -> DistMatrix {
-    distance_product_tiled_with(a, b, ExecPolicy::from_env())
-}
-
-/// [`distance_product_tiled`] under an explicit [`ExecPolicy`].
-///
-/// # Panics
-///
-/// Panics if dimensions differ.
-pub fn distance_product_tiled_with(a: &DistMatrix, b: &DistMatrix, exec: ExecPolicy) -> DistMatrix {
-    distance_product_tiled_opts(a, b, exec, tile_size())
-}
-
-/// [`distance_product_tiled`] with every knob explicit. The tile size is a
-/// pure performance parameter: the output is bit-identical to
-/// [`distance_product`] for **every** `tile ≥ 1` and every policy (property
-/// tested in `tests/kernel_props.rs`).
-///
-/// # Panics
-///
-/// Panics if dimensions differ.
-pub fn distance_product_tiled_opts(
-    a: &DistMatrix,
-    b: &DistMatrix,
-    exec: ExecPolicy,
-    tile: usize,
-) -> DistMatrix {
-    assert_eq!(a.n(), b.n(), "distance product dimension mismatch");
-    let n = a.n();
-    // Clamp to INF once (entries above INF all mean ∞) so the O(n³) loop
-    // can use plain adds; see the TropicalEntry precondition.
-    let ac = clamp_top::<Weight>(a.raw());
-    let bt = clamp_top::<Weight>(&transpose_raw(n, b.raw()));
-    let data: Vec<Weight> = tiled_kernel(n, &ac, &bt, exec, tile);
-    DistMatrix::from_raw(n, data)
-}
-
 /// `A^h` over the tropical semiring by binary exponentiation
 /// (`O(n³ log h)`), under the `CC_THREADS` execution default. `A^0` is the
 /// identity (zero diagonal, `∞` elsewhere).
@@ -644,36 +527,6 @@ mod tests {
         let id = DistMatrix::infinite(9);
         assert_eq!(distance_product(&a, &id), a);
         assert_eq!(distance_product(&id, &a), a);
-    }
-
-    #[test]
-    fn tiled_product_matches_naive_across_tiles() {
-        let g = random_graph(23, 6);
-        let h = random_graph(23, 7);
-        let a = adjacency_matrix(&g);
-        let b = adjacency_matrix(&h);
-        let naive = distance_product(&a, &b);
-        for tile in [1usize, 3, 8, 23, 64, 100] {
-            let tiled = distance_product_tiled_opts(&a, &b, ExecPolicy::Seq, tile);
-            assert_eq!(tiled, naive, "tile={tile}");
-        }
-    }
-
-    #[test]
-    fn tiled_product_handles_inf_saturation() {
-        // Entries just below INF must behave like the naive wadd kernel:
-        // sums at or above INF never beat a finite candidate.
-        let n = 4;
-        let mut a = DistMatrix::infinite(n);
-        let mut b = DistMatrix::infinite(n);
-        a.set(0, 1, INF - 1);
-        b.set(1, 2, 5);
-        a.set(0, 3, 7);
-        b.set(3, 2, 9);
-        let naive = distance_product(&a, &b);
-        let tiled = distance_product_tiled_opts(&a, &b, ExecPolicy::Seq, 2);
-        assert_eq!(tiled, naive);
-        assert_eq!(tiled.get(0, 2), 16); // via node 3, not the ~INF path
     }
 
     #[test]

@@ -51,7 +51,8 @@ const DENSITY_SAMPLE_ROWS: usize = 64;
 /// Sparse kernel cutoff: auto-dispatch picks the sparse kernel when the
 /// product of the operands' sampled fill fractions is at most this. The
 /// sparse kernel does `≈ fill(A)·fill(B)·n³` work with a constant factor a
-/// few times worse than the tiled kernel's, so 1/16 leaves a safe margin.
+/// few times worse than the dense lane kernels', so 1/16 leaves a safe
+/// margin.
 pub const SPARSE_FILL_CUTOFF: f64 = 1.0 / 16.0;
 
 /// The compact (`u32`) kernel's infinity sentinel — the `u32` kernel's own
@@ -76,14 +77,14 @@ const ULTRA_TOP: u16 = <u16 as TropicalEntry>::TOP;
 pub const ULTRA_MAX_ENTRY: u64 = ((ULTRA_TOP - 1) / 2) as u64;
 
 /// Which kernel family a multiply is asked to use. `Auto` measures the
-/// operands; `Dense`/`Sparse` force the family (the tiled-vs-compact split
-/// inside `Dense` is still decided by the entry bound, which is a pure
-/// representation detail).
+/// operands; `Dense`/`Sparse` force the family (the wide/compact/ultra
+/// split inside `Dense` is still decided by the entry bound, which is a
+/// pure representation detail).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum KernelMode {
     /// Density-sampling dispatch (the default).
     Auto,
-    /// Always the cache-blocked dense kernel.
+    /// Always a dense kernel (lanes, or k-tiled for self-products).
     Dense,
     /// Always the sharded sparse kernel.
     Sparse,
@@ -516,8 +517,8 @@ pub fn closure(a: &DistMatrix, mode: KernelMode, exec: ExecPolicy) -> (DistMatri
 }
 
 /// A sparse product routed through the engine: when the operands are dense
-/// enough (or `mode` forces it), the multiply runs on the tiled dense
-/// kernel and the result is re-sparsified; otherwise the sharded sparse
+/// enough (or `mode` forces it), the multiply runs on a dense lane kernel
+/// and the result is re-sparsified; otherwise the sharded sparse
 /// kernel runs directly. Returns the [`SparseProduct`] — matrix, densities,
 /// and CDKL21 round charge all **identical** for every mode (the charge is
 /// computed from measured densities, never from the kernel that ran) —
@@ -781,6 +782,10 @@ mod tests {
         assert_eq!(KernelChoice::SparseSharded.lane_width(), None);
         assert_eq!(KernelChoice::DenseLanes.bytes_per_cell(), Some(8));
         assert_eq!(KernelChoice::DenseUltra.bytes_per_cell(), Some(2));
+        assert_eq!(KernelChoice::DenseLanes.code(), 0);
+        assert_eq!(KernelChoice::DenseCompact.code(), 1);
+        assert_eq!(KernelChoice::DenseUltra.code(), 2);
+        assert_eq!(KernelChoice::SparseSharded.code(), 3);
     }
 
     #[test]

@@ -149,7 +149,7 @@ pub fn filtered_power_reference(a: &DistMatrix, k: usize, h: u64) -> FilteredMat
 /// per row, so the rows feed the engine's sparse entry point directly —
 /// `O(n·k²)`-ish work with **no** dense `n²` materialization on the sparse
 /// path (the engine only densifies if its dispatch decides the operands
-/// warrant the tiled kernel). By Lemma 5.5, re-filtering between squarings
+/// warrant a dense kernel). By Lemma 5.5, re-filtering between squarings
 /// preserves the k-nearest semantics: `filter((filter(A^c))²) = filter(A^(2c))`.
 pub fn filtered_square(
     f: &FilteredMatrix,

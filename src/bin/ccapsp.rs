@@ -1,39 +1,13 @@
 //! `ccapsp` — command-line front end for the Congested Clique APSP
 //! reproduction and its serving layer.
 //!
-//! ```text
-//! ccapsp gen <family> <n> <seed> <out.edges>             generate a workload
-//! ccapsp run <graph.edges> [--algo A] [--seed S] [--threads T] [--kernel K]
-//!                                                        run an algorithm + audit
-//! ccapsp info <graph.edges>                              graph statistics
-//! ccapsp snapshot [graph.edges] [--n N] [--family F] [--algo A] [--seed S]
-//!                 [--threads T] -o <out.ccsnap>          run pipeline → snapshot
-//! ccapsp query <snap.ccsnap> dist|route|knearest <u> <v|k>
-//!                                                        answer one query
-//! ccapsp update <snap.ccsnap> --ops <file>|--random K [--profile P]
-//!                 [--repair-fraction F] [--delta <d.ccdelta>] [-o <new.ccsnap>]
-//!                                                        apply an edge-update batch
-//! ccapsp compact <base.ccsnap> <d.ccdelta>... -o <out.ccsnap> [--delta <merged>]
-//!                                                        collapse a delta chain
-//! ccapsp bench-serve <snap.ccsnap> [--queries Q] [--batch B] [--skew S]
-//!                 [--k K] [--seed S] [--threads T] [--out FILE]
-//!                 [--write-ratio R] [--ops-per-batch K] [--profile P]
-//!                 [--addr HOST:PORT --conns C]           load-generate → BENCH_serve.json
-//! ccapsp serve <snap.ccsnap> [--addr HOST:PORT] [--name N] [--threads T]
-//!                 [--queue-cap Q] [--batch-max B]
-//!                 [--metrics-addr HOST:PORT] [--slow-query-us N]
-//!                                                        TCP oracle daemon
-//! ccapsp serve-admin --addr HOST:PORT metrics-v2|info|shutdown|
-//!                 apply-delta <d.ccdelta>|swap <s.ccsnap>|
-//!                 flight-dump [--out FILE] [--name N]    admin frames to a daemon
-//! ccapsp serve-admin --metrics-addr HOST:PORT scrape     plain-HTTP /metrics scrape
-//! ccapsp top --addr HOST:PORT [--interval-ms N] [--frames K]
-//!                                                        live daemon dashboard
-//! ccapsp serve-chaos --addr HOST:PORT                    hostile-input survival check
-//! ccapsp bench-oracle [graph.edges] [--n N] [--family F] [--seed S]
-//!                 [--queries Q] [--sources S] [--threads T] [--out FILE]
-//!                                                        dense vs landmark → BENCH_oracle.json
-//! ```
+//! Run with no arguments for the usage listing. It is generated from
+//! [`COMMANDS`], the one table that declares each subcommand's positional
+//! arguments and value flags; the parser and the handlers read the same
+//! table. `-o` is short for `--out`. A malformed command line — an unknown
+//! subcommand or flag, a flag given twice or without its value, a value that
+//! does not parse — exits 2 with the listing; a runtime failure (an
+//! unreadable file, a refused connection) exits 1.
 //!
 //! Algorithms (`--algo`): `thm11` (default, Theorem 1.1), `thm81`
 //! (Theorem 8.1 on CC\[log⁴n\]), `smalldiam` (Theorem 7.1), `spanner`
@@ -57,18 +31,17 @@ use cc_apsp::landmark::LandmarkSketch;
 use cc_apsp::oracle::{OracleBackend, OracleKind};
 use cc_dynamic::delta as ccdelta;
 use cc_dynamic::incremental::{ApplyStrategy, DynamicConfig, IncrementalOracle};
-use cc_dynamic::rebuild::{run_algorithm, ALGORITHMS as ALGOS};
+use cc_dynamic::rebuild::{run_algorithm, ALGORITHMS};
 use cc_dynamic::update::{random_batch, MutationProfile, UpdateBatch};
 use cc_dynamic::Delta;
 use cc_graph::generators::Family;
 use cc_graph::graph::Direction;
-use cc_graph::{apsp, io as gio, sssp, DistMatrix, Graph, INF};
+use cc_graph::{apsp, io as gio, sssp, Graph, INF};
 use cc_matrix::engine::KernelMode;
 use cc_par::ExecPolicy;
 use cc_serve::client::{chaos, drive_network, scrape_http_metrics, Client};
 use cc_serve::loadgen::{drive, drive_readwrite, LoadSpec, ReadWriteSpec, Skew};
-use cc_serve::report::write_report;
-use cc_serve::report::BenchRecord;
+use cc_serve::report::{write_report, BenchRecord};
 use cc_serve::server::{Server, ServerConfig};
 use cc_serve::service::{OracleService, Query, Response};
 use cc_serve::snapshot::{Snapshot, SnapshotMeta};
@@ -76,57 +49,335 @@ use cc_serve::telemetry::{prom_label, prom_sum, prom_value};
 use cc_serve::wire::{Request, WireError};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+use std::fmt::{Display, Write as _};
 use std::process::ExitCode;
+use std::str::FromStr;
 use std::time::Instant;
 
+/// A value flag and the hint the usage listing shows for its value.
+type Flag = (&'static str, &'static str);
+
+const N: Flag = ("--n", "N");
+const FAMILY: Flag = ("--family", "F");
+const ALGO: Flag = ("--algo", ALGORITHMS);
+const SEED: Flag = ("--seed", "S");
+const THREADS: Flag = ("--threads", "T");
+const KERNEL: Flag = ("--kernel", "auto|dense|sparse");
+const ORACLE: Flag = ("--oracle", "dense|landmark");
+const OUT: Flag = ("--out", "FILE");
+const DELTA: Flag = ("--delta", "FILE");
+const PROFILE: Flag = ("--profile", "reweight|topology");
+const QUERIES: Flag = ("--queries", "Q");
+const ADDR: Flag = ("--addr", "HOST:PORT");
+const METRICS_ADDR: Flag = ("--metrics-addr", "HOST:PORT");
+const NAME: Flag = ("--name", "NAME");
+
+/// The flags every subcommand takes, before or after its name.
+const TRACE: [Flag; 2] = [("--trace", "FILE"), ("--trace-format", "json|chrome")];
+
+/// One subcommand: everything the parser, the usage listing and the
+/// dispatcher know about it.
+struct Command {
+    name: &'static str,
+    /// The positional arguments, as the usage listing shows them.
+    synopsis: &'static str,
+    flags: &'static [Flag],
+    run: fn(&Args) -> Result<(), ExitCode>,
+}
+
+const COMMANDS: &[Command] = &[
+    Command {
+        name: "gen",
+        synopsis: "<family F> <n> <seed> <out.edges>",
+        flags: &[],
+        run: cmd_gen,
+    },
+    Command {
+        name: "info",
+        synopsis: "<graph.edges>",
+        flags: &[],
+        run: cmd_info,
+    },
+    Command {
+        name: "run",
+        synopsis: "[graph.edges]",
+        flags: &[N, FAMILY, ALGO, SEED, THREADS, KERNEL, ORACLE],
+        run: cmd_run,
+    },
+    Command {
+        name: "snapshot",
+        synopsis: "[graph.edges]",
+        flags: &[N, FAMILY, ALGO, SEED, THREADS, KERNEL, ORACLE, OUT],
+        run: cmd_snapshot,
+    },
+    Command {
+        name: "query",
+        synopsis: "<snap.ccsnap> dist|route|knearest <u> <v|k>",
+        flags: &[],
+        run: cmd_query,
+    },
+    Command {
+        name: "update",
+        synopsis: "<snap.ccsnap>",
+        flags: &[
+            ("--ops", "FILE"),
+            ("--random", "K"),
+            PROFILE,
+            SEED,
+            THREADS,
+            KERNEL,
+            ORACLE,
+            ("--repair-fraction", "F"),
+            DELTA,
+            OUT,
+        ],
+        run: cmd_update,
+    },
+    Command {
+        name: "compact",
+        synopsis: "<base.ccsnap> <d.ccdelta>...",
+        flags: &[OUT, DELTA],
+        run: cmd_compact,
+    },
+    Command {
+        name: "bench-serve",
+        synopsis: "<snap.ccsnap>",
+        flags: &[
+            QUERIES,
+            ("--batch", "B"),
+            ("--skew", "uniform|zipf[:EXP]"),
+            ("--k", "K"),
+            SEED,
+            THREADS,
+            OUT,
+            ("--write-ratio", "R"),
+            ("--ops-per-batch", "K"),
+            PROFILE,
+            ADDR,
+            ("--conns", "C"),
+            NAME,
+        ],
+        run: cmd_bench_serve,
+    },
+    Command {
+        name: "bench-oracle",
+        synopsis: "[graph.edges]",
+        flags: &[
+            N,
+            FAMILY,
+            SEED,
+            QUERIES,
+            ("--sources", "S"),
+            THREADS,
+            KERNEL,
+            OUT,
+        ],
+        run: cmd_bench_oracle,
+    },
+    Command {
+        name: "serve",
+        synopsis: "<snap.ccsnap>",
+        flags: &[
+            ADDR,
+            NAME,
+            THREADS,
+            ("--queue-cap", "Q"),
+            ("--batch-max", "B"),
+            METRICS_ADDR,
+            ("--slow-query-us", "N"),
+        ],
+        run: cmd_serve,
+    },
+    Command {
+        name: "serve-admin",
+        synopsis:
+            "metrics-v2|info|shutdown|apply-delta <d.ccdelta>|swap <s.ccsnap>|flight-dump|scrape",
+        flags: &[ADDR, METRICS_ADDR, NAME, OUT],
+        run: cmd_serve_admin,
+    },
+    Command {
+        name: "top",
+        synopsis: "",
+        flags: &[ADDR, ("--interval-ms", "N"), ("--frames", "K")],
+        run: cmd_top,
+    },
+    Command {
+        name: "serve-chaos",
+        synopsis: "",
+        flags: &[ADDR],
+        run: cmd_serve_chaos,
+    },
+];
+
+/// Prints the usage listing, generated from [`COMMANDS`]; returns the
+/// usage-error exit code.
 fn usage() -> ExitCode {
+    let mut text = String::from("usage:\n");
+    let line = |text: &mut String, flags: &[Flag]| {
+        for (name, hint) in flags {
+            let name = if *name == OUT.0 { "-o|--out" } else { name };
+            let _ = write!(text, " [{name} {hint}]");
+        }
+        text.push('\n');
+    };
+    for c in COMMANDS {
+        text += format!("  ccapsp {} {}", c.name, c.synopsis).trim_end();
+        line(&mut text, c.flags);
+    }
+    text += "every subcommand also takes";
+    line(&mut text, &TRACE);
+    let families = Family::ALL.map(|f| f.name()).join("|");
     eprintln!(
-        "usage:\n  \
-         ccapsp gen <family:{families}> <n> <seed> <out.edges>\n  \
-         ccapsp info <graph.edges>\n  \
-         ccapsp run <graph.edges>|--n N [--family F] [--algo {ALGOS}] [--seed S] [--threads T] \
-         [--kernel auto|dense|sparse] [--oracle dense|landmark]\n  \
-         ccapsp snapshot [graph.edges] [--n N] [--family F] [--algo A] [--seed S] [--threads T] \
-         [--kernel K] [--oracle dense|landmark] -o <out.ccsnap>\n  \
-         ccapsp query <snap.ccsnap> dist|route|knearest <u> <v|k>\n  \
-         ccapsp update <snap.ccsnap> --ops <file>|--random K [--profile reweight|topology] \
-         [--seed S] [--threads T] [--kernel K] [--oracle dense|landmark] [--repair-fraction F] \
-         [--delta <d.ccdelta>] [-o <new.ccsnap>]\n  \
-         ccapsp compact <base.ccsnap> <d.ccdelta>... -o <out.ccsnap> [--delta <merged.ccdelta>]\n  \
-         ccapsp bench-serve <snap.ccsnap> [--queries Q] [--batch B] [--skew uniform|zipf[:EXP]] \
-         [--k K] [--seed S] [--threads T] [--out FILE] [--write-ratio R] [--ops-per-batch K] \
-         [--profile P] [--addr HOST:PORT --conns C]\n  \
-         ccapsp bench-oracle [graph.edges] [--n N] [--family F] [--seed S] [--queries Q] \
-         [--sources S] [--threads T] [--out FILE]\n  \
-         ccapsp serve <snap.ccsnap> [--addr HOST:PORT] [--name N] [--threads T] \
-         [--queue-cap Q] [--batch-max B] [--metrics-addr HOST:PORT] [--slow-query-us N]\n  \
-         ccapsp serve-admin --addr HOST:PORT metrics-v2|info|shutdown|\
-apply-delta <d.ccdelta>|swap <s.ccsnap>|flight-dump [--out FILE] [--name N]\n  \
-         ccapsp serve-admin --metrics-addr HOST:PORT scrape\n  \
-         ccapsp top --addr HOST:PORT [--interval-ms N] [--frames K]\n  \
-         ccapsp serve-chaos --addr HOST:PORT\n\
-         every subcommand also accepts --trace <out.json> [--trace-format json|chrome] \
-         (env defaults CC_TRACE / CC_TRACE_FORMAT) to dump the cc_obs span tree\n\
+        "{text}  to dump the cc_obs span tree (env defaults CC_TRACE / CC_TRACE_FORMAT)\n\
+         F is one of {families}\n\
          hint: `ccapsp <subcommand>` with missing arguments prints this listing; \
-         see the README's \"Serving\" and \"Dynamic updates\" sections for the workflows",
-        families = Family::ALL.map(|f| f.name()).join("|")
+         see the README's \"Serving\" and \"Dynamic updates\" sections for the workflows"
     );
     ExitCode::from(2)
 }
 
-/// Removes `name <value>` from `args`, returning the value. Errors when the
-/// flag is present but its value is missing.
-fn take_value_flag(args: &mut Vec<String>, name: &str) -> Result<Option<String>, ExitCode> {
-    let Some(i) = args.iter().position(|a| a == name) else {
-        return Ok(None);
-    };
-    if i + 1 >= args.len() {
-        eprintln!("{name} expects a value");
-        return Err(usage());
+/// A malformed command line: the reason, then the usage listing.
+fn usage_error(msg: &str) -> ExitCode {
+    eprintln!("{msg}");
+    usage()
+}
+
+/// A runtime failure (exit 1).
+fn fail(msg: impl Display) -> ExitCode {
+    eprintln!("{msg}");
+    ExitCode::FAILURE
+}
+
+/// Reports a write of `path`: a `wrote` line, or a runtime failure.
+fn wrote(path: &str, result: Result<(), impl Display>) -> Result<(), ExitCode> {
+    result.map_err(|e| fail(format!("cannot write {path}: {e}")))?;
+    println!("wrote          {path}");
+    Ok(())
+}
+
+/// A command line split against its subcommand's row of [`COMMANDS`].
+struct Args {
+    cmd: &'static Command,
+    positional: Vec<String>,
+    values: Vec<(&'static str, String)>,
+}
+
+/// Splits `argv` into a subcommand, its positionals and its flag values.
+/// Every argument that starts with `-` is a value flag: one the subcommand
+/// (or [`TRACE`]) declares, given at most once, followed by its value.
+fn parse_args(argv: &[String]) -> Result<Args, ExitCode> {
+    let mut cmd: Option<&'static Command> = None;
+    let mut positional = Vec::new();
+    let mut values: Vec<(&'static str, String)> = Vec::new();
+    let mut rest = argv.iter();
+    while let Some(arg) = rest.next() {
+        if !arg.starts_with('-') {
+            match cmd {
+                Some(_) => positional.push(arg.clone()),
+                None => match COMMANDS.iter().find(|c| c.name == arg) {
+                    Some(c) => cmd = Some(c),
+                    None => return Err(usage_error(&format!("unknown subcommand {arg:?}"))),
+                },
+            }
+            continue;
+        }
+        let long = if arg == "-o" { OUT.0 } else { arg.as_str() };
+        let declared: &[Flag] = cmd.map_or(&[], |c| c.flags);
+        let Some(&(name, _)) = declared.iter().chain(&TRACE).find(|f| f.0 == long) else {
+            let who = cmd.map_or("ccapsp", |c| c.name);
+            return Err(usage_error(&format!("{who} does not take {arg}")));
+        };
+        if values.iter().any(|(f, _)| *f == name) {
+            return Err(usage_error(&format!("{name} given twice")));
+        }
+        let Some(value) = rest.next() else {
+            return Err(usage_error(&format!("{arg} expects a value")));
+        };
+        values.push((name, value.clone()));
     }
-    let value = args.remove(i + 1);
-    args.remove(i);
-    Ok(Some(value))
+    let cmd = cmd.ok_or_else(usage)?;
+    Ok(Args {
+        cmd,
+        positional,
+        values,
+    })
+}
+
+impl Args {
+    /// The raw value of flag `name`, if given.
+    fn get(&self, name: &str) -> Option<&str> {
+        self.values
+            .iter()
+            .find(|(f, _)| *f == name)
+            .map(|(_, v)| v.as_str())
+    }
+
+    fn hint(&self, name: &str) -> &'static str {
+        self.cmd
+            .flags
+            .iter()
+            .chain(&TRACE)
+            .find(|f| f.0 == name)
+            .map_or("", |f| f.1)
+    }
+
+    /// The value of a flag the subcommand cannot run without.
+    fn required(&self, name: &str) -> Result<&str, ExitCode> {
+        self.get(name).ok_or_else(|| {
+            usage_error(&format!(
+                "{} needs {name} {}",
+                self.cmd.name,
+                self.hint(name)
+            ))
+        })
+    }
+
+    /// Flag `name` through `parse`, `None` when absent; a value `parse`
+    /// rejects is a usage error.
+    fn parse<T>(
+        &self,
+        name: &str,
+        parse: impl FnOnce(&str) -> Option<T>,
+    ) -> Result<Option<T>, ExitCode> {
+        let Some(raw) = self.get(name) else {
+            return Ok(None);
+        };
+        parse(raw).map(Some).ok_or_else(|| {
+            usage_error(&format!(
+                "invalid value {raw:?} for {name} {}",
+                self.hint(name)
+            ))
+        })
+    }
+
+    /// Flag `name` parsed as a `T`, or `default` when absent.
+    fn value_or<T: FromStr>(&self, name: &str, default: T) -> Result<T, ExitCode> {
+        Ok(self.parse(name, |s| s.parse().ok())?.unwrap_or(default))
+    }
+
+    /// `--threads` (`0` = all cores, like `CC_THREADS=0`), else the
+    /// `CC_THREADS` environment default.
+    fn exec(&self) -> Result<ExecPolicy, ExitCode> {
+        Ok(match self.parse("--threads", |s| s.parse().ok())? {
+            None => ExecPolicy::from_env(),
+            Some(0) => ExecPolicy::auto(),
+            Some(k) => ExecPolicy::with_threads(k),
+        })
+    }
+
+    /// `--kernel`, else the `CC_KERNEL` environment default.
+    fn kernel(&self) -> Result<KernelMode, ExitCode> {
+        Ok(self
+            .parse("--kernel", KernelMode::parse)?
+            .unwrap_or_else(KernelMode::from_env))
+    }
+
+    /// `--profile`, else reweight-heavy.
+    fn profile(&self) -> Result<MutationProfile, ExitCode> {
+        Ok(self
+            .parse("--profile", MutationProfile::parse)?
+            .unwrap_or(MutationProfile::ReweightHeavy))
+    }
 }
 
 /// The `--trace` wiring every subcommand shares: where to write the
@@ -137,125 +388,120 @@ struct TraceConfig {
     chrome: bool,
 }
 
-fn parse_trace(args: &mut Vec<String>) -> Result<Option<TraceConfig>, ExitCode> {
-    let path = take_value_flag(args, "--trace")?
-        .or_else(|| std::env::var("CC_TRACE").ok().filter(|s| !s.is_empty()));
-    let format = take_value_flag(args, "--trace-format")?.or_else(|| {
-        std::env::var("CC_TRACE_FORMAT")
-            .ok()
-            .filter(|s| !s.is_empty())
-    });
-    let chrome = match format.as_deref() {
+fn trace_config(args: &Args) -> Result<Option<TraceConfig>, ExitCode> {
+    let flag_or_env = |flag: &str, var: &str| {
+        args.get(flag)
+            .map(str::to_string)
+            .or_else(|| std::env::var(var).ok().filter(|s| !s.is_empty()))
+    };
+    let chrome = match flag_or_env("--trace-format", "CC_TRACE_FORMAT").as_deref() {
         None | Some("json") => false,
         Some("chrome") => true,
         Some(other) => {
-            eprintln!("--trace-format expects json|chrome, got {other:?}");
-            return Err(usage());
+            return Err(usage_error(&format!(
+                "--trace-format expects json|chrome, got {other:?}"
+            )))
         }
     };
-    Ok(path.map(|path| TraceConfig { path, chrome }))
+    Ok(flag_or_env("--trace", "CC_TRACE").map(|path| TraceConfig { path, chrome }))
 }
 
-fn write_trace(cfg: &TraceConfig) -> bool {
+fn write_trace(cfg: &TraceConfig) -> Result<(), ExitCode> {
     let snapshot = cc_obs::capture();
     let doc = if cfg.chrome {
         cc_obs::render_chrome(&snapshot)
     } else {
         cc_obs::render_json(&snapshot)
     };
-    if let Err(e) = std::fs::write(&cfg.path, doc) {
-        eprintln!("cannot write trace {}: {e}", cfg.path);
-        return false;
-    }
+    std::fs::write(&cfg.path, doc)
+        .map_err(|e| fail(format!("cannot write trace {}: {e}", cfg.path)))?;
     println!(
         "wrote trace    {} ({})",
         cfg.path,
         if cfg.chrome { "chrome" } else { "json" }
     );
-    true
+    Ok(())
 }
 
 fn main() -> ExitCode {
-    let mut args: Vec<String> = std::env::args().skip(1).collect();
-    // Strip the shared tracing flags before subcommand dispatch so no
-    // per-subcommand flag list needs to know about them.
-    let trace = match parse_trace(&mut args) {
-        Ok(trace) => trace,
-        Err(code) => return code,
-    };
+    let argv: Vec<String> = std::env::args().skip(1).collect();
+    match parse_args(&argv).and_then(|args| run_traced(&args)) {
+        Ok(()) => ExitCode::SUCCESS,
+        Err(code) => code,
+    }
+}
+
+/// Runs the subcommand, then writes the span tree if tracing was asked for
+/// (whatever the subcommand's outcome).
+fn run_traced(args: &Args) -> Result<(), ExitCode> {
+    let trace = trace_config(args)?;
     if trace.is_some() {
         cc_obs::enable();
     }
-    let code = match args.first().map(String::as_str) {
-        Some("gen") => cmd_gen(&args[1..]),
-        Some("run") => cmd_run(&args[1..]),
-        Some("info") => cmd_info(&args[1..]),
-        Some("snapshot") => cmd_snapshot(&args[1..]),
-        Some("query") => cmd_query(&args[1..]),
-        Some("update") => cmd_update(&args[1..]),
-        Some("compact") => cmd_compact(&args[1..]),
-        Some("bench-serve") => cmd_bench_serve(&args[1..]),
-        Some("bench-oracle") => cmd_bench_oracle(&args[1..]),
-        Some("serve") => cmd_serve(&args[1..]),
-        Some("serve-admin") => cmd_serve_admin(&args[1..]),
-        Some("serve-chaos") => cmd_serve_chaos(&args[1..]),
-        Some("top") => cmd_top(&args[1..]),
-        Some(other) => {
-            eprintln!("unknown subcommand {other:?}");
-            usage()
-        }
-        None => usage(),
-    };
+    let outcome = (args.cmd.run)(args);
     if let Some(cfg) = &trace {
         cc_obs::disable();
-        if !write_trace(cfg) {
-            return ExitCode::FAILURE;
-        }
+        write_trace(cfg)?;
     }
-    code
+    outcome
 }
 
-fn cmd_gen(args: &[String]) -> ExitCode {
-    let [family, n, seed, out] = args else {
-        return usage();
+fn family(name: &str) -> Result<Family, ExitCode> {
+    Family::ALL
+        .into_iter()
+        .find(|f| f.name() == name)
+        .ok_or_else(|| usage_error(&format!("unknown family {name:?}")))
+}
+
+fn cmd_gen(args: &Args) -> Result<(), ExitCode> {
+    let [family_name, n, seed, out] = &args.positional[..] else {
+        return Err(usage());
     };
-    let Some(family) = Family::ALL.iter().find(|f| f.name() == family) else {
-        eprintln!("unknown family {family:?}");
-        return usage();
-    };
+    let family = family(family_name)?;
     let (Ok(n), Ok(seed)) = (n.parse::<usize>(), seed.parse::<u64>()) else {
-        return usage();
+        return Err(usage());
     };
-    let mut rng = StdRng::seed_from_u64(seed);
-    let g = family.generate(n, n as u64, &mut rng);
-    if let Err(e) = gio::write_graph_file(&g, out) {
-        eprintln!("cannot write {out}: {e}");
-        return ExitCode::FAILURE;
-    }
+    let g = family.generate(n, n as u64, &mut StdRng::seed_from_u64(seed));
+    gio::write_graph_file(&g, out).map_err(|e| fail(format!("cannot write {out}: {e}")))?;
     println!("wrote {} ({} nodes, {} edges)", out, g.n(), g.m());
-    ExitCode::SUCCESS
+    Ok(())
 }
 
 fn load(path: &str) -> Result<Graph, ExitCode> {
-    gio::read_graph_file(path, Direction::Undirected).map_err(|e| {
-        eprintln!("cannot read {path}: {e}");
-        ExitCode::FAILURE
-    })
+    gio::read_graph_file(path, Direction::Undirected)
+        .map_err(|e| fail(format!("cannot read {path}: {e}")))
 }
 
 fn load_snapshot(path: &str) -> Result<Snapshot, ExitCode> {
-    Snapshot::load(path).map_err(|e| {
-        eprintln!("cannot load snapshot {path}: {e}");
-        ExitCode::FAILURE
-    })
+    Snapshot::load(path).map_err(|e| fail(format!("cannot load snapshot {path}: {e}")))
 }
 
-fn cmd_info(args: &[String]) -> ExitCode {
-    let [path] = args else { return usage() };
-    let g = match load(path) {
-        Ok(g) => g,
-        Err(code) => return code,
+/// The graph `run`, `snapshot` and `bench-oracle` work on, with a label
+/// naming it: the one positional edge-list path, or else a `--family`
+/// graph (gnp by default) on `--n` nodes generated from `seed`. `--n` falls
+/// back to `default_n` where the subcommand has one.
+fn workload(args: &Args, seed: u64, default_n: Option<usize>) -> Result<(Graph, String), ExitCode> {
+    let n = args.parse("--n", |s| s.parse().ok().filter(|&n: &usize| n >= 2))?;
+    let family_name = args.get("--family");
+    match (&args.positional[..], n.or(default_n)) {
+        ([path], _) if n.is_none() && family_name.is_none() => Ok((load(path)?, path.clone())),
+        ([], Some(n)) => {
+            let name = family_name.unwrap_or("gnp");
+            let g = family(name)?.generate(n, n as u64, &mut StdRng::seed_from_u64(seed));
+            Ok((g, format!("{name}(n={n},seed={seed})")))
+        }
+        _ => Err(usage_error(&format!(
+            "{} takes one graph: a <graph.edges> path, or --n N [--family F]",
+            args.cmd.name
+        ))),
+    }
+}
+
+fn cmd_info(args: &Args) -> Result<(), ExitCode> {
+    let [path] = &args.positional[..] else {
+        return Err(usage());
     };
+    let g = load(path)?;
     println!("nodes          {}", g.n());
     println!("edges          {}", g.m());
     println!("weight range   [{}, {}]", g.min_weight(), g.max_weight());
@@ -265,181 +511,29 @@ fn cmd_info(args: &[String]) -> ExitCode {
         println!("weighted diam  {}", sssp::weighted_diameter(&g));
         println!("hop diam       {}", cc_graph::hops::hop_diameter(&g));
     }
-    ExitCode::SUCCESS
+    Ok(())
 }
 
-fn flag<'a>(args: &'a [String], name: &str) -> Option<&'a str> {
-    args.iter()
-        .position(|a| a == name)
-        .and_then(|i| args.get(i + 1))
-        .map(String::as_str)
-}
-
-/// The arguments that are neither flags nor values of the given
-/// value-taking flags, in order.
-fn positionals<'a>(args: &'a [String], value_flags: &[&str]) -> Vec<&'a str> {
-    let mut out = Vec::new();
-    let mut i = 0;
-    while i < args.len() {
-        if value_flags.contains(&args[i].as_str()) {
-            i += 2; // skip the flag and its value
-        } else if args[i].starts_with('-') {
-            i += 1; // unknown flag without a value
-        } else {
-            out.push(args[i].as_str());
-            i += 1;
-        }
+/// `--oracle`, else the `CC_ORACLE` environment default. A landmark build
+/// ignores `--algo`, and says so.
+fn oracle(args: &Args) -> Result<OracleKind, ExitCode> {
+    let kind = args
+        .parse("--oracle", OracleKind::parse)?
+        .unwrap_or_else(OracleKind::from_env);
+    if kind == OracleKind::Landmark && args.get("--algo").is_some() {
+        println!("note           --oracle landmark builds a sketch; --algo is ignored");
     }
-    out
+    Ok(kind)
 }
 
-/// A numeric flag for the serving subcommands: absent → `default`,
-/// unparsable → a loud usage error (never a silent fallback).
-fn num_flag<T: std::str::FromStr + Copy>(
-    args: &[String],
-    name: &str,
-    default: T,
-) -> Result<T, ExitCode> {
-    match flag(args, name) {
-        None => Ok(default),
-        Some(s) => s.parse().map_err(|_| {
-            eprintln!("{name} expects a number, got {s:?}");
-            usage()
-        }),
-    }
-}
-
-/// Parses `--threads` (absent → the `CC_THREADS` environment default).
-fn parse_exec(args: &[String]) -> Result<ExecPolicy, ExitCode> {
-    match flag(args, "--threads") {
-        // `0` means hardware parallelism, matching `CC_THREADS=0`.
-        Some(t) => match t.parse::<usize>() {
-            Ok(0) => Ok(ExecPolicy::auto()),
-            Ok(k) => Ok(ExecPolicy::with_threads(k)),
-            Err(_) => {
-                eprintln!("--threads expects a number, got {t:?}");
-                Err(usage())
-            }
-        },
-        None => Ok(ExecPolicy::from_env()),
-    }
-}
-
-/// Parses `--kernel` (absent → the `CC_KERNEL` environment default).
-fn parse_kernel(args: &[String]) -> Result<KernelMode, ExitCode> {
-    match flag(args, "--kernel") {
-        Some(k) => match KernelMode::parse(k) {
-            Some(mode) => Ok(mode),
-            None => {
-                eprintln!("--kernel expects auto|dense|sparse, got {k:?}");
-                Err(usage())
-            }
-        },
-        None => Ok(KernelMode::from_env()),
-    }
-}
-
-/// Parses `--oracle` (absent → the `CC_ORACLE` environment default).
-fn parse_oracle(args: &[String]) -> Result<OracleKind, ExitCode> {
-    match flag(args, "--oracle") {
-        Some(s) => match OracleKind::parse(s) {
-            Some(kind) => Ok(kind),
-            None => {
-                eprintln!("--oracle expects dense|landmark, got {s:?}");
-                Err(usage())
-            }
-        },
-        None => Ok(OracleKind::from_env()),
-    }
-}
-
-/// Runs one named algorithm over `g` through the shared dispatch table
-/// (`cc_dynamic::rebuild::run_algorithm` — the same table the dynamic
-/// engine's rebuild fallback re-enters), returning
-/// `(estimate, stretch bound, rounds)`; `None` for an unknown name.
-fn run_algo(
-    g: &Graph,
-    algo: &str,
-    seed: u64,
-    exec: ExecPolicy,
-    kernel: KernelMode,
-) -> Option<(DistMatrix, f64, u64)> {
-    run_algorithm(g, algo, seed, exec, kernel).ok()
-}
-
-fn cmd_run(args: &[String]) -> ExitCode {
-    let algo = flag(args, "--algo").unwrap_or("thm11");
-    let seed: u64 = flag(args, "--seed")
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(1);
-    // Workload: a positional edge-list path, or --n (+ --family) to
-    // generate one in-process (the same convention as `snapshot`).
-    let positional = match positionals(
-        args,
-        &[
-            "--n",
-            "--family",
-            "--algo",
-            "--seed",
-            "--threads",
-            "--kernel",
-            "--oracle",
-        ],
-    )[..]
-    {
-        [] => None,
-        [path] => Some(path),
-        ref many => {
-            eprintln!("run takes at most one graph path, got {many:?}");
-            return usage();
-        }
-    };
-    if positional.is_some() && flag(args, "--n").is_some() {
-        eprintln!("run takes either a graph path or --n, not both");
-        return usage();
-    }
-    let g = if let Some(path) = positional {
-        match load(path) {
-            Ok(g) => g,
-            Err(code) => return code,
-        }
-    } else {
-        let n = match flag(args, "--n") {
-            None => return usage(),
-            Some(s) => match s.parse::<usize>() {
-                Ok(n) if n >= 2 => n,
-                _ => {
-                    eprintln!("--n expects a node count of at least 2, got {s:?}");
-                    return usage();
-                }
-            },
-        };
-        let family_name = flag(args, "--family").unwrap_or("gnp");
-        let Some(family) = Family::ALL.iter().find(|f| f.name() == family_name) else {
-            eprintln!("unknown family {family_name:?}");
-            return usage();
-        };
-        let mut rng = StdRng::seed_from_u64(seed);
-        family.generate(n, n as u64, &mut rng)
-    };
-    let exec = match parse_exec(args) {
-        Ok(exec) => exec,
-        Err(code) => return code,
-    };
-    let kernel = match parse_kernel(args) {
-        Ok(kernel) => kernel,
-        Err(code) => return code,
-    };
-    let oracle = match parse_oracle(args) {
-        Ok(oracle) => oracle,
-        Err(code) => return code,
-    };
-    if oracle == OracleKind::Landmark {
+fn cmd_run(args: &Args) -> Result<(), ExitCode> {
+    let seed = args.value_or("--seed", 1u64)?;
+    let (g, _) = workload(args, seed, None)?;
+    let exec = args.exec()?;
+    let kernel = args.kernel()?;
+    if oracle(args)? == OracleKind::Landmark {
         // Landmark runs build the sketch directly from the graph; the
         // pipeline algorithms produce dense estimates only.
-        if flag(args, "--algo").is_some() {
-            println!("note           --oracle landmark builds a sketch; --algo is ignored");
-        }
         let start = Instant::now();
         let sketch = LandmarkSketch::build(&g, seed, exec);
         let build_ms = start.elapsed().as_secs_f64() * 1e3;
@@ -457,12 +551,11 @@ fn cmd_run(args: &[String]) -> ExitCode {
             );
             println!("valid          {}", stats.is_valid_approximation(3.0));
         }
-        return ExitCode::SUCCESS;
+        return Ok(());
     }
-    let Some((estimate, bound, rounds)) = run_algo(&g, algo, seed, exec, kernel) else {
-        eprintln!("unknown algorithm {algo:?}");
-        return usage();
-    };
+    let algo = args.get("--algo").unwrap_or("thm11");
+    let (estimate, bound, rounds) =
+        run_algorithm(&g, algo, seed, exec, kernel).map_err(|e| usage_error(&e.to_string()))?;
 
     println!("algorithm      {algo}");
     println!("exec           {exec}");
@@ -478,94 +571,19 @@ fn cmd_run(args: &[String]) -> ExitCode {
         );
         println!("valid          {}", stats.is_valid_approximation(bound));
     }
-    ExitCode::SUCCESS
+    Ok(())
 }
 
-fn cmd_snapshot(args: &[String]) -> ExitCode {
-    let Some(out) = flag(args, "-o").or_else(|| flag(args, "--out")) else {
-        eprintln!("snapshot needs an output path (-o <out.ccsnap>)");
-        return usage();
-    };
-    let algo = flag(args, "--algo").unwrap_or("thm11");
-    let seed: u64 = match num_flag(args, "--seed", 1) {
-        Ok(seed) => seed,
-        Err(code) => return code,
-    };
-    let exec = match parse_exec(args) {
-        Ok(exec) => exec,
-        Err(code) => return code,
-    };
-    let kernel = match parse_kernel(args) {
-        Ok(kernel) => kernel,
-        Err(code) => return code,
-    };
-    // Workload: either a positional edge-list path (accepted anywhere among
-    // the flags), or --n (+ --family) to generate one in-process.
-    let positional = match positionals(
-        args,
-        &[
-            "--n",
-            "--family",
-            "--algo",
-            "--seed",
-            "--threads",
-            "--kernel",
-            "--oracle",
-            "-o",
-            "--out",
-        ],
-    )[..]
-    {
-        [] => None,
-        [path] => Some(path),
-        ref many => {
-            eprintln!("snapshot takes at most one graph path, got {many:?}");
-            return usage();
-        }
-    };
-    if positional.is_some() && flag(args, "--n").is_some() {
-        eprintln!("snapshot takes either a graph path or --n, not both");
-        return usage();
-    }
-    let (g, source) = if let Some(path) = positional {
-        match load(path) {
-            Ok(g) => (g, path.to_string()),
-            Err(code) => return code,
-        }
-    } else {
-        let n = match flag(args, "--n") {
-            None => {
-                eprintln!("snapshot needs a graph: a <graph.edges> path or --n N [--family F]");
-                return usage();
-            }
-            Some(s) => match s.parse::<usize>() {
-                Ok(n) => n,
-                Err(_) => {
-                    eprintln!("--n expects a number, got {s:?}");
-                    return usage();
-                }
-            },
-        };
-        let family_name = flag(args, "--family").unwrap_or("gnp");
-        let Some(family) = Family::ALL.iter().find(|f| f.name() == family_name) else {
-            eprintln!("unknown family {family_name:?}");
-            return usage();
-        };
-        let mut rng = StdRng::seed_from_u64(seed);
-        let g = family.generate(n, n as u64, &mut rng);
-        (g, format!("{family_name}(n={n},seed={seed})"))
-    };
-    let oracle = match parse_oracle(args) {
-        Ok(oracle) => oracle,
-        Err(code) => return code,
-    };
+fn cmd_snapshot(args: &Args) -> Result<(), ExitCode> {
+    let out = args.required("--out")?;
+    let seed = args.value_or("--seed", 1u64)?;
+    let exec = args.exec()?;
+    let kernel = args.kernel()?;
+    let (g, source) = workload(args, seed, None)?;
     let n = g.n();
-    let snapshot = if oracle == OracleKind::Landmark {
+    let snapshot = if oracle(args)? == OracleKind::Landmark {
         // Landmark snapshots skip the dense pipeline entirely: the sketch
         // is the servable artifact, built straight from the graph.
-        if flag(args, "--algo").is_some() {
-            println!("note           --oracle landmark builds a sketch; --algo is ignored");
-        }
         let sketch = LandmarkSketch::build(&g, seed, exec);
         Snapshot::with_backend(
             g,
@@ -579,10 +597,9 @@ fn cmd_snapshot(args: &[String]) -> ExitCode {
             },
         )
     } else {
-        let Some((estimate, bound, rounds)) = run_algo(&g, algo, seed, exec, kernel) else {
-            eprintln!("unknown algorithm {algo:?}");
-            return usage();
-        };
+        let algo = args.get("--algo").unwrap_or("thm11");
+        let (estimate, bound, rounds) =
+            run_algorithm(&g, algo, seed, exec, kernel).map_err(|e| usage_error(&e.to_string()))?;
         Snapshot::new(
             g,
             estimate,
@@ -595,74 +612,48 @@ fn cmd_snapshot(args: &[String]) -> ExitCode {
             },
         )
     };
-    let (algo, bound, rounds) = (
-        snapshot.meta.algo.clone(),
-        snapshot.meta.stretch_bound,
-        snapshot.meta.rounds,
-    );
     let encoded = snapshot.to_bytes();
-    let bytes = encoded.len();
-    if let Err(e) = cc_graph::codec::write_atomic(out, &encoded) {
-        eprintln!("cannot write {out}: {e}");
-        return ExitCode::FAILURE;
-    }
+    cc_graph::codec::write_atomic(out, &encoded)
+        .map_err(|e| fail(format!("cannot write {out}: {e}")))?;
+    let meta = &snapshot.meta;
     println!(
-        "wrote {out} ({n} nodes, algo {algo}, bound {bound:.1}×, {rounds} rounds, {bytes} bytes)"
+        "wrote {out} ({n} nodes, algo {}, bound {:.1}×, {} rounds, {} bytes)",
+        meta.algo,
+        meta.stretch_bound,
+        meta.rounds,
+        encoded.len()
     );
-    ExitCode::SUCCESS
+    Ok(())
 }
 
 fn parse_node(s: &str, n: usize, what: &str) -> Result<usize, ExitCode> {
     match s.parse::<usize>() {
         Ok(v) if v < n => Ok(v),
-        Ok(v) => {
-            eprintln!("{what} {v} out of range for a {n}-node snapshot");
-            Err(ExitCode::FAILURE)
-        }
-        Err(_) => {
-            eprintln!("{what} expects a node id, got {s:?}");
-            Err(ExitCode::FAILURE)
-        }
+        Ok(v) => Err(fail(format!(
+            "{what} {v} out of range for a {n}-node snapshot"
+        ))),
+        Err(_) => Err(fail(format!("{what} expects a node id, got {s:?}"))),
     }
 }
 
-fn cmd_query(args: &[String]) -> ExitCode {
-    let [path, kind, rest @ ..] = args else {
-        return usage();
+fn cmd_query(args: &Args) -> Result<(), ExitCode> {
+    let [path, kind, rest @ ..] = &args.positional[..] else {
+        return Err(usage());
     };
-    let snapshot = match load_snapshot(path) {
-        Ok(s) => s,
-        Err(code) => return code,
-    };
+    let snapshot = load_snapshot(path)?;
     let n = snapshot.n();
     let (service, id) = OracleService::single(snapshot);
     let query = match (kind.as_str(), rest) {
-        ("dist", [u, v]) => {
-            let (u, v) = match (parse_node(u, n, "u"), parse_node(v, n, "v")) {
-                (Ok(u), Ok(v)) => (u, v),
-                (Err(code), _) | (_, Err(code)) => return code,
-            };
-            Query::Dist(u, v)
-        }
-        ("route", [u, v]) => {
-            let (u, v) = match (parse_node(u, n, "u"), parse_node(v, n, "v")) {
-                (Ok(u), Ok(v)) => (u, v),
-                (Err(code), _) | (_, Err(code)) => return code,
-            };
-            Query::Route(u, v)
-        }
+        ("dist", [u, v]) => Query::Dist(parse_node(u, n, "u")?, parse_node(v, n, "v")?),
+        ("route", [u, v]) => Query::Route(parse_node(u, n, "u")?, parse_node(v, n, "v")?),
         ("knearest", [u, k]) => {
-            let u = match parse_node(u, n, "u") {
-                Ok(u) => u,
-                Err(code) => return code,
-            };
-            let Ok(k) = k.parse::<usize>() else {
-                eprintln!("k expects a number, got {k:?}");
-                return ExitCode::FAILURE;
-            };
+            let u = parse_node(u, n, "u")?;
+            let k = k
+                .parse::<usize>()
+                .map_err(|_| fail(format!("k expects a number, got {k:?}")))?;
             Query::KNearest(u, k.clamp(1, n))
         }
-        _ => return usage(),
+        _ => return Err(usage()),
     };
     let meta = service.meta(id);
     println!(
@@ -688,113 +679,51 @@ fn cmd_query(args: &[String]) -> ExitCode {
             }
         }
     }
-    ExitCode::SUCCESS
+    Ok(())
 }
 
-fn load_delta(path: &str) -> Result<Delta, ExitCode> {
-    Delta::load(path).map_err(|e| {
-        eprintln!("cannot load delta {path}: {e}");
-        ExitCode::FAILURE
-    })
-}
-
-fn cmd_update(args: &[String]) -> ExitCode {
-    let flags = [
-        "--ops",
-        "--random",
-        "--profile",
-        "--seed",
-        "--threads",
-        "--kernel",
-        "--oracle",
-        "--repair-fraction",
-        "--delta",
-        "-o",
-        "--out",
-    ];
-    let [path] = positionals(args, &flags)[..] else {
-        return usage();
+fn cmd_update(args: &Args) -> Result<(), ExitCode> {
+    let [path] = &args.positional[..] else {
+        return Err(usage());
     };
-    let snapshot = match load_snapshot(path) {
-        Ok(s) => s,
-        Err(code) => return code,
-    };
+    let snapshot = load_snapshot(path)?;
     // The backend is baked into the snapshot; an explicit --oracle flag is
     // only a consistency check (the environment default is not — it must
     // not reject snapshots made under a different CC_ORACLE).
-    if flag(args, "--oracle").is_some() {
-        let requested = match parse_oracle(args) {
-            Ok(o) => o,
-            Err(code) => return code,
-        };
+    if let Some(requested) = args.parse("--oracle", OracleKind::parse)? {
         let actual = snapshot.backend.kind();
         if requested != actual {
-            eprintln!(
+            return Err(fail(format!(
                 "snapshot {path} has a {} backend, but --oracle {} was requested",
                 actual.name(),
                 requested.name()
-            );
-            return ExitCode::FAILURE;
+            )));
         }
     }
-    let exec = match parse_exec(args) {
-        Ok(exec) => exec,
-        Err(code) => return code,
-    };
-    let kernel = match parse_kernel(args) {
-        Ok(kernel) => kernel,
-        Err(code) => return code,
-    };
-    let seed: u64 = match num_flag(args, "--seed", 1) {
-        Ok(seed) => seed,
-        Err(code) => return code,
-    };
-    let repair_fraction: f64 = match num_flag(args, "--repair-fraction", 0.25) {
-        Ok(f) if (0.0..=1.0).contains(&f) => f,
-        Ok(f) => {
-            eprintln!("--repair-fraction expects a value in [0, 1], got {f}");
-            return usage();
-        }
-        Err(code) => return code,
-    };
-    let profile = match flag(args, "--profile") {
-        None => MutationProfile::ReweightHeavy,
-        Some(p) => match MutationProfile::parse(p) {
-            Some(p) => p,
-            None => {
-                eprintln!("--profile expects reweight|topology, got {p:?}");
-                return usage();
-            }
-        },
-    };
-    let batch = match (flag(args, "--ops"), flag(args, "--random")) {
+    let exec = args.exec()?;
+    let kernel = args.kernel()?;
+    let seed = args.value_or("--seed", 1u64)?;
+    let repair_fraction = args
+        .parse("--repair-fraction", |s| {
+            s.parse().ok().filter(|f: &f64| (0.0..=1.0).contains(f))
+        })?
+        .unwrap_or(0.25);
+    let profile = args.profile()?;
+    let random = args.parse("--random", |s| s.parse::<usize>().ok())?;
+    let batch = match (args.get("--ops"), random) {
         (Some(file), None) => {
-            let text = match std::fs::read_to_string(file) {
-                Ok(t) => t,
-                Err(e) => {
-                    eprintln!("cannot read {file}: {e}");
-                    return ExitCode::FAILURE;
-                }
-            };
-            match UpdateBatch::parse(&text) {
-                Ok(b) => b,
-                Err(e) => {
-                    eprintln!("cannot parse {file}: {e}");
-                    return ExitCode::FAILURE;
-                }
-            }
+            let text = std::fs::read_to_string(file)
+                .map_err(|e| fail(format!("cannot read {file}: {e}")))?;
+            UpdateBatch::parse(&text).map_err(|e| fail(format!("cannot parse {file}: {e}")))?
         }
         (None, Some(k)) => {
-            let Ok(k) = k.parse::<usize>() else {
-                eprintln!("--random expects a number of ops, got {k:?}");
-                return usage();
-            };
             let mut rng = StdRng::seed_from_u64(seed);
             random_batch(&snapshot.graph, k, profile, &mut rng)
         }
         _ => {
-            eprintln!("update needs exactly one batch source: --ops <file> or --random K");
-            return usage();
+            return Err(usage_error(
+                "update needs exactly one batch source: --ops <file> or --random K",
+            ))
         }
     };
     let meta = snapshot.meta.clone();
@@ -810,13 +739,9 @@ fn cmd_update(args: &[String]) -> ExitCode {
         },
     );
     let start = Instant::now();
-    let outcome = match engine.apply(&batch) {
-        Ok(o) => o,
-        Err(e) => {
-            eprintln!("cannot apply batch: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
+    let outcome = engine
+        .apply(&batch)
+        .map_err(|e| fail(format!("cannot apply batch: {e}")))?;
     let wall_ms = start.elapsed().as_secs_f64() * 1e3;
     let n = engine.graph().n();
     println!("snapshot       {} nodes, algo {}", n, meta.algo);
@@ -837,66 +762,41 @@ fn cmd_update(args: &[String]) -> ExitCode {
         "state          {:016x} -> {:016x}",
         outcome.delta.base_fingerprint, outcome.delta.result_fingerprint
     );
-    if let Some(delta_out) = flag(args, "--delta") {
-        if let Err(e) = outcome.delta.save(delta_out) {
-            eprintln!("cannot write {delta_out}: {e}");
-            return ExitCode::FAILURE;
-        }
-        println!("wrote          {delta_out}");
+    if let Some(delta_out) = args.get("--delta") {
+        wrote(delta_out, outcome.delta.save(delta_out))?;
     }
-    if let Some(out) = flag(args, "-o").or_else(|| flag(args, "--out")) {
+    if let Some(out) = args.get("--out") {
         let updated =
             Snapshot::with_backend(engine.graph().clone(), engine.backend().clone(), meta);
-        if let Err(e) = updated.save(out) {
-            eprintln!("cannot write {out}: {e}");
-            return ExitCode::FAILURE;
-        }
-        println!("wrote          {out}");
-    } else if flag(args, "--delta").is_none() {
+        wrote(out, updated.save(out))?;
+    } else if args.get("--delta").is_none() {
         println!("note           dry run: no --delta or -o output requested");
     }
-    ExitCode::SUCCESS
+    Ok(())
 }
 
-fn cmd_compact(args: &[String]) -> ExitCode {
-    let flags = ["--delta", "-o", "--out"];
-    let positional = positionals(args, &flags);
-    let Some((&base_path, delta_paths)) = positional.split_first() else {
-        return usage();
+fn cmd_compact(args: &Args) -> Result<(), ExitCode> {
+    let [base_path, delta_paths @ ..] = &args.positional[..] else {
+        return Err(usage());
     };
     if delta_paths.is_empty() {
-        eprintln!("compact needs at least one <d.ccdelta> after the base snapshot");
-        return usage();
+        return Err(usage_error(
+            "compact needs at least one <d.ccdelta> after the base snapshot",
+        ));
     }
-    let Some(out) = flag(args, "-o").or_else(|| flag(args, "--out")) else {
-        eprintln!("compact needs an output path (-o <out.ccsnap>)");
-        return usage();
-    };
-    let base = match load_snapshot(base_path) {
-        Ok(s) => s,
-        Err(code) => return code,
-    };
-    let mut deltas = Vec::with_capacity(delta_paths.len());
-    for p in delta_paths {
-        match load_delta(p) {
-            Ok(d) => deltas.push(d),
-            Err(code) => return code,
-        }
-    }
-    let (merged, graph, backend) =
-        match ccdelta::compact_backend(&base.graph, &base.backend, &deltas) {
-            Ok(r) => r,
-            Err(e) => {
-                eprintln!("cannot replay delta chain: {e}");
-                return ExitCode::FAILURE;
-            }
-        };
+    let out = args.required("--out")?;
+    let base = load_snapshot(base_path)?;
+    let deltas = delta_paths
+        .iter()
+        .map(|p| Delta::load(p).map_err(|e| fail(format!("cannot load delta {p}: {e}"))))
+        .collect::<Result<Vec<_>, _>>()?;
+    let (merged, graph, backend) = ccdelta::compact_backend(&base.graph, &base.backend, &deltas)
+        .map_err(|e| fail(format!("cannot replay delta chain: {e}")))?;
     let final_snapshot = Snapshot::with_backend(graph, backend, base.meta.clone());
     let fp = final_snapshot.state_fingerprint();
-    if let Err(e) = final_snapshot.save(out) {
-        eprintln!("cannot write {out}: {e}");
-        return ExitCode::FAILURE;
-    }
+    final_snapshot
+        .save(out)
+        .map_err(|e| fail(format!("cannot write {out}: {e}")))?;
     println!(
         "compacted      {} deltas: {} ops, {} rows",
         deltas.len(),
@@ -905,107 +805,45 @@ fn cmd_compact(args: &[String]) -> ExitCode {
     );
     println!("state          {fp:016x}");
     println!("wrote          {out}");
-    if let Some(delta_out) = flag(args, "--delta") {
-        if let Err(e) = merged.save(delta_out) {
-            eprintln!("cannot write {delta_out}: {e}");
-            return ExitCode::FAILURE;
-        }
-        println!("wrote          {delta_out}");
+    if let Some(delta_out) = args.get("--delta") {
+        wrote(delta_out, merged.save(delta_out))?;
     }
-    ExitCode::SUCCESS
+    Ok(())
 }
 
-fn cmd_bench_serve(args: &[String]) -> ExitCode {
-    let flags = [
-        "--queries",
-        "--batch",
-        "--skew",
-        "--k",
-        "--seed",
-        "--threads",
-        "--out",
-        "--write-ratio",
-        "--ops-per-batch",
-        "--profile",
-        "--addr",
-        "--conns",
-        "--name",
-    ];
-    let [path] = positionals(args, &flags)[..] else {
-        return usage();
+fn cmd_bench_serve(args: &Args) -> Result<(), ExitCode> {
+    let [path] = &args.positional[..] else {
+        return Err(usage());
     };
-    let snapshot = match load_snapshot(path) {
-        Ok(s) => s,
-        Err(code) => return code,
-    };
-    let exec = match parse_exec(args) {
-        Ok(exec) => exec,
-        Err(code) => return code,
-    };
-    let skew = match flag(args, "--skew") {
-        None => Skew::Zipf(1.0),
-        Some(s) => match Skew::parse(s) {
-            Ok(skew) => skew,
-            Err(msg) => {
-                eprintln!("--skew: {msg}");
-                return usage();
-            }
-        },
-    };
+    let snapshot = load_snapshot(path)?;
+    let exec = args.exec()?;
     let defaults = LoadSpec::default();
-    let spec = match (
-        num_flag(args, "--queries", defaults.queries),
-        num_flag(args, "--batch", defaults.batch),
-        num_flag(args, "--k", defaults.k),
-        num_flag(args, "--seed", defaults.seed),
-    ) {
-        (Ok(queries), Ok(batch), Ok(k), Ok(seed)) => LoadSpec {
-            queries,
-            batch,
-            skew,
-            k,
-            seed,
-            ..defaults
-        },
-        (Err(code), ..) | (_, Err(code), ..) | (_, _, Err(code), _) | (.., Err(code)) => {
-            return code
-        }
+    let spec = LoadSpec {
+        queries: args.value_or("--queries", defaults.queries)?,
+        batch: args.value_or("--batch", defaults.batch)?,
+        skew: args
+            .parse("--skew", |s| Skew::parse(s).ok())?
+            .unwrap_or(Skew::Zipf(1.0)),
+        k: args.value_or("--k", defaults.k)?,
+        seed: args.value_or("--seed", defaults.seed)?,
+        ..defaults
     };
-    let write_ratio: f64 = match num_flag::<f64>(args, "--write-ratio", 0.0) {
-        Ok(r) if r.is_finite() && r >= 0.0 => r,
-        Ok(r) => {
-            eprintln!("--write-ratio expects a non-negative number, got {r}");
-            return usage();
-        }
-        Err(code) => return code,
-    };
-    let ops_per_batch: usize = match num_flag(args, "--ops-per-batch", 8) {
-        Ok(k) => k,
-        Err(code) => return code,
-    };
-    let profile = match flag(args, "--profile") {
-        None => MutationProfile::ReweightHeavy,
-        Some(p) => match MutationProfile::parse(p) {
-            Some(p) => p,
-            None => {
-                eprintln!("--profile expects reweight|topology, got {p:?}");
-                return usage();
-            }
-        },
-    };
-    let out = flag(args, "--out").unwrap_or("BENCH_serve.json");
-    if let Some(addr) = flag(args, "--addr") {
+    let write_ratio = args
+        .parse("--write-ratio", |s| {
+            s.parse().ok().filter(|r: &f64| r.is_finite() && *r >= 0.0)
+        })?
+        .unwrap_or(0.0);
+    let ops_per_batch = args.value_or("--ops-per-batch", 8usize)?;
+    let profile = args.profile()?;
+    let conns = args.value_or("--conns", 4usize)?.max(1);
+    let out = args.get("--out").unwrap_or("BENCH_serve.json");
+    if let Some(addr) = args.get("--addr") {
         if write_ratio > 0.0 {
-            eprintln!(
-                "--addr drives a remote daemon; --write-ratio applies to the in-process path"
-            );
-            return usage();
+            return Err(usage_error(
+                "--addr drives a remote daemon; --write-ratio applies to the in-process path",
+            ));
         }
-        let conns = match num_flag(args, "--conns", 4usize) {
-            Ok(c) => c.max(1),
-            Err(code) => return code,
-        };
-        let name = flag(args, "--name").unwrap_or("default");
+        let name = args.get("--name").unwrap_or("default");
         return bench_serve_networked(addr, name, snapshot, &spec, exec, conns, out);
     }
     let n = snapshot.n();
@@ -1048,12 +886,7 @@ fn cmd_bench_serve(args: &[String]) -> ExitCode {
     );
     println!("cache hit      {:.1}%", result.cache_hit_rate * 100.0);
     println!("fingerprint    {:016x}", result.fingerprint);
-    if let Err(e) = write_report(out, &[record]) {
-        eprintln!("cannot write {out}: {e}");
-        return ExitCode::FAILURE;
-    }
-    println!("wrote          {out}");
-    ExitCode::SUCCESS
+    wrote(out, write_report(out, &[record]))
 }
 
 /// The `bench-serve --addr` path: drive a running daemon over TCP with
@@ -1068,7 +901,7 @@ fn bench_serve_networked(
     exec: ExecPolicy,
     conns: usize,
     out: &str,
-) -> ExitCode {
+) -> Result<(), ExitCode> {
     let n = snapshot.n();
     let (service, id) = OracleService::single(snapshot);
     let reference = drive(&service, id, spec, exec);
@@ -1085,13 +918,8 @@ fn bench_serve_networked(
         }
     };
     let before = scrape("pre-drive");
-    let result = match drive_network(addr, name, spec, conns) {
-        Ok(r) => r,
-        Err(e) => {
-            eprintln!("networked drive against {addr} failed: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
+    let result = drive_network(addr, name, spec, conns)
+        .map_err(|e| fail(format!("networked drive against {addr} failed: {e}")))?;
     let after = scrape("post-drive");
     println!("daemon         {addr} ({conns} connections, snapshot {name:?})");
     println!(
@@ -1107,12 +935,11 @@ fn bench_serve_networked(
     println!("cache hit      {:.1}%", result.cache_hit_rate * 100.0);
     println!("fingerprint    {:016x}", result.fingerprint);
     if result.fingerprint != reference.fingerprint {
-        eprintln!(
+        return Err(fail(format!(
             "FINGERPRINT MISMATCH: networked {:016x} != in-process {:016x} \
              (is the daemon serving a different snapshot or a mutated version?)",
             result.fingerprint, reference.fingerprint
-        );
-        return ExitCode::FAILURE;
+        )));
     }
     println!("verified       networked responses bit-identical to in-process run_batch");
     let mut record = result.to_record("serve_net", n);
@@ -1126,74 +953,32 @@ fn bench_serve_networked(
             .extras
             .push(("overload_rejections".into(), overloads));
     }
-    if let Err(e) = write_report(out, &[record]) {
-        eprintln!("cannot write {out}: {e}");
-        return ExitCode::FAILURE;
-    }
-    println!("wrote          {out}");
-    ExitCode::SUCCESS
+    wrote(out, write_report(out, &[record]))
 }
 
-fn cmd_serve(args: &[String]) -> ExitCode {
-    let flags = [
-        "--addr",
-        "--name",
-        "--threads",
-        "--queue-cap",
-        "--batch-max",
-        "--metrics-addr",
-        "--slow-query-us",
-    ];
-    let [path] = positionals(args, &flags)[..] else {
-        return usage();
+fn cmd_serve(args: &Args) -> Result<(), ExitCode> {
+    let [path] = &args.positional[..] else {
+        return Err(usage());
     };
-    let snapshot = match load_snapshot(path) {
-        Ok(s) => s,
-        Err(code) => return code,
-    };
-    let exec = match parse_exec(args) {
-        Ok(exec) => exec,
-        Err(code) => return code,
-    };
-    let metrics_addr = match flag(args, "--metrics-addr") {
-        None => None,
-        Some(raw) => match raw.parse::<std::net::SocketAddr>() {
-            Ok(a) => Some(a),
-            Err(e) => {
-                eprintln!("--metrics-addr expects HOST:PORT, got {raw:?}: {e}");
-                return usage();
-            }
-        },
-    };
+    let snapshot = load_snapshot(path)?;
+    let exec = args.exec()?;
     let defaults = ServerConfig::default();
-    let cfg = match (
-        num_flag(args, "--queue-cap", defaults.queue_cap),
-        num_flag(args, "--batch-max", defaults.batch_max),
-        num_flag(args, "--slow-query-us", defaults.slow_query_us),
-    ) {
-        (Ok(queue_cap), Ok(batch_max), Ok(slow_query_us)) => ServerConfig {
-            exec,
-            queue_cap,
-            batch_max,
-            slow_query_us,
-            metrics_addr,
-            ..defaults
-        },
-        (Err(code), ..) | (_, Err(code), _) | (.., Err(code)) => return code,
+    let cfg = ServerConfig {
+        exec,
+        queue_cap: args.value_or("--queue-cap", defaults.queue_cap)?,
+        batch_max: args.value_or("--batch-max", defaults.batch_max)?,
+        slow_query_us: args.value_or("--slow-query-us", defaults.slow_query_us)?,
+        metrics_addr: args.parse("--metrics-addr", |s| s.parse().ok())?,
+        ..defaults
     };
-    let addr = flag(args, "--addr").unwrap_or("127.0.0.1:7199");
-    let name = flag(args, "--name").unwrap_or("default");
+    let addr = args.get("--addr").unwrap_or("127.0.0.1:7199");
+    let name = args.get("--name").unwrap_or("default");
     let n = snapshot.n();
     let algo = snapshot.meta.algo.clone();
     let mut service = OracleService::default();
     service.register(name, snapshot);
-    let handle = match Server::spawn(service, addr, cfg) {
-        Ok(h) => h,
-        Err(e) => {
-            eprintln!("cannot bind {addr}: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
+    let handle =
+        Server::spawn(service, addr, cfg).map_err(|e| fail(format!("cannot bind {addr}: {e}")))?;
     println!("snapshot       {n} nodes, algo {algo}, served as {name:?}");
     println!("exec           {exec}");
     println!("listening      {}", handle.local_addr());
@@ -1206,55 +991,38 @@ fn cmd_serve(args: &[String]) -> ExitCode {
     );
     handle.wait();
     println!("shutdown       drained and stopped");
-    ExitCode::SUCCESS
+    Ok(())
 }
 
-fn cmd_serve_admin(args: &[String]) -> ExitCode {
-    let flags = ["--addr", "--name", "--out", "--metrics-addr"];
-    let positional = positionals(args, &flags);
+fn cmd_serve_admin(args: &Args) -> Result<(), ExitCode> {
+    let action: Vec<&str> = args.positional.iter().map(String::as_str).collect();
     // `scrape` talks plain HTTP to the metrics side-listener; every other
     // action is a wire frame to the main --addr listener.
-    if positional[..] == ["scrape"] {
-        let Some(maddr) = flag(args, "--metrics-addr") else {
-            eprintln!("serve-admin scrape needs --metrics-addr HOST:PORT");
-            return usage();
-        };
-        return match scrape_http_metrics(maddr) {
-            Ok(body) => {
-                print!("{body}");
-                ExitCode::SUCCESS
-            }
-            Err(e) => {
-                eprintln!("cannot scrape http://{maddr}/metrics: {e}");
-                ExitCode::FAILURE
-            }
-        };
+    if action == ["scrape"] {
+        let maddr = args.required("--metrics-addr")?;
+        let body = scrape_http_metrics(maddr)
+            .map_err(|e| fail(format!("cannot scrape http://{maddr}/metrics: {e}")))?;
+        print!("{body}");
+        return Ok(());
     }
-    let Some(addr) = flag(args, "--addr") else {
-        eprintln!("serve-admin needs --addr HOST:PORT");
-        return usage();
-    };
-    let name = flag(args, "--name").unwrap_or("default").to_string();
-    let mut client = match Client::connect(addr) {
-        Ok(c) => c,
-        Err(e) => {
-            eprintln!("cannot connect to {addr}: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
-    let outcome = match positional[..] {
+    let addr = args.required("--addr")?;
+    let name = args.get("--name").unwrap_or("default").to_string();
+    let mut client =
+        Client::connect(addr).map_err(|e| fail(format!("cannot connect to {addr}: {e}")))?;
+    let read =
+        |path: &str| std::fs::read(path).map_err(|e| fail(format!("cannot read {path}: {e}")));
+    let outcome = match action[..] {
         ["metrics-v2"] => client.metrics_v2().map(|text| print!("{text}")),
-        ["flight-dump"] => client
-            .flight_dump()
-            .and_then(|doc| match flag(args, "--out") {
+        ["flight-dump"] => {
+            let doc = client.flight_dump().map_err(fail)?;
+            return match args.get("--out") {
                 None => {
                     print!("{doc}");
                     Ok(())
                 }
-                Some(path) => std::fs::write(path, &doc)
-                    .map(|()| println!("wrote          {path}"))
-                    .map_err(WireError::Io),
-            }),
+                Some(path) => wrote(path, std::fs::write(path, &doc)),
+            };
+        }
         ["info"] => client.info(&name).map(|info| {
             println!("snapshot       {} v{}", info.name, info.version);
             println!("nodes          {}", info.n);
@@ -1268,63 +1036,47 @@ fn cmd_serve_admin(args: &[String]) -> ExitCode {
         ["shutdown"] => client
             .shutdown()
             .map(|()| println!("shutdown acknowledged")),
-        ["apply-delta", path] => match std::fs::read(path) {
-            Err(e) => {
-                eprintln!("cannot read {path}: {e}");
-                return ExitCode::FAILURE;
-            }
-            Ok(delta) => client
-                .admin(&Request::ApplyDelta { name, delta })
-                .map(|msg| println!("{msg}")),
-        },
-        ["swap", path] => match std::fs::read(path) {
-            Err(e) => {
-                eprintln!("cannot read {path}: {e}");
-                return ExitCode::FAILURE;
-            }
-            Ok(snapshot) => client
-                .admin(&Request::SwapSnapshot { name, snapshot })
-                .map(|msg| println!("{msg}")),
-        },
+        ["apply-delta", path] => client
+            .admin(&Request::ApplyDelta {
+                name,
+                delta: read(path)?,
+            })
+            .map(|msg| println!("{msg}")),
+        ["swap", path] => client
+            .admin(&Request::SwapSnapshot {
+                name,
+                snapshot: read(path)?,
+            })
+            .map(|msg| println!("{msg}")),
         _ => {
-            eprintln!(
-                "serve-admin expects one action: metrics-v2|info|shutdown|\
-                 apply-delta <d.ccdelta>|swap <s.ccsnap>|flight-dump|scrape"
-            );
-            return usage();
+            let actions = args.cmd.synopsis;
+            return Err(usage_error(&format!(
+                "serve-admin expects one action: {actions}"
+            )));
         }
     };
-    match outcome {
-        Ok(()) => ExitCode::SUCCESS,
-        Err(e) => {
-            eprintln!("{e}");
-            ExitCode::FAILURE
-        }
-    }
+    outcome.map_err(fail)
 }
 
-fn cmd_serve_chaos(args: &[String]) -> ExitCode {
-    let Some(addr) = flag(args, "--addr") else {
-        eprintln!("serve-chaos needs --addr HOST:PORT");
-        return usage();
-    };
-    let report = chaos(addr);
+fn cmd_serve_chaos(args: &Args) -> Result<(), ExitCode> {
+    let report = chaos(args.required("--addr")?);
     for name in &report.passed {
         println!("pass           {name}");
     }
     for why in &report.failed {
         println!("FAIL           {why}");
     }
-    if report.ok() {
-        println!(
-            "chaos          {} scenarios survived: typed errors, no hangs, daemon healthy",
-            report.passed.len()
-        );
-        ExitCode::SUCCESS
-    } else {
-        eprintln!("chaos          {} scenario(s) failed", report.failed.len());
-        ExitCode::FAILURE
+    if !report.ok() {
+        return Err(fail(format!(
+            "chaos          {} scenario(s) failed",
+            report.failed.len()
+        )));
     }
+    println!(
+        "chaos          {} scenarios survived: typed errors, no hangs, daemon healthy",
+        report.passed.len()
+    );
+    Ok(())
 }
 
 /// One rendered frame of the `ccapsp top` dashboard, built from the
@@ -1385,26 +1137,12 @@ fn top_frame(addr: &str, text: &str, last_version: Option<f64>) -> Vec<String> {
 /// every `--interval-ms` and redraw a fixed block in place (ANSI
 /// cursor-up). `--frames K` bounds the number of polls (`0` = run until
 /// the daemon goes away or the user interrupts) so CI can take one frame.
-fn cmd_top(args: &[String]) -> ExitCode {
-    let Some(addr) = flag(args, "--addr") else {
-        eprintln!("top needs --addr HOST:PORT");
-        return usage();
-    };
-    let interval_ms = match num_flag(args, "--interval-ms", 1000u64) {
-        Ok(ms) => ms.max(50),
-        Err(code) => return code,
-    };
-    let frames = match num_flag(args, "--frames", 0u64) {
-        Ok(k) => k,
-        Err(code) => return code,
-    };
-    let mut client = match Client::connect(addr) {
-        Ok(c) => c,
-        Err(e) => {
-            eprintln!("cannot connect to {addr}: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
+fn cmd_top(args: &Args) -> Result<(), ExitCode> {
+    let addr = args.required("--addr")?;
+    let interval_ms = args.value_or("--interval-ms", 1000u64)?.max(50);
+    let frames = args.value_or("--frames", 0u64)?;
+    let mut client =
+        Client::connect(addr).map_err(|e| fail(format!("cannot connect to {addr}: {e}")))?;
     let mut last_version: Option<f64> = None;
     let mut drawn = 0usize;
     let mut frame = 0u64;
@@ -1414,9 +1152,9 @@ fn cmd_top(args: &[String]) -> ExitCode {
             Err(e) => {
                 eprintln!("daemon {addr} went away: {e}");
                 return if frame > 0 {
-                    ExitCode::SUCCESS
+                    Ok(())
                 } else {
-                    ExitCode::FAILURE
+                    Err(ExitCode::FAILURE)
                 };
             }
         };
@@ -1435,7 +1173,7 @@ fn cmd_top(args: &[String]) -> ExitCode {
         drawn = lines.len();
         frame += 1;
         if frames > 0 && frame >= frames {
-            return ExitCode::SUCCESS;
+            return Ok(());
         }
         std::thread::sleep(std::time::Duration::from_millis(interval_ms));
     }
@@ -1467,85 +1205,25 @@ fn time_queries(backend: &OracleBackend, pairs: &[(usize, usize)]) -> (f64, f64,
 /// build time, resident estimate bytes, query latency over an identical
 /// seeded pair set, and measured sampled stretch. Emits one
 /// `BENCH_oracle.json` record per backend.
-fn cmd_bench_oracle(args: &[String]) -> ExitCode {
-    let flags = [
-        "--n",
-        "--family",
-        "--seed",
-        "--queries",
-        "--sources",
-        "--threads",
-        "--kernel",
-        "--out",
-        "-o",
-    ];
-    let seed: u64 = match num_flag(args, "--seed", 1) {
-        Ok(seed) => seed,
-        Err(code) => return code,
-    };
-    let queries: usize = match num_flag(args, "--queries", 10_000) {
-        Ok(q) if q > 0 => q,
-        Ok(_) => {
-            eprintln!("--queries expects a positive count");
-            return usage();
-        }
-        Err(code) => return code,
-    };
-    let sources: usize = match num_flag(args, "--sources", 32) {
-        Ok(s) => s,
-        Err(code) => return code,
-    };
-    let exec = match parse_exec(args) {
-        Ok(exec) => exec,
-        Err(code) => return code,
-    };
-    let kernel = match parse_kernel(args) {
-        Ok(kernel) => kernel,
-        Err(code) => return code,
-    };
-    let (g, source) = match positionals(args, &flags)[..] {
-        [path] => match load(path) {
-            Ok(g) => (g, path.to_string()),
-            Err(code) => return code,
-        },
-        [] => {
-            let n: usize = match num_flag(args, "--n", 1024) {
-                Ok(n) if n >= 2 => n,
-                Ok(n) => {
-                    eprintln!("--n expects at least 2 nodes, got {n}");
-                    return usage();
-                }
-                Err(code) => return code,
-            };
-            let family_name = flag(args, "--family").unwrap_or("gnp");
-            let Some(family) = Family::ALL.iter().find(|f| f.name() == family_name) else {
-                eprintln!("unknown family {family_name:?}");
-                return usage();
-            };
-            let mut rng = StdRng::seed_from_u64(seed);
-            (
-                family.generate(n, n as u64, &mut rng),
-                format!("{family_name}(n={n},seed={seed})"),
-            )
-        }
-        ref many => {
-            eprintln!("bench-oracle takes at most one graph path, got {many:?}");
-            return usage();
-        }
-    };
+fn cmd_bench_oracle(args: &Args) -> Result<(), ExitCode> {
+    let seed = args.value_or("--seed", 1u64)?;
+    let queries = args
+        .parse("--queries", |s| s.parse().ok().filter(|&q: &usize| q > 0))?
+        .unwrap_or(10_000);
+    let sources = args.value_or("--sources", 32usize)?;
+    let exec = args.exec()?;
+    let kernel = args.kernel()?;
+    let (g, source) = workload(args, seed, Some(1024))?;
     let n = g.n();
     let threads = exec.threads();
-    let out = flag(args, "--out")
-        .or_else(|| flag(args, "-o"))
-        .unwrap_or("BENCH_oracle.json");
+    let out = args.get("--out").unwrap_or("BENCH_oracle.json");
     println!("instance       {source} ({n} nodes, {} edges)", g.m());
     println!("exec           {exec}");
 
     // Build both backends on the same graph.
     let start = Instant::now();
-    let Some((estimate, _, _)) = run_algo(&g, "exact", seed, exec, kernel) else {
-        unreachable!("exact is a registered algorithm");
-    };
+    let (estimate, _, _) =
+        run_algorithm(&g, "exact", seed, exec, kernel).expect("exact is a registered algorithm");
     let dense_ms = start.elapsed().as_secs_f64() * 1e3;
     let dense = OracleBackend::Dense(estimate);
     let start = Instant::now();
@@ -1594,10 +1272,5 @@ fn cmd_bench_oracle(args: &[String]) -> ExitCode {
         "memory ratio   landmark/dense = {:.3}",
         landmark.approx_mem_bytes() as f64 / dense.approx_mem_bytes() as f64
     );
-    if let Err(e) = write_report(out, &records) {
-        eprintln!("cannot write {out}: {e}");
-        return ExitCode::FAILURE;
-    }
-    println!("wrote          {out}");
-    ExitCode::SUCCESS
+    wrote(out, write_report(out, &records))
 }

@@ -1,6 +1,7 @@
-//! End-to-end smoke tests for the `ccapsp` binary: every invocation the
-//! crate-level doc comment advertises must exit 0, and `gen → info → run`
-//! must round-trip through a file on disk.
+//! End-to-end smoke tests for the `ccapsp` binary: the usage listing names
+//! every subcommand, each subcommand's documented invocations exit 0 with
+//! their outputs written, malformed command lines exit 2, and `gen → info →
+//! run` round-trips through a file on disk.
 
 use cc_bench::envelope::validate_json;
 use std::io::{BufRead, BufReader};
@@ -274,6 +275,54 @@ fn bad_invocations_exit_nonzero_with_usage() {
         ccapsp(&["info", "/nonexistent/graph.edges"]).status.code(),
         Some(1)
     );
+
+    // Malformed flags are usage errors too, each named on stderr, and
+    // nothing gets written: an unparsable value, a value flag with no value,
+    // a flag the subcommand does not take, a flag given twice (`-o` is
+    // `--out`), a graph too small to query, and a graph path next to --n.
+    let out = TempEdges::with_ext("bad_out", "ccsnap");
+    let (e, o) = (edges.as_str(), out.as_str());
+    for (args, why) in [
+        (
+            &["run", "--n", "32", "--seed", "bogus"][..],
+            "\"bogus\" for --seed",
+        ),
+        (
+            &["snapshot", "--n", "32", "-o", o, "--seed"],
+            "--seed expects a value",
+        ),
+        (
+            &["run", "--n", "32", "--verbose"],
+            "run does not take --verbose",
+        ),
+        (
+            &["run", "--n", "32", "--thread", "2"],
+            "run does not take --thread",
+        ),
+        (
+            &["run", "--n", "32", "--seed", "1", "--seed", "2"],
+            "--seed given twice",
+        ),
+        (
+            &["snapshot", "--n", "32", "-o", o, "--out", o],
+            "--out given twice",
+        ),
+        (&["snapshot", "--n", "0", "-o", o], "\"0\" for --n"),
+        (&["snapshot", "--n", "1", "-o", o], "\"1\" for --n"),
+        (
+            &["bench-oracle", e, "--n", "64", "-o", o],
+            "takes one graph",
+        ),
+    ] {
+        let bad = ccapsp(args);
+        assert_eq!(bad.status.code(), Some(2), "{args:?}: {bad:?}");
+        let stderr = String::from_utf8_lossy(&bad.stderr);
+        assert!(
+            stderr.contains(why) && stderr.contains("usage:"),
+            "{args:?}: {stderr}"
+        );
+        assert!(!out.0.exists(), "{args:?} wrote {o}");
+    }
 }
 
 /// The `state  <base> -> <result>` line's result fingerprint.

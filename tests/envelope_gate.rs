@@ -37,7 +37,6 @@ const ENVELOPE_PATH: &str = concat!(
 /// not a product property, and family/doubling rows vary with workload
 /// shape rather than kernel quality.
 const GATED: &[&str] = &[
-    "minplus_tiled",
     "minplus_lanes",
     "minplus_auto",
     "minplus_u16",

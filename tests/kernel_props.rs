@@ -1,16 +1,13 @@
-//! Property tests for the min-plus kernel engine: the tiled dense kernel,
-//! the branchless lane kernel (u64/u32/u16 widths), the blocked-FW k-tiled
-//! self-product, the sparse kernel, and the `KernelPlan` auto-dispatcher
-//! must all be **bit-identical** to the naive reference
+//! Property tests for the min-plus kernel engine: the branchless lane
+//! kernel (u64/u32/u16 widths), the blocked-FW k-tiled self-product, the
+//! sparse kernel, and the `KernelPlan` auto-dispatcher must all be
+//! **bit-identical** to the naive reference
 //! `cc_matrix::dense::distance_product` — across densities, tile sizes
 //! (including the degenerate `1` and `≥ n`), thread counts, weights
 //! straddling both compact entry bounds, and dispatch modes.
 
 use cc_graph::{DistMatrix, Weight, INF};
-use cc_matrix::dense::{
-    distance_product_lanes_opts, distance_product_tiled_opts, distance_product_with,
-    square_ktiled_opts,
-};
+use cc_matrix::dense::{distance_product_lanes_opts, distance_product_with, square_ktiled_opts};
 use cc_matrix::engine::{
     self, KernelChoice, KernelMode, KernelPlan, COMPACT_MAX_ENTRY, SPARSE_FILL_CUTOFF,
     ULTRA_MAX_ENTRY,
@@ -37,23 +34,6 @@ fn arb_matrix(n: usize, den: u8, max_w: Weight) -> impl Strategy<Value = DistMat
 
 proptest! {
     #![proptest_config(ProptestConfig { cases: 24, ..ProptestConfig::default() })]
-
-    /// The tiled kernel equals the naive reference for every tile size —
-    /// including tile 1 (degenerate), 7 (never divides n evenly), 64 (the
-    /// default), and n (a single tile) — at every thread count.
-    #[test]
-    fn tiled_equals_naive_for_all_tiles_and_threads(
-        a in arb_matrix(13, 3, 300),
-        b in arb_matrix(13, 3, 300),
-    ) {
-        let naive = distance_product_with(&a, &b, ExecPolicy::Seq);
-        for tile in [1usize, 7, 64, 13] {
-            for threads in THREADS {
-                let out = distance_product_tiled_opts(&a, &b, ExecPolicy::with_threads(threads), tile);
-                prop_assert_eq!(&out, &naive, "tile={} threads={}", tile, threads);
-            }
-        }
-    }
 
     /// Engine dispatch equivalence: every mode (and therefore every kernel
     /// the plans resolve to) produces the naive result, across a density
