@@ -262,6 +262,13 @@ struct Args {
     values: Vec<(&'static str, String)>,
 }
 
+/// The table entry of flag `name` under `cmd`; before the subcommand is
+/// known, only [`TRACE`] is.
+fn lookup(cmd: Option<&'static Command>, name: &str) -> Option<&'static Flag> {
+    let declared: &'static [Flag] = cmd.map_or(&[], |c| c.flags);
+    declared.iter().chain(&TRACE).find(|f| f.0 == name)
+}
+
 /// Splits `argv` into a subcommand, its positionals and its flag values.
 /// Every argument that starts with `-` is a value flag: one the subcommand
 /// (or [`TRACE`]) declares, given at most once, followed by its value.
@@ -282,8 +289,7 @@ fn parse_args(argv: &[String]) -> Result<Args, ExitCode> {
             continue;
         }
         let long = if arg == "-o" { OUT.0 } else { arg.as_str() };
-        let declared: &[Flag] = cmd.map_or(&[], |c| c.flags);
-        let Some(&(name, _)) = declared.iter().chain(&TRACE).find(|f| f.0 == long) else {
+        let Some(&(name, _)) = lookup(cmd, long) else {
             let who = cmd.map_or("ccapsp", |c| c.name);
             return Err(usage_error(&format!("{who} does not take {arg}")));
         };
@@ -304,21 +310,20 @@ fn parse_args(argv: &[String]) -> Result<Args, ExitCode> {
 }
 
 impl Args {
-    /// The raw value of flag `name`, if given.
-    fn get(&self, name: &str) -> Option<&str> {
-        self.values
-            .iter()
-            .find(|(f, _)| *f == name)
-            .map(|(_, v)| v.as_str())
+    /// Flag `name`'s entry in the table. Handlers read only flags their
+    /// subcommand declares, so any other name is a bug in this file.
+    fn declared(&self, name: &str) -> &'static Flag {
+        lookup(Some(self.cmd), name)
+            .unwrap_or_else(|| panic!("{} reads undeclared flag {name}", self.cmd.name))
     }
 
-    fn hint(&self, name: &str) -> &'static str {
-        self.cmd
-            .flags
+    /// The raw value of flag `name`, if given.
+    fn get(&self, name: &str) -> Option<&str> {
+        let (name, _) = self.declared(name);
+        self.values
             .iter()
-            .chain(&TRACE)
-            .find(|f| f.0 == name)
-            .map_or("", |f| f.1)
+            .find(|(f, _)| f == name)
+            .map(|(_, v)| v.as_str())
     }
 
     /// The value of a flag the subcommand cannot run without.
@@ -327,7 +332,7 @@ impl Args {
             usage_error(&format!(
                 "{} needs {name} {}",
                 self.cmd.name,
-                self.hint(name)
+                self.declared(name).1
             ))
         })
     }
@@ -345,7 +350,7 @@ impl Args {
         parse(raw).map(Some).ok_or_else(|| {
             usage_error(&format!(
                 "invalid value {raw:?} for {name} {}",
-                self.hint(name)
+                self.declared(name).1
             ))
         })
     }
