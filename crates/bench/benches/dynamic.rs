@@ -4,12 +4,13 @@
 //! Times, on one servable exact state, the three write-path operations:
 //!
 //! * `dynamic_repair` — an [`IncrementalOracle`] applying a reweight-heavy
-//!   batch by affected-row repair;
+//!   batch on its exact write path (Dijkstra on the rows the worsened edges
+//!   can lengthen, one fold per improved edge);
 //! * `dynamic_rebuild` — the honest from-scratch alternative: per-source
 //!   Dijkstra over the whole post-update graph (the cheapest way to rebuild
-//!   an exact estimate, i.e. a *conservative* baseline — the engine's real
-//!   fallback, pipeline re-entry via min-plus squaring, is far slower and
-//!   reported as `dynamic_rebuild_pipeline`);
+//!   an exact estimate, i.e. a *conservative* baseline — pipeline re-entry
+//!   via min-plus squaring, which the write path no longer runs, is far
+//!   slower and reported as `dynamic_rebuild_pipeline`);
 //! * `dynamic_delta_apply` — replaying the repair's delta (fingerprint
 //!   checks included) onto a copy of the base state, the `apply_delta`
 //!   serving path.
@@ -28,6 +29,7 @@
 use cc_bench::experiments::fast;
 use cc_bench::report::{time_best_of, write_report, BenchRecord};
 use cc_dynamic::incremental::{ApplyStrategy, DynamicConfig, IncrementalOracle};
+use cc_dynamic::rebuild::run_algorithm;
 use cc_dynamic::update::{random_batch, MutationProfile};
 use cc_graph::{apsp, generators};
 use cc_matrix::engine::KernelMode;
@@ -64,7 +66,6 @@ fn main() {
         let cfg = DynamicConfig {
             exec,
             kernel: KernelMode::Auto,
-            ..Default::default()
         };
 
         // Repair: fresh engine per repetition (apply mutates the state).
@@ -74,11 +75,8 @@ fn main() {
             (engine, outcome)
         });
         let (engine, outcome) = outcome;
-        let affected = match outcome.strategy {
-            ApplyStrategy::Repaired { affected } => affected,
-            ApplyStrategy::Rebuilt { reason } => {
-                panic!("bench batch unexpectedly exceeded the repair threshold: {reason:?}")
-            }
+        let ApplyStrategy::Repaired { affected, .. } = outcome.strategy else {
+            panic!("an exact state always takes the repair path");
         };
 
         // Rebuild baseline: per-source Dijkstra on the post-update graph.
@@ -132,17 +130,12 @@ fn main() {
         });
     }
 
-    // The engine's actual fallback (pipeline re-entry through the exact
-    // min-plus squaring baseline) at one thread count, for scale.
+    // Pipeline re-entry through the exact min-plus squaring baseline on the
+    // post-update graph, at one thread count, for scale.
     let exec = ExecPolicy::with_threads(THREADS[THREADS.len() - 1]);
-    let forced = DynamicConfig {
-        repair_fraction: 0.0,
-        exec,
-        kernel: KernelMode::Auto,
-    };
+    let (updated, _) = batch.apply_to(&g).expect("valid batch");
     let (pipeline_ms, _) = time_best_of(1, || {
-        let mut engine = IncrementalOracle::new(g.clone(), estimate.clone(), "exact", 7, forced);
-        engine.apply(&batch).expect("valid batch")
+        run_algorithm(&updated, "exact", 7, exec, KernelMode::Auto).expect("exact is known")
     });
     println!(
         "rebuild_pipeline  n={n:>4} threads={}  {pipeline_ms:>9.2} ms",

@@ -1,41 +1,75 @@
 //! Incremental oracle maintenance: apply an [`UpdateBatch`] to a servable
-//! `(graph, estimate)` state by recomputing only the rows that can change.
+//! `(graph, estimate)` state without rebuilding it.
 //!
-//! # The repair rule
+//! # The exact write path
 //!
-//! For an **exact** estimate (δ = d) on an undirected graph, the affected
-//! source set is computed from the batch's changed edges without touching
-//! unaffected rows, using two facts about shortest paths:
+//! For an **exact** estimate `d` on an undirected graph, the batch's changed
+//! edges split into *worsened* ones (an increase or a delete) and *improved*
+//! ones (a decrease or an insert). Two steps, neither of which squares,
+//! carry `d_old` to `d_new`:
 //!
-//! * **Improvement** (`d_new(s,t) < d_old(s,t)`): the new shortest path
-//!   must cross some changed edge `{u, v}` at its *new* weight, so
-//!   `d_new(s,t) = d_new(s,u) + w_new + d_new(v,t)` for some orientation.
-//!   The engine runs Dijkstra from every batch endpoint on the updated
-//!   graph (the "bounded Dijkstra from batch endpoints" pass — bounded to
-//!   the endpoints, not all sources) and flags `s` iff
-//!   `d_new(u,s) + w_new + d_new(v,t) < δ_old(s,t)` for some changed edge
-//!   and target. This test is exact: it flags `s` iff some pair improved.
-//! * **Deterioration** (`d_new(s,t) > d_old(s,t)`): the *old* shortest
-//!   path must have used some changed edge at its *old* weight, so
-//!   `δ_old(s,u) + w_old + δ_old(v,t) = δ_old(s,t)` for some orientation —
-//!   checked directly on the old estimate. This test is conservative
-//!   (ties through the edge also flag `s`), which only ever repairs more
-//!   rows than strictly needed.
+//! 1. **Repair the rows the worsened edges can lengthen.** A distance
+//!    `d(s,t)` can grow only if every old shortest path used a worsened edge
+//!    `{u, v}` at its old weight, and then
+//!    `d_old(s,u) + w_old + d_old(v,t) = d_old(s,t)` in some orientation.
+//!    That test runs on the old estimate, for the worsened edges only. It is
+//!    conservative, since a tie through the edge also flags `s`. Flagged
+//!    rows are recomputed by Dijkstra on the new graph
+//!    ([`cc_graph::apsp::exact_rows_with`]).
+//! 2. **Fold each improved edge** `{u, v}` with new weight `w` over the
+//!    whole matrix, in O(n²):
+//!    `M(x,y) ← min(M(x,y), M(x,u) + w + M(v,y), M(x,v) + w + M(u,y))`.
+//!    The fold runs in parallel row blocks against copies of rows `u`
+//!    and `v`.
 //!
-//! Unaffected rows are *proven* unchanged, so repairing the affected rows
-//! with fresh per-source Dijkstra (the same kernel
-//! [`cc_graph::apsp::exact_apsp_with`] builds full matrices from) yields an
-//! estimate **bit-identical** to a from-scratch rebuild on the post-update
-//! graph — the invariant `tests/dynamic_props.rs` pins across graph
-//! families, thread counts, and kernel modes.
+//! **Why the result is exact.** Let `d_W` be the distances of the old graph
+//! with only the worsened changes applied. Unflagged rows equal `d_W`, and
+//! flagged rows equal `d_new`. Since `d_new ≤ d_W`, every entry lies
+//! between the two. Let `L_i` be the distances once the first `i` improved
+//! edges are applied on top of the worsened ones, so `L_0 = d_W` and the
+//! last one is `d_new`. A shortest path crosses a new edge at most once, so
+//! the fold carries `L_(i-1)` exactly to `L_i`. The fold is monotone, so
+//! the matrix stays `≤ L_i`. By the triangle inequality in the new graph,
+//! no fold term is below `d_new`, so the matrix stays `≥ d_new`. After the
+//! last fold, `d_new ≤ M ≤ d_new`: the estimate is **bit-identical** to a
+//! from-scratch build on the new graph, the invariant
+//! `tests/dynamic_props.rs` pins across graph families, thread counts and
+//! kernel modes.
 //!
-//! When the affected fraction exceeds
-//! [`DynamicConfig::repair_fraction`], or the estimate is an approximate
-//! pipeline artifact (whose global random structure per-row repair cannot
-//! reproduce), the engine falls back to a full pipeline re-entry through
-//! [`crate::rebuild::run_algorithm`] with the original algorithm, seed,
-//! and config — so the output is the same either way, only the wall-clock
-//! differs.
+//! **Overflow.** Every operand is an entry of at most `INF = u64::MAX / 4`
+//! or a weight, and batch weights are validated below `INF`. So a sum of
+//! three operands cannot wrap, and plain adds replace `wadd`. A sum with an
+//! `INF` operand is `≥ INF`: it never beats an entry, since every entry is
+//! at most `INF`, and never equals a finite one.
+//!
+//! **Why there is no squaring.** Even a batch that flags every row costs at
+//! most Dijkstra from *every* source, and on every generator family that is
+//! no slower than the Censor-Hillel–Paz squaring loop a rebuild would run.
+//! Graphs from `Family::generate(512, 512, seed 1)`, 2 threads of a 2-core
+//! x86-64 VM, release build, median of four runs of best-of-five:
+//!
+//! | family | average degree | Dijkstra, all sources | squaring |
+//! |---|---|---|---|
+//! | gnp | 7.8 | 30 ms | 59 ms |
+//! | geo | 42 | 36 ms | 40 ms |
+//! | ba | 6.0 | 24 ms | 51 ms |
+//! | wide | 7.8 | 30 ms | 59 ms |
+//! | grid | 3.8 | 14 ms | 44 ms |
+//! | pathz | 2.2 | 8 ms | 66 ms |
+//!
+//! Squaring wins only on denser graphs. On gnp at n = 512 the line sits
+//! near average degree 35; single best-of-five runs took 56 ms against
+//! 47 ms at degree 50, and 94 ms against 60 ms at degree 100. No workload
+//! or generator family is on that side of the line, so the exact path has
+//! no cost model and no knob.
+//!
+//! # Rebuilds
+//!
+//! Approximate estimates are pipeline artifacts whose global random
+//! structure per-row repair cannot reproduce. They re-enter the pipeline
+//! through [`crate::rebuild::run_algorithm`] with the original algorithm,
+//! seed and config. Landmark sketches rebuild deterministically from the
+//! new graph and the sketch seed.
 
 use cc_apsp::landmark::LandmarkSketch;
 use cc_apsp::oracle::OracleBackend;
@@ -49,52 +83,31 @@ use crate::rebuild::run_algorithm;
 use crate::update::{EdgeChange, UpdateBatch, UpdateError};
 
 /// Tuning knobs for [`IncrementalOracle`].
-#[derive(Debug, Clone, Copy, PartialEq)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct DynamicConfig {
-    /// Fall back to a full rebuild when more than this fraction of rows is
-    /// affected (repairing most of the matrix row-by-row is slower than
-    /// one bulk rebuild).
-    pub repair_fraction: f64,
-    /// Execution policy for the repair Dijkstras, the affected-set scan,
-    /// and the rebuild pipelines. Wall-clock only.
+    /// Execution policy for the repair Dijkstras, the deterioration scan,
+    /// the fold and the rebuilds. Wall-clock only.
     pub exec: ExecPolicy,
-    /// Kernel dispatch for the rebuild pipelines. Wall-clock only.
+    /// Kernel dispatch for the pipelines that rebuild approximate
+    /// estimates. Wall-clock only.
     pub kernel: KernelMode,
-}
-
-impl Default for DynamicConfig {
-    fn default() -> Self {
-        Self {
-            repair_fraction: 0.25,
-            exec: ExecPolicy::from_env(),
-            kernel: KernelMode::from_env(),
-        }
-    }
-}
-
-/// Why a batch took the rebuild path.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum RebuildReason {
-    /// The affected fraction exceeded [`DynamicConfig::repair_fraction`].
-    Churn,
-    /// The estimate is an approximate pipeline artifact; per-row repair
-    /// cannot reproduce its global random structure bit-for-bit.
-    Approximate,
 }
 
 /// How one [`IncrementalOracle::apply`] call was executed.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ApplyStrategy {
-    /// Per-source repair of the affected rows.
+    /// The exact write path: Dijkstra on the rows the worsened edges can
+    /// lengthen, then one fold per improved edge.
     Repaired {
-        /// Rows the affected-set scan flagged (and recomputed).
+        /// Rows the deterioration test flagged (and Dijkstra recomputed).
         affected: usize,
+        /// Improved edges (decreases and inserts) folded over the matrix.
+        folded: usize,
     },
-    /// Full pipeline re-entry on the post-update graph.
-    Rebuilt {
-        /// What forced the rebuild.
-        reason: RebuildReason,
-    },
+    /// A rebuild on the post-update graph: the state is approximate (a
+    /// pipeline artifact or a landmark sketch), and per-row repair cannot
+    /// reproduce its global random structure bit for bit.
+    Rebuilt,
 }
 
 /// The result of applying one batch.
@@ -112,7 +125,7 @@ pub struct ApplyOutcome {
 /// Lifetime counters of one engine.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct DynamicStats {
-    /// Batches served by per-row repair.
+    /// Batches served by the exact write path.
     pub repairs: u64,
     /// Batches served by full rebuild.
     pub rebuilds: u64,
@@ -132,7 +145,7 @@ pub struct DynamicStats {
 /// let mut oracle = IncrementalOracle::new(
 ///     g.clone(), apsp::exact_apsp(&g), "exact", 7, DynamicConfig::default());
 ///
-/// // A shortcut edge appears; the engine repairs only the affected rows…
+/// // A shortcut edge appears; the engine folds it over the matrix…
 /// let batch = UpdateBatch::new(vec![EdgeOp::Insert(0, 3, 1)]);
 /// let outcome = oracle.apply(&batch).expect("valid batch");
 ///
@@ -145,6 +158,9 @@ pub struct DynamicStats {
 pub struct IncrementalOracle {
     graph: Graph,
     backend: OracleBackend,
+    /// [`backend_state_fingerprint`] of `(graph, backend)`, refreshed
+    /// whenever either changes.
+    fingerprint: u64,
     algo: String,
     seed: u64,
     cfg: DynamicConfig,
@@ -190,6 +206,7 @@ impl IncrementalOracle {
             "incremental oracle dimension mismatch"
         );
         Self {
+            fingerprint: backend_state_fingerprint(&graph, &backend),
             graph,
             backend,
             algo: algo.to_string(),
@@ -230,9 +247,10 @@ impl IncrementalOracle {
         self.stats
     }
 
-    /// [`backend_state_fingerprint`] of the current state.
+    /// [`backend_state_fingerprint`] of the current state, computed once
+    /// per state change rather than per call.
     pub fn fingerprint(&self) -> u64 {
-        backend_state_fingerprint(&self.graph, &self.backend)
+        self.fingerprint
     }
 
     /// Whether batches can take the repair path at all: exact dense
@@ -241,9 +259,9 @@ impl IncrementalOracle {
         matches!(self.backend, OracleBackend::Dense(_)) && self.algo == "exact"
     }
 
-    /// Applies a batch: validates + canonicalizes it, computes the affected
-    /// rows, repairs or rebuilds, advances the state, and returns the
-    /// durable [`Delta`]. The state is untouched on error.
+    /// Applies a batch: validates + canonicalizes it, repairs or rebuilds,
+    /// advances the state, and returns the durable [`Delta`]. The state is
+    /// untouched on error.
     ///
     /// # Errors
     ///
@@ -252,13 +270,16 @@ impl IncrementalOracle {
     /// provenance algorithm is not in the dispatch table.
     pub fn apply(&mut self, batch: &UpdateBatch) -> Result<ApplyOutcome, UpdateError> {
         let n = self.graph.n();
-        let base_fingerprint = self.fingerprint();
+        let base_fingerprint = self.fingerprint;
         let (new_graph, changes) = batch.apply_to(&self.graph)?;
         let canonical = batch.canonicalize();
         if changes.is_empty() {
             // Identity delta; nothing to repair, no counter moves.
             return Ok(ApplyOutcome {
-                strategy: ApplyStrategy::Repaired { affected: 0 },
+                strategy: ApplyStrategy::Repaired {
+                    affected: 0,
+                    folded: 0,
+                },
                 changed_edges: 0,
                 delta: Delta {
                     n,
@@ -270,73 +291,16 @@ impl IncrementalOracle {
                 },
             });
         }
-        if let OracleBackend::Landmark(sketch) = &self.backend {
-            // No per-row repair for sketches: rebuild deterministically from
-            // the sketch's own seed and ship a row-free delta (the receiver
-            // rebuilds the same way; see `Delta::apply_backend`).
-            let mut sp = cc_obs::span("dyn-rebuild");
-            sp.attr("changed_edges", changes.len() as f64);
-            let rebuilt = LandmarkSketch::build(&new_graph, sketch.seed(), self.cfg.exec);
-            self.graph = new_graph;
-            self.backend = OracleBackend::Landmark(rebuilt);
-            self.stats.rebuilds += 1;
-            return Ok(ApplyOutcome {
-                strategy: ApplyStrategy::Rebuilt {
-                    reason: RebuildReason::Approximate,
-                },
-                changed_edges: changes.len(),
-                delta: Delta {
-                    n,
-                    strategy: DeltaStrategy::Rebuilt,
-                    base_fingerprint,
-                    result_fingerprint: self.fingerprint(),
-                    batch: canonical,
-                    rows: Vec::new(),
-                },
-            });
-        }
 
-        // Decide the path, producing the new estimate without touching the
-        // current one (the delta needs the old rows to diff against, and
-        // errors must leave the state intact).
-        let repairable = if !self.supports_repair() {
-            Err(RebuildReason::Approximate)
-        } else {
-            let (affected, endpoints, endpoint_rows) = self.affected_sources(&new_graph, &changes);
-            if affected.len() as f64 > self.cfg.repair_fraction * n as f64 {
-                Err(RebuildReason::Churn)
-            } else {
-                Ok((affected, endpoints, endpoint_rows))
+        // Produce the new backend without touching the current one (the
+        // delta needs the old rows to diff against, and errors must leave
+        // the state intact).
+        let (strategy, backend) = match &self.backend {
+            OracleBackend::Dense(old) if self.supports_repair() => {
+                let (estimate, strategy) = repair_exact(old, &new_graph, &changes, self.cfg.exec);
+                (strategy, OracleBackend::Dense(estimate))
             }
-        };
-        let (strategy, new_estimate) = match repairable {
-            Ok((affected, endpoints, endpoint_rows)) => {
-                let mut sp = cc_obs::span("dyn-repair");
-                sp.attr("affected_rows", affected.len() as f64);
-                sp.attr("changed_edges", changes.len() as f64);
-                // Endpoint rows were already computed on the new graph for
-                // the affected-set scan; Dijkstra only the rest.
-                let fresh: Vec<NodeId> = affected
-                    .iter()
-                    .copied()
-                    .filter(|s| endpoints.binary_search(s).is_err())
-                    .collect();
-                let fresh_rows = exact_rows_with(&new_graph, &fresh, self.cfg.exec);
-                let mut est = self.estimate().clone();
-                for (&s, row) in endpoints.iter().zip(&endpoint_rows) {
-                    est.row_mut(s).copy_from_slice(row);
-                }
-                for (&s, row) in fresh.iter().zip(&fresh_rows) {
-                    est.row_mut(s).copy_from_slice(row);
-                }
-                (
-                    ApplyStrategy::Repaired {
-                        affected: affected.len(),
-                    },
-                    est,
-                )
-            }
-            Err(reason) => {
+            OracleBackend::Dense(_) => {
                 // The re-entered pipeline's phase spans nest under this one.
                 let mut sp = cc_obs::span("dyn-rebuild");
                 sp.attr("changed_edges", changes.len() as f64);
@@ -347,149 +311,128 @@ impl IncrementalOracle {
                     self.cfg.exec,
                     self.cfg.kernel,
                 )?;
-                (ApplyStrategy::Rebuilt { reason }, estimate)
+                (ApplyStrategy::Rebuilt, OracleBackend::Dense(estimate))
+            }
+            OracleBackend::Landmark(sketch) => {
+                // The receiver of the row-free delta rebuilds the same way;
+                // see `Delta::apply_backend`.
+                let mut sp = cc_obs::span("dyn-rebuild");
+                sp.attr("changed_edges", changes.len() as f64);
+                let rebuilt = LandmarkSketch::build(&new_graph, sketch.seed(), self.cfg.exec);
+                (ApplyStrategy::Rebuilt, OracleBackend::Landmark(rebuilt))
             }
         };
 
         // Record only the rows that actually changed: canonical, minimal,
         // and independent of which path produced them (a repaired row may
-        // equal the old one — the affected set is conservative — and is
-        // then dropped from the delta).
-        let rows: Vec<(NodeId, Vec<Weight>)> = (0..n)
-            .filter(|&s| new_estimate.row(s) != self.estimate().row(s))
-            .map(|s| (s, new_estimate.row(s).to_vec()))
-            .collect();
+        // equal the old one, since the flagged set is conservative).
+        let rows: Vec<(NodeId, Vec<Weight>)> = match (&self.backend, &backend) {
+            (OracleBackend::Dense(old), OracleBackend::Dense(new)) => (0..n)
+                .filter(|&s| new.row(s) != old.row(s))
+                .map(|s| (s, new.row(s).to_vec()))
+                .collect(),
+            _ => Vec::new(),
+        };
         self.graph = new_graph;
-        self.backend = OracleBackend::Dense(new_estimate);
-        match strategy {
-            ApplyStrategy::Repaired { .. } => self.stats.repairs += 1,
-            ApplyStrategy::Rebuilt { .. } => self.stats.rebuilds += 1,
-        }
+        self.backend = backend;
+        self.fingerprint = backend_state_fingerprint(&self.graph, &self.backend);
+        let delta_strategy = match strategy {
+            ApplyStrategy::Repaired { .. } => {
+                self.stats.repairs += 1;
+                DeltaStrategy::Repaired
+            }
+            ApplyStrategy::Rebuilt => {
+                self.stats.rebuilds += 1;
+                DeltaStrategy::Rebuilt
+            }
+        };
         Ok(ApplyOutcome {
             strategy,
             changed_edges: changes.len(),
             delta: Delta {
                 n,
-                strategy: match strategy {
-                    ApplyStrategy::Repaired { .. } => DeltaStrategy::Repaired,
-                    ApplyStrategy::Rebuilt { .. } => DeltaStrategy::Rebuilt,
-                },
+                strategy: delta_strategy,
                 base_fingerprint,
-                result_fingerprint: self.fingerprint(),
+                result_fingerprint: self.fingerprint,
                 batch: canonical,
                 rows,
             },
         })
     }
+}
 
-    /// The sources whose estimate row can differ between the old and new
-    /// graphs; see the [module docs](self) for the two tests and why their
-    /// union is a superset of the truly-changed rows. Also returns the
-    /// batch endpoints and their freshly computed post-update rows so the
-    /// repair pass can reuse them instead of re-running those Dijkstras.
-    fn affected_sources(
-        &self,
-        new_graph: &Graph,
-        changes: &[EdgeChange],
-    ) -> (Vec<NodeId>, Vec<NodeId>, Vec<Vec<Weight>>) {
-        let n = self.graph.n();
-        // One Dijkstra per distinct batch endpoint, on the updated graph.
-        let mut endpoints: Vec<NodeId> = changes.iter().flat_map(|c| [c.u, c.v]).collect();
-        endpoints.sort_unstable();
-        endpoints.dedup();
-        let endpoint_rows = exact_rows_with(new_graph, &endpoints, self.cfg.exec);
-        let row_of = |x: NodeId| -> &[Weight] {
-            &endpoint_rows[endpoints.binary_search(&x).expect("endpoint present")]
-        };
-
-        let old = self.estimate();
-        // Each change needs exactly one of the two tests: an edge whose
-        // weight went *up* (or away) cannot create a strictly shorter path
-        // — any new shortest path through only such edges would have been
-        // at least as short before — and an edge whose weight went *down*
-        // (or appeared) cannot break an old shortest path — paths through
-        // it only got shorter. So increases/deletes run the deterioration
-        // test at the old weight, decreases/inserts the improvement test
-        // at the new weight.
-        enum Scan<'a> {
-            /// `(u, v, w_old, δ_old row of u, δ_old row of v)`
-            Deteriorate(NodeId, NodeId, Weight, &'a [Weight], &'a [Weight]),
-            /// `(w_new, d_new row of u, d_new row of v)`
-            Improve(Weight, &'a [Weight], &'a [Weight]),
-        }
-        let scans: Vec<Scan> = changes
-            .iter()
-            .map(|c| match (c.old, c.new) {
-                (Some(w_old), None) => {
-                    Scan::Deteriorate(c.u, c.v, w_old, old.row(c.u), old.row(c.v))
-                }
-                (Some(w_old), Some(w_new)) if w_new > w_old => {
-                    Scan::Deteriorate(c.u, c.v, w_old, old.row(c.u), old.row(c.v))
-                }
-                (_, Some(w_new)) => Scan::Improve(w_new, row_of(c.u), row_of(c.v)),
-                (None, None) => unreachable!("apply_to drops no-op changes"),
-            })
-            .collect();
-        let flags: Vec<bool> = self.cfg.exec.map_shards_collect(n, |sources| {
-            sources
-                .map(|s| {
-                    let row_s = old.row(s);
-                    for scan in &scans {
-                        match *scan {
-                            // δ_old(s,·) is symmetric on undirected exact
-                            // estimates, so row reads stand in for column
-                            // reads throughout.
-                            // Plain adds stand in for `wadd` in both
-                            // loops: every operand is at most INF
-                            // (= u64::MAX/4), so sums cannot wrap, and a
-                            // sum with an INF operand is ≥ INF — never
-                            // equal to a finite d_st and never < d_st ≤
-                            // INF — exactly the saturating semantics,
-                            // minus the branch.
-                            Scan::Deteriorate(u, v, w_old, row_u, row_v) => {
-                                let a_uv = row_s[u] + w_old;
-                                let a_vu = row_s[v] + w_old;
-                                for t in 0..n {
-                                    let d_st = row_s[t];
-                                    if d_st < INF
-                                        && (a_uv + row_v[t] == d_st || a_vu + row_u[t] == d_st)
-                                    {
-                                        return true;
-                                    }
-                                }
-                            }
-                            Scan::Improve(w_new, new_u, new_v) => {
-                                let b_uv = new_u[s] + w_new;
-                                let b_vu = new_v[s] + w_new;
-                                for t in 0..n {
-                                    let d_st = row_s[t];
-                                    if b_uv + new_v[t] < d_st || b_vu + new_u[t] < d_st {
-                                        return true;
-                                    }
-                                }
-                            }
-                        }
-                    }
-                    false
-                })
-                .collect()
+/// The exact write path of the [module docs](self): Dijkstra on the rows
+/// the worsened edges can lengthen, then one fold per improved edge.
+fn repair_exact(
+    old: &DistMatrix,
+    new_graph: &Graph,
+    changes: &[EdgeChange],
+    exec: ExecPolicy,
+) -> (DistMatrix, ApplyStrategy) {
+    let n = old.n();
+    // `apply_to` drops no-op changes, so every change is one or the other.
+    let (improved, worsened): (Vec<&EdgeChange>, Vec<&EdgeChange>) =
+        changes.iter().partition(|c| match (c.old, c.new) {
+            (Some(w_old), Some(w_new)) => w_new < w_old,
+            (w_old, _) => w_old.is_none(),
         });
-        let mut affected: Vec<NodeId> = flags
-            .iter()
-            .enumerate()
-            .filter(|(_, &f)| f)
-            .map(|(s, _)| s)
-            .collect();
-        // Endpoints ride along: their rows are already computed and always
-        // worth refreshing.
-        for &x in &endpoints {
-            if !flags[x] {
-                affected.push(x);
-            }
+    let mut data = old.raw().to_vec();
+
+    let mut affected: Vec<NodeId> = Vec::new();
+    if !worsened.is_empty() {
+        let mut sp = cc_obs::span("dyn-repair");
+        let flags: Vec<bool> = exec.map_collect(n, |s| {
+            let row_s = old.row(s);
+            worsened.iter().any(|c| {
+                let w_old = c.old.expect("a worsened edge had a weight");
+                // δ_old is symmetric, so rows u and v stand in for columns.
+                let (row_u, row_v) = (old.row(c.u), old.row(c.v));
+                let via_uv = row_s[c.u] + w_old;
+                let via_vu = row_s[c.v] + w_old;
+                row_s
+                    .iter()
+                    .zip(row_u.iter().zip(row_v))
+                    .any(|(&d_st, (&d_ut, &d_vt))| {
+                        d_st < INF && (via_uv + d_vt == d_st || via_vu + d_ut == d_st)
+                    })
+            })
+        });
+        affected = (0..n).filter(|&s| flags[s]).collect();
+        sp.attr("affected_rows", affected.len() as f64);
+        sp.attr("worsened_edges", worsened.len() as f64);
+        let rows = exact_rows_with(new_graph, &affected, exec);
+        for (&s, row) in affected.iter().zip(&rows) {
+            data[s * n..(s + 1) * n].copy_from_slice(row);
         }
-        affected.sort_unstable();
-        (affected, endpoints, endpoint_rows)
     }
+
+    if !improved.is_empty() {
+        let mut sp = cc_obs::span("dyn-fold");
+        sp.attr("folded_edges", improved.len() as f64);
+        let block = exec.row_block_len(n, n);
+        for c in &improved {
+            let w = c.new.expect("an improved edge has a weight");
+            let row_u = data[c.u * n..(c.u + 1) * n].to_vec();
+            let row_v = data[c.v * n..(c.v + 1) * n].to_vec();
+            exec.for_each_chunk_mut(&mut data, block, |_, chunk| {
+                for row in chunk.chunks_mut(n) {
+                    // x → u → v → y and x → v → u → y, read before the row
+                    // changes under them.
+                    let via_uv = row[c.u] + w;
+                    let via_vu = row[c.v] + w;
+                    for (d, (&d_uy, &d_vy)) in row.iter_mut().zip(row_u.iter().zip(&row_v)) {
+                        *d = (*d).min(via_uv + d_vy).min(via_vu + d_uy);
+                    }
+                }
+            });
+        }
+    }
+
+    let strategy = ApplyStrategy::Repaired {
+        affected: affected.len(),
+        folded: improved.len(),
+    };
+    (DistMatrix::from_raw(n, data), strategy)
 }
 
 #[cfg(test)]
@@ -515,6 +458,14 @@ mod tests {
             UpdateBatch::new(vec![EdgeOp::Insert(0, 29, 1)]),
             UpdateBatch::new(vec![EdgeOp::Reweight(0, 29, 7)]),
             UpdateBatch::new(vec![EdgeOp::Delete(0, 29)]),
+            // Mixed, on overlapping paths: the cheap edge 0–8 (weight 3)
+            // goes, 0–3 drops from 15 to 2, and 3–8 appears, so 0 → 3 → 8
+            // takes over the deleted edge's paths.
+            UpdateBatch::new(vec![
+                EdgeOp::Delete(0, 8),
+                EdgeOp::Reweight(0, 3, 2),
+                EdgeOp::Insert(3, 8, 1),
+            ]),
         ] {
             oracle.apply(&batch).expect("valid batch");
             assert_eq!(
@@ -523,7 +474,7 @@ mod tests {
                 "batch {batch:?}"
             );
         }
-        assert_eq!(oracle.stats().repairs + oracle.stats().rebuilds, 3);
+        assert_eq!(oracle.stats().repairs, 4);
     }
 
     #[test]
@@ -555,40 +506,43 @@ mod tests {
     }
 
     #[test]
-    fn zero_repair_fraction_forces_rebuild_with_identical_output() {
-        let forced = DynamicConfig {
-            repair_fraction: 0.0,
-            ..Default::default()
-        };
-        let always_repair = DynamicConfig {
-            repair_fraction: 1.0,
-            ..Default::default()
-        };
-        let mut rebuilt = exact_engine(28, 4, forced);
-        let mut repaired = exact_engine(28, 4, always_repair);
-        let batch = random_batch(
-            rebuilt.graph(),
-            2,
-            MutationProfile::ReweightHeavy,
-            &mut StdRng::seed_from_u64(42),
-        );
-        let a = rebuilt.apply(&batch).expect("rebuild path");
-        let b = repaired.apply(&batch).expect("repair path");
-        assert!(matches!(
-            a.strategy,
-            ApplyStrategy::Rebuilt {
-                reason: RebuildReason::Churn
+    fn worsening_every_row_still_repairs_exactly() {
+        // Every edge of a path graph is a bridge: raising the middle one
+        // lengthens a distance in every row, which once forced a rebuild.
+        let n = 10;
+        let edges: Vec<(NodeId, NodeId, Weight)> = (0..n - 1).map(|i| (i, i + 1, 2)).collect();
+        let g = Graph::from_edges(n, cc_graph::graph::Direction::Undirected, &edges);
+        let old = exact_apsp(&g);
+        let mut oracle =
+            IncrementalOracle::new(g, old.clone(), "exact", 4, DynamicConfig::default());
+        let outcome = oracle
+            .apply(&UpdateBatch::new(vec![EdgeOp::Reweight(4, 5, 9)]))
+            .expect("valid");
+        assert_eq!(
+            outcome.strategy,
+            ApplyStrategy::Repaired {
+                affected: n,
+                folded: 0
             }
-        ));
-        assert!(matches!(b.strategy, ApplyStrategy::Repaired { .. }));
-        assert_eq!(rebuilt.estimate(), repaired.estimate());
-        // Identical deltas up to the strategy provenance field.
-        assert_eq!(a.delta.batch, b.delta.batch);
-        assert_eq!(a.delta.rows, b.delta.rows);
-        assert_eq!(a.delta.base_fingerprint, b.delta.base_fingerprint);
-        assert_eq!(a.delta.result_fingerprint, b.delta.result_fingerprint);
-        assert_eq!(rebuilt.stats().rebuilds, 1);
-        assert_eq!(repaired.stats().repairs, 1);
+        );
+        let (rebuilt, _, _) = run_algorithm(
+            oracle.graph(),
+            "exact",
+            4,
+            ExecPolicy::from_env(),
+            KernelMode::from_env(),
+        )
+        .expect("exact runs");
+        assert_eq!(oracle.estimate(), &rebuilt);
+        assert_eq!(oracle.estimate(), &exact_apsp(oracle.graph()));
+        // The delta carries exactly the rows that differ, here all of them.
+        let diff: Vec<(NodeId, Vec<Weight>)> = (0..n)
+            .filter(|&s| oracle.estimate().row(s) != old.row(s))
+            .map(|s| (s, oracle.estimate().row(s).to_vec()))
+            .collect();
+        assert_eq!(diff.len(), n);
+        assert_eq!(outcome.delta.rows, diff);
+        assert_eq!(outcome.delta.strategy, DeltaStrategy::Repaired);
     }
 
     #[test]
@@ -607,12 +561,7 @@ mod tests {
         assert!(!oracle.supports_repair());
         let batch = UpdateBatch::new(vec![EdgeOp::Insert(0, 23, 3)]);
         let outcome = oracle.apply(&batch).expect("valid");
-        assert!(matches!(
-            outcome.strategy,
-            ApplyStrategy::Rebuilt {
-                reason: RebuildReason::Approximate
-            }
-        ));
+        assert_eq!(outcome.strategy, ApplyStrategy::Rebuilt);
         // The rebuilt estimate is exactly what a fresh pipeline run gives.
         let (direct, _, _) = run_algorithm(
             oracle.graph(),
@@ -664,12 +613,7 @@ mod tests {
 
         let batch = UpdateBatch::new(vec![EdgeOp::Insert(0, 29, 1), EdgeOp::Insert(5, 25, 2)]);
         let outcome = oracle.apply(&batch).expect("valid batch");
-        assert!(matches!(
-            outcome.strategy,
-            ApplyStrategy::Rebuilt {
-                reason: RebuildReason::Approximate
-            }
-        ));
+        assert_eq!(outcome.strategy, ApplyStrategy::Rebuilt);
         assert!(outcome.delta.rows.is_empty(), "sketch deltas ship no rows");
         assert_eq!(oracle.stats().rebuilds, 1);
 
@@ -734,5 +678,19 @@ mod tests {
         assert_eq!(oracle.estimate(), &exact_apsp(oracle.graph()));
         assert_eq!(oracle.estimate().get(0, 3), INF);
         assert_eq!(oracle.estimate().get(0, 1), 1);
+
+        // Rejoining the halves turns INF entries finite by the fold alone.
+        let rejoined = oracle
+            .apply(&UpdateBatch::new(vec![EdgeOp::Insert(0, 3, 5)]))
+            .expect("valid");
+        assert_eq!(
+            rejoined.strategy,
+            ApplyStrategy::Repaired {
+                affected: 0,
+                folded: 1
+            }
+        );
+        assert_eq!(oracle.estimate(), &exact_apsp(oracle.graph()));
+        assert_eq!(oracle.estimate().get(1, 2), 7);
     }
 }

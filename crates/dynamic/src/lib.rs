@@ -16,16 +16,16 @@
 //!   (dedupe, last-write-wins, stable order) and typed validation;
 //! * [`incremental`] —
 //!   [`IncrementalOracle`](incremental::IncrementalOracle), which applies a
-//!   batch by computing the affected source set (Dijkstra from batch
-//!   endpoints + old-estimate path tests) and repairing only those rows,
-//!   falling back to a full pipeline rebuild past a churn threshold; the
-//!   hard invariant is **bit-identical output** either way;
+//!   batch to an exact estimate by re-running Dijkstra only on the rows the
+//!   worsened edges can lengthen and folding each improved edge over the
+//!   matrix in O(n²), and rebuilds approximate estimates; the hard
+//!   invariant is **bit-identical output** to a from-scratch build;
 //! * [`delta`] — the section-checksummed `*.ccdelta` format recording
 //!   `base fingerprint + batch + repaired rows`, with chain
 //!   [`replay`](delta::replay) and [`compact`](delta::compact)ion;
 //! * [`rebuild`] — the named-algorithm dispatch table
 //!   ([`run_algorithm`](rebuild::run_algorithm)) shared by the CLI and the
-//!   rebuild fallback.
+//!   rebuilds of approximate estimates.
 
 pub mod delta;
 pub mod incremental;

@@ -1,12 +1,12 @@
 //! Pipeline re-entry: run any of the suite's named algorithms over a graph.
 //!
 //! This is the dispatch table the `ccapsp` CLI used to own; it lives here so
-//! the dynamic engine's full-rebuild fallback, the CLI, and the benches all
-//! share one definition of what `--algo thm11` (etc.) means. An
-//! [`IncrementalOracle`](crate::incremental::IncrementalOracle) re-enters
-//! the same pipeline (same algorithm, same seed, same exec/kernel config)
-//! whenever a batch churns too much for per-row repair, which is what makes
-//! the repaired and rebuilt estimates interchangeable.
+//! the dynamic engine's rebuilds, the CLI, and the benches all share one
+//! definition of what `--algo thm11` (etc.) means. An
+//! [`IncrementalOracle`](crate::incremental::IncrementalOracle) holding an
+//! approximate estimate re-enters the same pipeline (same algorithm, same
+//! seed, same exec/kernel config) on every batch, which is what makes its
+//! rebuilt estimate identical to a fresh run on the new graph.
 
 use cc_apsp::pipeline::{approximate_apsp, apsp_large_bandwidth, PipelineConfig};
 use cc_apsp::smalldiam::{small_diameter_apsp, SmallDiamConfig};

@@ -376,13 +376,11 @@ pub enum MutationProfile {
     /// reweight:insert:delete) — the "traffic conditions drifted" workload.
     /// Reweights perturb the current weight by a bounded multiplicative
     /// jitter (±25%, at least ±1) rather than redrawing it uniformly: local
-    /// drift keeps the affected row set small, which is the regime
-    /// incremental repair is built for.
+    /// drift keeps the affected row set small.
     ReweightHeavy,
     /// Mostly structural churn (≈ 2:4:4 reweight:insert:delete) with
     /// uniformly redrawn weights — the "links come and go" workload, whose
-    /// batches routinely exceed the repair threshold and exercise the
-    /// rebuild fallback.
+    /// deletes routinely lengthen distances in many rows at once.
     TopologyHeavy,
 }
 

@@ -127,7 +127,6 @@ const COMMANDS: &[Command] = &[
             THREADS,
             KERNEL,
             ORACLE,
-            ("--repair-fraction", "F"),
             DELTA,
             OUT,
         ],
@@ -708,11 +707,6 @@ fn cmd_update(args: &Args) -> Result<(), ExitCode> {
     let exec = args.exec()?;
     let kernel = args.kernel()?;
     let seed = args.value_or("--seed", 1u64)?;
-    let repair_fraction = args
-        .parse("--repair-fraction", |s| {
-            s.parse().ok().filter(|f: &f64| (0.0..=1.0).contains(f))
-        })?
-        .unwrap_or(0.25);
     let profile = args.profile()?;
     let random = args.parse("--random", |s| s.parse::<usize>().ok())?;
     let batch = match (args.get("--ops"), random) {
@@ -737,11 +731,7 @@ fn cmd_update(args: &Args) -> Result<(), ExitCode> {
         snapshot.backend,
         &meta.algo,
         meta.seed,
-        DynamicConfig {
-            repair_fraction,
-            exec,
-            kernel,
-        },
+        DynamicConfig { exec, kernel },
     );
     let start = Instant::now();
     let outcome = engine
@@ -756,10 +746,10 @@ fn cmd_update(args: &Args) -> Result<(), ExitCode> {
         outcome.changed_edges
     );
     match outcome.strategy {
-        ApplyStrategy::Repaired { affected } => {
-            println!("strategy       repaired {affected}/{n} rows");
+        ApplyStrategy::Repaired { affected, folded } => {
+            println!("strategy       repaired {affected}/{n} rows, {folded} edges folded");
         }
-        ApplyStrategy::Rebuilt { reason } => println!("strategy       rebuilt ({reason:?})"),
+        ApplyStrategy::Rebuilt => println!("strategy       rebuilt (Approximate)"),
     }
     println!("rows in delta  {}", outcome.delta.rows.len());
     println!("wall           {wall_ms:.1} ms");

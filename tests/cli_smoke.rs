@@ -279,7 +279,8 @@ fn bad_invocations_exit_nonzero_with_usage() {
     // Malformed flags are usage errors too, each named on stderr, and
     // nothing gets written: an unparsable value, a value flag with no value,
     // a flag the subcommand does not take, a flag given twice (`-o` is
-    // `--out`), a graph too small to query, and a graph path next to --n.
+    // `--out`), a graph too small to query, a graph path next to --n, and
+    // the retired `--repair-fraction`.
     let out = TempEdges::with_ext("bad_out", "ccsnap");
     let (e, o) = (edges.as_str(), out.as_str());
     for (args, why) in [
@@ -312,6 +313,17 @@ fn bad_invocations_exit_nonzero_with_usage() {
         (
             &["bench-oracle", e, "--n", "64", "-o", o],
             "takes one graph",
+        ),
+        (
+            &[
+                "update",
+                "s.ccsnap",
+                "--random",
+                "1",
+                "--repair-fraction",
+                "0.5",
+            ],
+            "update does not take --repair-fraction",
         ),
     ] {
         let bad = ccapsp(args);

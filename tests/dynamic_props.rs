@@ -3,7 +3,7 @@
 //! families × thread counts × kernel modes, and delta-chain replay/
 //! compaction fingerprints.
 
-use cc_dynamic::delta::{compact, replay, state_fingerprint, Delta};
+use cc_dynamic::delta::{backend_state_fingerprint, compact, replay, state_fingerprint, Delta};
 use cc_dynamic::incremental::{DynamicConfig, IncrementalOracle};
 use cc_dynamic::update::{random_batch, EdgeOp, MutationProfile, UpdateBatch};
 use cc_graph::generators::Family;
@@ -108,17 +108,8 @@ fn drive_family(family: Family, seed: u64, threads: usize, kernel: KernelMode) -
     let g = family.generate(n, n as u64, &mut rng);
     let estimate = apsp::exact_apsp(&g);
     let exec = ExecPolicy::with_threads(threads);
-    let mut engine = IncrementalOracle::new(
-        g,
-        estimate,
-        "exact",
-        seed,
-        DynamicConfig {
-            exec,
-            kernel,
-            ..Default::default()
-        },
-    );
+    let mut engine =
+        IncrementalOracle::new(g, estimate, "exact", seed, DynamicConfig { exec, kernel });
     let mut mutation_rng = StdRng::seed_from_u64(seed ^ 0xABCD);
     for (step, profile) in [
         MutationProfile::ReweightHeavy,
@@ -137,6 +128,13 @@ fn drive_family(family: Family, seed: u64, threads: usize, kernel: KernelMode) -
             "family {} step {step} ({:?}) diverged from a from-scratch rebuild",
             family.name(),
             outcome.strategy
+        );
+        // The cached fingerprint tracks every state change.
+        assert_eq!(
+            engine.fingerprint(),
+            backend_state_fingerprint(engine.graph(), engine.backend()),
+            "family {} step {step}",
+            family.name()
         );
     }
     engine.fingerprint()

@@ -7,7 +7,7 @@
 
 use cc_apsp::pipeline::{approximate_apsp, PipelineConfig};
 use cc_dynamic::incremental::{DynamicConfig, IncrementalOracle};
-use cc_dynamic::update::{random_batch, MutationProfile};
+use cc_dynamic::update::{random_batch, EdgeOp, MutationProfile, UpdateBatch};
 use cc_graph::graph::{Direction, Graph};
 use cc_graph::{apsp, NodeId, Weight};
 use cc_matrix::engine::KernelMode;
@@ -165,9 +165,9 @@ proptest! {
         }
     }
 
-    /// The dynamic engine's post-batch state fingerprint — whether a batch
-    /// took the repair or the rebuild path — is bit-identical with tracing
-    /// off vs on under both forced kernels.
+    /// The dynamic engine's post-batch state fingerprint — whichever steps
+    /// of the write path a batch took — is bit-identical with tracing off
+    /// vs on under both forced kernels.
     #[test]
     fn dynamic_fingerprint_is_tracing_invariant(seed in 0u64..500) {
         let _guard = locked();
@@ -188,19 +188,34 @@ proptest! {
                     let batch = random_batch(engine.graph(), 4, profile, &mut mutation_rng);
                     engine.apply(&batch).expect("generated batches are valid");
                 }
+                // An improvement-only batch: a unit-weight edge on the first
+                // missing pair, which only the fold handles.
+                let g = engine.graph();
+                let (u, v) = (0..g.n())
+                    .flat_map(|u| (u + 1..g.n()).map(move |v| (u, v)))
+                    .find(|&(u, v)| g.edge_weight(u, v).is_none())
+                    .expect("gnp(24, 0.18) is not complete");
+                engine
+                    .apply(&UpdateBatch::new(vec![EdgeOp::Insert(u, v, 1)]))
+                    .expect("inserting a missing edge is valid");
                 engine.fingerprint()
             });
             prop_assert_eq!(on, off, "kernel={}", kernel);
-            // The traced run recorded the update path taken (repair and/or
-            // rebuild) as spans.
-            let dyn_spans = snapshot
-                .spans
-                .iter()
-                .filter(|s| s.name == "dyn-repair" || s.name == "dyn-rebuild")
-                .map(|s| s.count)
-                .sum::<u64>();
-            // (An identity batch records no span, so >= 1 of the 2 batches.)
-            prop_assert!(dyn_spans >= 1, "kernel={} spans={}", kernel, dyn_spans);
+            // The traced run recorded the write-path steps taken as spans.
+            let count = |name: &str| {
+                snapshot
+                    .spans
+                    .iter()
+                    .filter(|s| s.name == name)
+                    .map(|s| s.count)
+                    .sum::<u64>()
+            };
+            // Each of the 3 batches repairs rows, folds edges or both; the
+            // insert always folds, and an exact state never rebuilds.
+            let (repairs, folds) = (count("dyn-repair"), count("dyn-fold"));
+            prop_assert!(folds >= 1, "kernel={} folds={}", kernel, folds);
+            prop_assert!(repairs + folds >= 3, "kernel={} repairs={} folds={}", kernel, repairs, folds);
+            prop_assert_eq!(count("dyn-rebuild"), 0, "kernel={}", kernel);
         }
     }
 }
