@@ -36,8 +36,9 @@
 //! `tests/dynamic_props.rs` pins across graph families, thread counts and
 //! kernel modes.
 //!
-//! **Overflow.** Every operand is an entry of at most `INF = u64::MAX / 4`
-//! or a weight, and batch weights are validated below `INF`. So a sum of
+//! **Overflow.** Every operand is an estimate entry, at most
+//! `INF = u64::MAX / 4`, or an edge weight of at most `INF`: batch weights
+//! are validated below it, and old weights are clamped to it. So a sum of
 //! three operands cannot wrap, and plain adds replace `wadd`. A sum with an
 //! `INF` operand is `≥ INF`: it never beats an entry, since every entry is
 //! at most `INF`, and never equals a finite one.
@@ -384,7 +385,9 @@ fn repair_exact(
         let flags: Vec<bool> = exec.map_collect(n, |s| {
             let row_s = old.row(s);
             worsened.iter().any(|c| {
-                let w_old = c.old.expect("a worsened edge had a weight");
+                // Base weights are not validated; one at or above INF lies
+                // on no finite path, and clamping keeps the sums from wrapping.
+                let w_old = c.old.expect("a worsened edge had a weight").min(INF);
                 // δ_old is symmetric, so rows u and v stand in for columns.
                 let (row_u, row_v) = (old.row(c.u), old.row(c.v));
                 let via_uv = row_s[c.u] + w_old;
@@ -543,6 +546,22 @@ mod tests {
         assert_eq!(diff.len(), n);
         assert_eq!(outcome.delta.rows, diff);
         assert_eq!(outcome.delta.strategy, DeltaStrategy::Repaired);
+    }
+
+    #[test]
+    fn deleting_an_edge_weighted_at_or_above_inf_does_not_overflow() {
+        let g = Graph::from_edges(
+            3,
+            cc_graph::graph::Direction::Undirected,
+            &[(0, 1, u64::MAX), (1, 2, 1)],
+        );
+        let e = exact_apsp(&g);
+        let mut oracle = IncrementalOracle::new(g, e, "exact", 0, DynamicConfig::default());
+        let outcome = oracle
+            .apply(&UpdateBatch::new(vec![EdgeOp::Delete(0, 1)]))
+            .expect("valid");
+        assert_eq!(oracle.estimate(), &exact_apsp(oracle.graph()));
+        assert!(outcome.delta.rows.is_empty());
     }
 
     #[test]
