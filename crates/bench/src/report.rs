@@ -1,11 +1,12 @@
 //! Machine-readable benchmark reports.
 //!
 //! The `perf` bench target times the hot kernels at several thread counts
-//! and writes the records as `BENCH_kernels.json`, so the performance
+//! and writes the records as `BENCH_kernels.json` (and `ccapsp
+//! bench-oracle` writes `BENCH_oracle.json`), so the performance
 //! trajectory (wall-clock × threads × simulated rounds) can be tracked
-//! across PRs by tooling instead of by eyeballing criterion logs. The JSON
-//! is emitted by a tiny hand-rolled serializer — the workspace has no
-//! network access for a real serde dependency.
+//! across PRs by tooling instead of by eyeballing logs. The JSON is emitted
+//! by a tiny hand-rolled serializer — the workspace has no network access
+//! for a real serde dependency.
 
 use std::io::Write;
 use std::time::Instant;

@@ -263,11 +263,6 @@ impl LandmarkSketch {
         &self.landmarks
     }
 
-    /// Exact distance row of the `i`-th landmark (length n).
-    pub fn landmark_row(&self, i: usize) -> &[Weight] {
-        &self.rows[i * self.n..(i + 1) * self.n]
-    }
-
     /// The symmetrized bunch of `u`: `(node, exact distance)` sorted by node.
     pub fn bunch(&self, u: NodeId) -> &[(NodeId, Weight)] {
         &self.bunches[u]

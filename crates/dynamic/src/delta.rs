@@ -26,7 +26,7 @@ use cc_apsp::landmark::LandmarkSketch;
 use cc_apsp::oracle::OracleBackend;
 use cc_graph::codec::{put_u64, read_sections, DecodeError, Fnv1a, Reader, SectionWriter};
 use cc_graph::graph::Direction;
-use cc_graph::{DistMatrix, Graph, NodeId, Weight};
+use cc_graph::{DistMatrix, Graph, NodeId, Weight, INF};
 use cc_par::ExecPolicy;
 
 use crate::update::{EdgeOp, UpdateBatch, UpdateError};
@@ -502,7 +502,13 @@ fn decode_rows(payload: &[u8], n: usize) -> Result<Vec<(NodeId, Vec<Weight>)>, D
             ));
         }
         prev = Some(idx);
-        rows.push((idx, cur.u64s(n)?));
+        let row = cur.u64s(n)?;
+        if let Some(d) = row.iter().find(|&&d| d > INF) {
+            return Err(DeltaError::Malformed(format!(
+                "row {idx} has entry {d} > INF"
+            )));
+        }
+        rows.push((idx, row));
     }
     cur.finish("in rows section")?;
     Ok(rows)
@@ -762,6 +768,20 @@ mod tests {
             Delta::from_bytes(&bytes),
             Err(DeltaError::Truncated { .. })
         ));
+    }
+
+    #[test]
+    fn row_entry_above_inf_is_malformed() {
+        let (mut delta, _, _) = sample_delta();
+        let (idx, row) = &mut delta.rows[0];
+        row[0] = INF + 1;
+        let idx = *idx;
+        match Delta::from_bytes(&delta.to_bytes()) {
+            Err(DeltaError::Malformed(msg)) => {
+                assert!(msg.contains(&format!("row {idx}")), "{msg}")
+            }
+            other => panic!("expected Malformed, got {other:?}"),
+        }
     }
 
     #[test]

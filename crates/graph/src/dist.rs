@@ -107,9 +107,9 @@ impl DistMatrix {
     }
 
     /// Approximate resident memory of the matrix in bytes: the n² weight
-    /// cells (struct overhead excluded). The oracle-backend memory accounting
-    /// in `BENCH_serve.json` / `BENCH_oracle.json` reports this number for
-    /// dense backends.
+    /// cells (struct overhead excluded). For dense backends, the daemon's
+    /// `ccapsp_estimate_mem_bytes` gauge, `serve-admin info` and
+    /// `BENCH_oracle.json` report this number.
     pub fn approx_mem_bytes(&self) -> u64 {
         (self.data.len() * std::mem::size_of::<Weight>()) as u64
     }

@@ -77,11 +77,6 @@ impl GraphBuilder {
         self
     }
 
-    /// Number of edge insertions so far (before dedup).
-    pub fn pending_edges(&self) -> usize {
-        self.edges.len()
-    }
-
     /// Finalizes into a CSR [`Graph`], collapsing parallel edges to minimum
     /// weight.
     pub fn build(&self) -> Graph {

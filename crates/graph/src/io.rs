@@ -16,7 +16,7 @@ use std::io::BufRead;
 use std::path::Path;
 
 use crate::graph::{Direction, Graph};
-use crate::Weight;
+use crate::{Weight, INF};
 
 /// Errors arising when parsing an edge-list file.
 #[derive(Debug)]
@@ -58,7 +58,8 @@ impl From<std::io::Error> for ParseGraphError {
 /// # Errors
 ///
 /// Returns [`ParseGraphError::Malformed`] for lines that are neither
-/// comments (`#`), an `n <count>` header, nor `u v w` triples.
+/// comments (`#`), an `n <count>` header, nor `u v w` triples with
+/// `w < INF`.
 pub fn read_edge_list(
     reader: impl BufRead,
     direction: Direction,
@@ -80,7 +81,7 @@ pub fn read_edge_list(
                 }
             }
             (Some(u), Some(v), Some(w), None) => match (u.parse(), v.parse(), w.parse()) {
-                (Ok(u), Ok(v), Ok(w)) => edges.push((u, v, w)),
+                (Ok(u), Ok(v), Ok(w)) if w < INF => edges.push((u, v, w)),
                 _ => return Err(ParseGraphError::Malformed(idx + 1, line)),
             },
             _ => return Err(ParseGraphError::Malformed(idx + 1, line)),
@@ -168,6 +169,16 @@ mod tests {
         assert!(matches!(err, ParseGraphError::Malformed(1, _)), "{err}");
         let text = "0 1 x\n";
         assert!(read_edge_list(Cursor::new(text), Direction::Undirected).is_err());
+    }
+
+    #[test]
+    fn rejects_weights_at_inf() {
+        let below = format!("0 1 {}\n", INF - 1);
+        let g = read_edge_list(Cursor::new(below), Direction::Undirected).unwrap();
+        assert_eq!(g.edge_weight(0, 1), Some(INF - 1));
+        let text = format!("0 1 5\n1 2 {INF}\n");
+        let err = read_edge_list(Cursor::new(text), Direction::Undirected).unwrap_err();
+        assert!(matches!(err, ParseGraphError::Malformed(2, _)), "{err}");
     }
 
     #[test]

@@ -215,37 +215,6 @@ pub fn bellman_ford_hops(g: &Graph, src: NodeId, h: usize) -> Vec<Weight> {
     dist
 }
 
-/// Hop-limited Bellman–Ford over an explicit arc list (used by simulated
-/// nodes whose local knowledge is a bag of received arcs rather than a
-/// [`Graph`]).
-///
-/// `n` bounds the node IDs appearing in `arcs`.
-pub fn bellman_ford_hops_arcs(
-    n: usize,
-    arcs: &[(NodeId, NodeId, Weight)],
-    src: NodeId,
-    h: usize,
-) -> Vec<Weight> {
-    let mut dist = vec![INF; n];
-    dist[src] = 0;
-    for _ in 0..h {
-        let mut next = dist.clone();
-        let mut changed = false;
-        for &(u, v, w) in arcs {
-            let nd = wadd(dist[u], w);
-            if nd < next[v] {
-                next[v] = nd;
-                changed = true;
-            }
-        }
-        dist = next;
-        if !changed {
-            break;
-        }
-    }
-    dist
-}
-
 /// Dijkstra over an explicit arc list, restricted to the nodes mentioned in
 /// the arcs plus `src`. Used by simulated nodes' local computations, e.g.
 /// Step 3 of the hopset algorithm (Section 4.1).
@@ -396,10 +365,6 @@ mod tests {
         let arcs: Vec<_> = g.all_arcs().collect();
         for s in 0..g.n() {
             assert_eq!(dijkstra_arcs(g.n(), &arcs, s), dijkstra(&g, s));
-            assert_eq!(
-                bellman_ford_hops_arcs(g.n(), &arcs, s, 2),
-                bellman_ford_hops(&g, s, 2)
-            );
         }
     }
 

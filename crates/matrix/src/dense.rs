@@ -638,29 +638,3 @@ mod tests {
         assert_eq!(power(&a, 0), DistMatrix::infinite(6));
     }
 }
-
-/// Quick single-machine probe comparing the two production dense kernels
-/// at full size (`cargo test --release -p cc-matrix ktiled_speed --
-/// --ignored --nocapture`); `#[ignore]`d because it is a timing aid, not a
-/// correctness test — the real perf record is `BENCH_kernels.json`.
-#[cfg(test)]
-mod ktiled_speed {
-    use super::*;
-
-    #[test]
-    #[ignore]
-    fn compare() {
-        let n = 512;
-        let a: Vec<u16> = (0..n * n).map(|i| ((i * 7919) % 8000) as u16).collect();
-        for _ in 0..3 {
-            let t = std::time::Instant::now();
-            let x = lanes_kernel::<u16>(n, &a, &a, ExecPolicy::Seq, 64);
-            let lanes_ms = t.elapsed().as_secs_f64() * 1e3;
-            let t = std::time::Instant::now();
-            let y = ktiled_kernel::<u16>(n, &a, ExecPolicy::Seq, 64);
-            let kt_ms = t.elapsed().as_secs_f64() * 1e3;
-            assert_eq!(x, y);
-            println!("lanes {lanes_ms:.2} ms  ktiled {kt_ms:.2} ms");
-        }
-    }
-}

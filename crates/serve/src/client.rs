@@ -259,7 +259,6 @@ pub fn drive_network(
         p95_us: hist.percentile(0.95) / 1e3,
         p99_us: hist.percentile(0.99) / 1e3,
         cache_hit_rate,
-        estimate_mem_bytes: before.mem_bytes,
         fingerprint: fnv1a(&batch_prints),
     })
 }

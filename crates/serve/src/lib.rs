@@ -17,8 +17,8 @@
 //!   parallel batches (via `cc_par`), with a hot-row LRU cache and
 //!   per-query latency accounting;
 //! * [`loadgen`] — the deterministic closed-loop load generator (seeded
-//!   zipf/uniform mixes) whose results the `ccapsp bench-serve` subcommand
-//!   writes as `BENCH_serve.json` through [`cc_bench::report`]; its
+//!   zipf/uniform mixes) whose throughput, latency and fingerprint the
+//!   `ccapsp bench-serve` subcommand prints; its
 //!   [`drive_readwrite`](loadgen::drive_readwrite) variant interleaves a
 //!   seeded mutation stream, landing each write batch as a verified
 //!   `cc_dynamic` delta via

@@ -4,15 +4,13 @@
 //! configurable dist/route/k-nearest mix), drives an [`OracleService`] with
 //! it batch-by-batch (closed loop: the next batch is issued only after the
 //! previous one completed), and reduces the per-query latencies into the
-//! throughput report the CLI writes as `BENCH_serve.json` via
-//! [`cc_bench::report`].
+//! throughput and latency report that `ccapsp bench-serve` prints.
 //!
 //! Everything about the *stream* is a pure function of
 //! ([`LoadSpec`], node count): the same spec replays the same queries, so
 //! [`ServeBenchResult::fingerprint`] must match across thread counts — only
 //! the timing fields may differ.
 
-use cc_bench::report::BenchRecord;
 use cc_dynamic::incremental::{DynamicConfig, IncrementalOracle};
 use cc_dynamic::update::{random_batch, MutationProfile};
 use cc_graph::codec::fnv1a;
@@ -243,35 +241,9 @@ pub struct ServeBenchResult {
     pub p99_us: f64,
     /// Hot-row cache hit rate over the run (`KNearest` lookups).
     pub cache_hit_rate: f64,
-    /// Resident size estimate (bytes) of the served distance structure
-    /// (`8n²` dense, sketch footprint for landmark backends).
-    pub estimate_mem_bytes: u64,
     /// Fingerprint of all responses in order — identical across thread
     /// counts for a fixed spec and snapshot.
     pub fingerprint: u64,
-}
-
-impl ServeBenchResult {
-    /// Packages the run as a [`BenchRecord`] for
-    /// [`cc_bench::report::write_report`]; the serving metrics ride in
-    /// `extras`.
-    pub fn to_record(&self, experiment: &str, n: usize) -> BenchRecord {
-        BenchRecord {
-            experiment: experiment.to_string(),
-            n,
-            threads: self.threads,
-            wall_ms: self.wall_ms,
-            rounds: 0,
-            extras: vec![
-                ("qps".into(), self.qps),
-                ("p50_us".into(), self.p50_us),
-                ("p95_us".into(), self.p95_us),
-                ("p99_us".into(), self.p99_us),
-                ("cache_hit_rate".into(), self.cache_hit_rate),
-                ("estimate_mem_bytes".into(), self.estimate_mem_bytes as f64),
-            ],
-        }
-    }
 }
 
 /// The `q`-quantile (0 ≤ q ≤ 1) of a latency list, in microseconds, reduced
@@ -328,7 +300,6 @@ pub fn drive(
         p95_us: percentile_us(&latencies, 0.95),
         p99_us: percentile_us(&latencies, 0.99),
         cache_hit_rate,
-        estimate_mem_bytes: service.estimate_mem_bytes(id),
         fingerprint: fnv1a(&batch_prints),
     }
 }
@@ -381,23 +352,6 @@ pub struct ReadWriteResult {
     pub write_p95_ms: f64,
     /// [`cc_dynamic::state_fingerprint`] of the final servable state.
     pub final_state_fingerprint: u64,
-}
-
-impl ReadWriteResult {
-    /// Packages the run as a [`BenchRecord`]; write metrics ride in
-    /// `extras` next to the read-side ones.
-    pub fn to_record(&self, experiment: &str, n: usize) -> BenchRecord {
-        let mut record = self.read.to_record(experiment, n);
-        record.extras.extend([
-            ("write_batches".into(), self.write_batches as f64),
-            ("ops_applied".into(), self.ops_applied as f64),
-            ("repairs".into(), self.repairs as f64),
-            ("rebuilds".into(), self.rebuilds as f64),
-            ("write_p50_ms".into(), self.write_p50_ms),
-            ("write_p95_ms".into(), self.write_p95_ms),
-        ]);
-        record
-    }
 }
 
 /// Drives the newest snapshot under `name` with the read stream while
@@ -498,7 +452,6 @@ pub fn drive_readwrite(
             p95_us: percentile_us(&latencies, 0.95),
             p99_us: percentile_us(&latencies, 0.99),
             cache_hit_rate,
-            estimate_mem_bytes: service.estimate_mem_bytes(id),
             fingerprint: fnv1a(&batch_prints),
         },
         write_batches,
@@ -769,76 +722,6 @@ mod tests {
             none.final_state_fingerprint,
             snapshot(26, 8).state_fingerprint()
         );
-    }
-
-    #[test]
-    fn readwrite_record_carries_write_extras() {
-        let mut service = OracleService::default();
-        service.register("g", snapshot(20, 9));
-        let result = drive_readwrite(
-            &mut service,
-            "g",
-            &ReadWriteSpec {
-                load: LoadSpec {
-                    queries: 100,
-                    batch: 25,
-                    ..Default::default()
-                },
-                write_ratio: 1.0,
-                ops_per_batch: 2,
-                profile: MutationProfile::ReweightHeavy,
-            },
-            ExecPolicy::Seq,
-        );
-        let rec = result.to_record("serve_readwrite", 20);
-        for key in [
-            "qps",
-            "write_batches",
-            "repairs",
-            "rebuilds",
-            "write_p50_ms",
-        ] {
-            assert!(
-                rec.extras.iter().any(|(k, _)| k == key),
-                "missing extra {key}"
-            );
-        }
-        assert_eq!(
-            rec.extras
-                .iter()
-                .find(|(k, _)| k == "write_batches")
-                .unwrap()
-                .1,
-            result.write_batches as f64
-        );
-    }
-
-    #[test]
-    fn bench_record_carries_the_serving_extras() {
-        let result = ServeBenchResult {
-            queries: 1000,
-            threads: 4,
-            wall_ms: 12.5,
-            qps: 80_000.0,
-            p50_us: 1.5,
-            p95_us: 3.0,
-            p99_us: 9.0,
-            cache_hit_rate: 0.75,
-            estimate_mem_bytes: 131_072,
-            fingerprint: 42,
-        };
-        let rec = result.to_record("serve_mixed", 128);
-        assert_eq!(rec.experiment, "serve_mixed");
-        assert_eq!(rec.threads, 4);
-        assert!(rec.extras.iter().any(|(k, v)| k == "qps" && *v == 80_000.0));
-        assert!(rec
-            .extras
-            .iter()
-            .any(|(k, v)| k == "cache_hit_rate" && *v == 0.75));
-        assert!(rec
-            .extras
-            .iter()
-            .any(|(k, v)| k == "estimate_mem_bytes" && *v == 131_072.0));
     }
 
     #[test]

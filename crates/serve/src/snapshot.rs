@@ -19,7 +19,7 @@ use cc_apsp::landmark::LandmarkSketch;
 use cc_apsp::oracle::OracleBackend;
 use cc_graph::codec::{put_bytes, put_u64, read_sections, DecodeError, Reader, SectionWriter};
 use cc_graph::graph::{Direction, Graph};
-use cc_graph::{DistMatrix, NodeId, Weight};
+use cc_graph::{DistMatrix, NodeId, Weight, INF};
 use std::path::Path;
 
 /// File magic: identifies a snapshot regardless of format version.
@@ -346,6 +346,11 @@ fn decode_graph(payload: &[u8], expected_n: usize) -> Result<Graph, SnapshotErro
                 "edge ({u}, {v}) out of range for n={n}"
             )));
         }
+        if w >= INF {
+            return Err(SnapshotError::Malformed(format!(
+                "edge ({u}, {v}) has weight {w} ≥ INF"
+            )));
+        }
         edges.push((u, v, w));
     }
     cur.finish("in graph section")?;
@@ -378,7 +383,16 @@ fn decode_dense(cur: &mut Reader<'_>) -> Result<DistMatrix, SnapshotError> {
     let cells = n
         .checked_mul(n)
         .ok_or_else(|| SnapshotError::Malformed("estimate dimension overflows".into()))?;
-    Ok(DistMatrix::from_raw(n, cur.u64s(cells)?))
+    let cells = cur.u64s(cells)?;
+    if let Some(i) = cells.iter().position(|&d| d > INF) {
+        return Err(SnapshotError::Malformed(format!(
+            "estimate entry ({}, {}) is {} > INF",
+            i / n,
+            i % n,
+            cells[i]
+        )));
+    }
+    Ok(DistMatrix::from_raw(n, cells))
 }
 
 fn decode_landmark(cur: &mut Reader<'_>) -> Result<LandmarkSketch, SnapshotError> {
@@ -768,6 +782,31 @@ mod tests {
             Err(SnapshotError::Malformed(msg)) => {
                 assert!(msg.contains("landmark sketch"), "{msg}")
             }
+            other => panic!("expected Malformed, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn edge_weight_at_inf_is_malformed() {
+        let snap = sample();
+        let graph = Graph::from_edges(5, Direction::Undirected, &[(0, 1, 3), (1, 2, INF)]);
+        let bytes = Snapshot { graph, ..snap }.to_bytes();
+        match Snapshot::from_bytes(&bytes) {
+            Err(SnapshotError::Malformed(msg)) => assert!(msg.contains("(1, 2)"), "{msg}"),
+            other => panic!("expected Malformed, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn estimate_entry_above_inf_is_malformed() {
+        let snap = sample();
+        let mut estimate = snap.backend.as_dense().unwrap().clone();
+        // INF is a legal entry (unreachable); one past it is not.
+        estimate.set(2, 4, INF);
+        estimate.set(3, 1, INF + 1);
+        let bytes = Snapshot::new(snap.graph, estimate, snap.meta).to_bytes();
+        match Snapshot::from_bytes(&bytes) {
+            Err(SnapshotError::Malformed(msg)) => assert!(msg.contains("(3, 1)"), "{msg}"),
             other => panic!("expected Malformed, got {other:?}"),
         }
     }

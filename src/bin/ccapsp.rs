@@ -148,7 +148,6 @@ const COMMANDS: &[Command] = &[
             ("--k", "K"),
             SEED,
             THREADS,
-            OUT,
             ("--write-ratio", "R"),
             ("--ops-per-batch", "K"),
             PROFILE,
@@ -831,7 +830,6 @@ fn cmd_bench_serve(args: &Args) -> Result<(), ExitCode> {
     let ops_per_batch = args.value_or("--ops-per-batch", 8usize)?;
     let profile = args.profile()?;
     let conns = args.value_or("--conns", 4usize)?.max(1);
-    let out = args.get("--out").unwrap_or("BENCH_serve.json");
     if let Some(addr) = args.get("--addr") {
         if write_ratio > 0.0 {
             return Err(usage_error(
@@ -839,13 +837,13 @@ fn cmd_bench_serve(args: &Args) -> Result<(), ExitCode> {
             ));
         }
         let name = args.get("--name").unwrap_or("default");
-        return bench_serve_networked(addr, name, snapshot, &spec, exec, conns, out);
+        return bench_serve_networked(addr, name, snapshot, &spec, exec, conns);
     }
     let n = snapshot.n();
     let (mut service, id) = OracleService::single(snapshot);
     println!("snapshot       {n} nodes, algo {}", service.meta(id).algo);
     println!("exec           {exec}");
-    let (result, record) = if write_ratio > 0.0 {
+    let result = if write_ratio > 0.0 {
         let rw_spec = ReadWriteSpec {
             load: spec.clone(),
             write_ratio,
@@ -862,12 +860,9 @@ fn cmd_bench_serve(args: &Args) -> Result<(), ExitCode> {
             rw.repairs, rw.rebuilds, rw.write_p50_ms, rw.write_p95_ms
         );
         println!("final state    {:016x}", rw.final_state_fingerprint);
-        let record = rw.to_record("serve_readwrite", n);
-        (rw.read, record)
+        rw.read
     } else {
-        let read = drive(&service, id, &spec, exec);
-        let record = read.to_record("serve_mixed", n);
-        (read, record)
+        drive(&service, id, &spec, exec)
     };
     println!(
         "queries        {} (batch {}, {:?})",
@@ -881,7 +876,7 @@ fn cmd_bench_serve(args: &Args) -> Result<(), ExitCode> {
     );
     println!("cache hit      {:.1}%", result.cache_hit_rate * 100.0);
     println!("fingerprint    {:016x}", result.fingerprint);
-    wrote(out, write_report(out, &[record]))
+    Ok(())
 }
 
 /// The `bench-serve --addr` path: drive a running daemon over TCP with
@@ -895,13 +890,11 @@ fn bench_serve_networked(
     spec: &LoadSpec,
     exec: ExecPolicy,
     conns: usize,
-    out: &str,
 ) -> Result<(), ExitCode> {
-    let n = snapshot.n();
     let (service, id) = OracleService::single(snapshot);
     let reference = drive(&service, id, spec, exec);
     // Scrape the daemon's Metrics-v2 exposition around the drive so the
-    // record carries live-telemetry extras (overload delta, 1s QPS peak).
+    // report carries its live telemetry (overload delta, 1s QPS peak).
     let scrape = |what: &str| match Client::connect(addr)
         .map_err(WireError::Io)
         .and_then(|mut c| c.metrics_v2())
@@ -937,18 +930,13 @@ fn bench_serve_networked(
         )));
     }
     println!("verified       networked responses bit-identical to in-process run_batch");
-    let mut record = result.to_record("serve_net", n);
     if let (Some(before), Some(after)) = (&before, &after) {
         let overloads =
             prom_sum(after, "ccapsp_overloads_total") - prom_sum(before, "ccapsp_overloads_total");
         let peak = prom_value(after, "ccapsp_qps_1s_peak", &[]).unwrap_or(0.0);
         println!("daemon peak    {peak:.0} qps (1s) / {overloads:.0} overload rejections");
-        record.extras.push(("qps_1s_peak".into(), peak));
-        record
-            .extras
-            .push(("overload_rejections".into(), overloads));
     }
-    wrote(out, write_report(out, &[record]))
+    Ok(())
 }
 
 fn cmd_serve(args: &Args) -> Result<(), ExitCode> {

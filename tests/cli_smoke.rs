@@ -19,6 +19,34 @@ fn stdout(out: &Output) -> String {
     String::from_utf8_lossy(&out.stdout).into_owned()
 }
 
+/// The line of `out` that starts with `label`.
+fn line<'a>(out: &'a str, label: &str) -> &'a str {
+    out.lines()
+        .find(|l| l.starts_with(label))
+        .unwrap_or_else(|| panic!("no {label} line in: {out}"))
+}
+
+/// Runs `ccapsp bench-serve` in an empty temporary directory and returns its
+/// stdout, failing the test if it exits non-zero or leaves a file behind.
+fn bench_serve(tag: &str, args: &[&str]) -> String {
+    let dir = std::env::temp_dir().join(format!("ccapsp_smoke_{tag}_{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let out = Command::new(env!("CARGO_BIN_EXE_ccapsp"))
+        .current_dir(&dir)
+        .arg("bench-serve")
+        .args(args)
+        .output()
+        .expect("failed to spawn ccapsp");
+    let left: Vec<PathBuf> = std::fs::read_dir(&dir)
+        .unwrap()
+        .map(|e| e.unwrap().path())
+        .collect();
+    std::fs::remove_dir_all(&dir).unwrap();
+    assert!(out.status.success(), "bench-serve {args:?} failed: {out:?}");
+    assert!(left.is_empty(), "bench-serve {args:?} wrote {left:?}");
+    stdout(&out)
+}
+
 /// A unique scratch path per test, cleaned up by the returned guard.
 struct TempEdges(PathBuf);
 
@@ -117,7 +145,6 @@ fn every_documented_family_generates() {
 #[test]
 fn snapshot_query_bench_serve_round_trip() {
     let snap = TempEdges::with_ext("serving", "ccsnap");
-    let report = TempEdges::with_ext("serving", "json");
 
     let made = ccapsp(&["snapshot", "--n", "48", "--seed", "7", "-o", snap.as_str()]);
     assert!(made.status.success(), "snapshot failed: {made:?}");
@@ -155,43 +182,31 @@ fn snapshot_query_bench_serve_round_trip() {
     // fingerprint) must match; only timings may differ.
     let mut fingerprints = Vec::new();
     for threads in ["1", "4"] {
-        let bench = ccapsp(&[
-            "bench-serve",
-            snap.as_str(),
-            "--queries",
-            "3000",
-            "--threads",
-            threads,
-            "--seed",
-            "7",
-            "--out",
-            report.as_str(),
-        ]);
-        assert!(bench.status.success(), "bench-serve failed: {bench:?}");
-        let out = stdout(&bench);
-        assert!(out.contains("qps"), "bench output: {out}");
-        let fp = out
-            .lines()
-            .find(|l| l.starts_with("fingerprint"))
-            .unwrap_or_else(|| panic!("no fingerprint line in: {out}"))
-            .to_string();
-        fingerprints.push(fp);
+        let out = bench_serve(
+            "serving",
+            &[
+                snap.as_str(),
+                "--queries",
+                "3000",
+                "--threads",
+                threads,
+                "--seed",
+                "7",
+            ],
+        );
+        assert!(line(&out, "throughput").ends_with(" qps"), "{out}");
+        let latency = line(&out, "latency");
+        assert!(
+            latency.contains(" p50 ") && latency.contains(" p99 "),
+            "{out}"
+        );
+        assert!(line(&out, "cache hit").ends_with('%'), "{out}");
+        fingerprints.push(line(&out, "fingerprint").to_string());
     }
     assert_eq!(
         fingerprints[0], fingerprints[1],
         "served results diverged across thread counts"
     );
-
-    let json = std::fs::read_to_string(report.as_str()).expect("BENCH_serve.json written");
-    for key in [
-        "\"schema\"",
-        "\"qps\"",
-        "\"p50_us\"",
-        "\"p99_us\"",
-        "\"cache_hit_rate\"",
-    ] {
-        assert!(json.contains(key), "report missing {key}: {json}");
-    }
 }
 
 #[test]
@@ -280,7 +295,7 @@ fn bad_invocations_exit_nonzero_with_usage() {
     // nothing gets written: an unparsable value, a value flag with no value,
     // a flag the subcommand does not take, a flag given twice (`-o` is
     // `--out`), a graph too small to query, a graph path next to --n, and
-    // the retired `--repair-fraction`.
+    // the retired `--repair-fraction` and `bench-serve --out`.
     let out = TempEdges::with_ext("bad_out", "ccsnap");
     let (e, o) = (edges.as_str(), out.as_str());
     for (args, why) in [
@@ -313,6 +328,10 @@ fn bad_invocations_exit_nonzero_with_usage() {
         (
             &["bench-oracle", e, "--n", "64", "-o", o],
             "takes one graph",
+        ),
+        (
+            &["bench-serve", "s.ccsnap", "--out", o],
+            "bench-serve does not take --out",
         ),
         (
             &[
@@ -520,7 +539,6 @@ fn update_reads_ops_files_and_rejects_bad_ones() {
 #[test]
 fn bench_serve_write_ratio_reports_the_write_path() {
     let snap = TempEdges::with_ext("dyn_rw", "ccsnap");
-    let report = TempEdges::with_ext("dyn_rw", "json");
     assert!(ccapsp(&[
         "snapshot",
         "--n",
@@ -534,34 +552,35 @@ fn bench_serve_write_ratio_reports_the_write_path() {
     ])
     .status
     .success());
-    let bench = ccapsp(&[
-        "bench-serve",
-        snap.as_str(),
-        "--queries",
-        "2000",
-        "--batch",
-        "256",
-        "--write-ratio",
-        "0.5",
-        "--ops-per-batch",
-        "2",
-        "--profile",
-        "topology",
-        "--out",
-        report.as_str(),
-    ]);
-    assert!(bench.status.success(), "bench-serve failed: {bench:?}");
-    let out = stdout(&bench);
-    assert!(out.contains("write path"), "missing write stats: {out}");
-    assert!(out.contains("final state"), "missing final state: {out}");
-    let json = std::fs::read_to_string(report.as_str()).unwrap();
-    assert!(
-        json.contains("\"experiment\":\"serve_readwrite\""),
-        "{json}"
+    let out = bench_serve(
+        "dyn_rw",
+        &[
+            snap.as_str(),
+            "--queries",
+            "2000",
+            "--batch",
+            "256",
+            "--write-ratio",
+            "0.5",
+            "--ops-per-batch",
+            "2",
+            "--profile",
+            "topology",
+        ],
     );
-    for key in ["\"repairs\"", "\"rebuilds\"", "\"write_p50_ms\""] {
-        assert!(json.contains(key), "missing {key}: {json}");
-    }
+    // `write path     R repaired / B rebuilt, p50 X ms / p95 Y ms`, where
+    // R + B is the batch count on the `writes` line.
+    let words = |label| line(&out, label).split_whitespace().collect::<Vec<_>>();
+    let count = |s: &str| -> usize { s.parse().unwrap_or_else(|_| panic!("{out}")) };
+    let ["write", "path", repaired, "repaired", "/", rebuilt, "rebuilt,", "p50", _, "ms", "/", "p95", _, "ms"] =
+        words("write path")[..]
+    else {
+        panic!("malformed write path line in: {out}");
+    };
+    let batches = count(words("writes")[1]);
+    assert!(batches > 0, "{out}");
+    assert_eq!(count(repaired) + count(rebuilt), batches, "{out}");
+    assert!(out.contains("final state"), "missing final state: {out}");
 }
 
 #[test]
@@ -642,7 +661,6 @@ impl Drop for Daemon {
 #[test]
 fn serve_daemon_answers_every_client_subcommand() {
     let snap = TempEdges::with_ext("daemon", "ccsnap");
-    let report = TempEdges::with_ext("daemon", "json");
     let flight = TempEdges::with_ext("daemon_flight", "json");
     let snap = snap.as_str();
     assert!(
@@ -696,21 +714,11 @@ fn serve_daemon_answers_every_client_subcommand() {
     assert!(doc.contains("\"schema\":\"cc-flight/v1\""), "{doc}");
     assert!(ok(&["top", "--addr", addr, "--frames", "1"]).contains("ccapsp top"));
     assert!(ok(&["serve-chaos", "--addr", addr]).contains("scenarios survived"));
-    let bench = ok(&[
-        "bench-serve",
-        snap,
-        "--addr",
-        addr,
-        "--conns",
-        "2",
-        "--queries",
-        "2000",
-        "--out",
-        report.as_str(),
-    ]);
+    let bench = bench_serve(
+        "daemon",
+        &[snap, "--addr", addr, "--conns", "2", "--queries", "2000"],
+    );
     assert!(bench.contains("verified"), "{bench}");
-    let json = std::fs::read_to_string(report.as_str()).unwrap();
-    assert!(json.contains("\"experiment\":\"serve_net\""), "{json}");
     assert!(ok(&["serve-admin", "--addr", addr, "shutdown"]).contains("shutdown acknowledged"));
     assert!(daemon.0.wait().unwrap().success());
     let rest: Vec<String> = lines.map(Result::unwrap).collect();
