@@ -169,18 +169,34 @@ pub fn k_nearest(g: &Graph, src: NodeId, k: usize) -> Vec<(NodeId, Weight)> {
 }
 
 /// Selects the `k` nearest entries from a distance vector, ties broken by ID,
-/// excluding unreachable nodes.
+/// excluding unreachable nodes, as `(node, dist)` sorted by `(dist, node)`.
+///
+/// One scan keeps the `k` smallest `(dist, node)` pairs in a bounded
+/// max-heap and sorts only those: O(n log k) time for an n-entry row, and
+/// nothing is sized past `min(k, n)` entries, so any `k` (`usize::MAX`
+/// included) is safe to pass.
 pub fn k_nearest_from_dists(dist: &[Weight], k: usize) -> Vec<(NodeId, Weight)> {
-    let mut order: Vec<(Weight, NodeId)> = dist
-        .iter()
-        .copied()
-        .enumerate()
-        .filter(|&(_, d)| d < INF)
-        .map(|(v, d)| (d, v))
-        .collect();
-    order.sort_unstable();
-    order.truncate(k);
-    order.into_iter().map(|(d, v)| (v, d)).collect()
+    let k = k.min(dist.len());
+    let mut heap: BinaryHeap<(Weight, NodeId)> = BinaryHeap::with_capacity(k);
+    for (v, &d) in dist.iter().enumerate() {
+        if d >= INF {
+            continue;
+        }
+        if heap.len() < k {
+            heap.push((d, v));
+        } else if let Some(mut top) = heap.peek_mut() {
+            // Ids arrive in increasing order, so every kept pair has a
+            // smaller id than `v`: `(d, v)` ranks before the largest kept
+            // pair exactly when its distance is strictly smaller.
+            if d < top.0 {
+                *top = (d, v);
+            }
+        }
+    }
+    heap.into_sorted_vec()
+        .into_iter()
+        .map(|(d, v)| (v, d))
+        .collect()
 }
 
 /// Hop-limited Bellman–Ford: the minimum length of a path from `src` with at

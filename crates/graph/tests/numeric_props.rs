@@ -1,9 +1,11 @@
 //! Property tests for the numeric helpers every algorithm builds on:
 //! saturating semiring addition ([`cc_graph::wadd`]), the integer log
-//! ([`cc_graph::log2_ceil`]), and the stretch audit
-//! ([`cc_graph::DistMatrix::stretch_vs`]).
+//! ([`cc_graph::log2_ceil`]), the stretch audit
+//! ([`cc_graph::DistMatrix::stretch_vs`]), and the k-nearest selection
+//! ([`cc_graph::sssp::k_nearest_from_dists`]).
 
-use cc_graph::{log2_ceil, wadd, DistMatrix, StretchStats, Weight, INF};
+use cc_graph::sssp::k_nearest_from_dists;
+use cc_graph::{log2_ceil, wadd, DistMatrix, NodeId, StretchStats, Weight, INF};
 use proptest::prelude::*;
 
 proptest! {
@@ -112,6 +114,40 @@ proptest! {
                 half,
                 StretchStats::audit_sampled(&est, &exact, covering / 2, seed)
             );
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig { cases: 256, ..ProptestConfig::default() })]
+
+    /// The bounded selection returns exactly what sorting the whole row
+    /// and truncating returns, for every `k` up to past the row length and
+    /// for `usize::MAX`, on rows dense with ties and unreachable cells.
+    #[test]
+    fn k_nearest_selection_equals_the_full_sort(
+        cells in proptest::collection::vec((0u8..6, 0u64..5), 0..81),
+    ) {
+        let row: Vec<Weight> = cells
+            .iter()
+            .map(|&(sel, w)| match sel {
+                0 => INF,
+                1 => INF - 1,
+                _ => w,
+            })
+            .collect();
+        let mut order: Vec<(Weight, NodeId)> = row
+            .iter()
+            .copied()
+            .enumerate()
+            .filter(|&(_, d)| d < INF)
+            .map(|(v, d)| (d, v))
+            .collect();
+        order.sort_unstable();
+        for k in (0..=row.len() + 2).chain([usize::MAX]) {
+            let expect: Vec<(NodeId, Weight)> =
+                order.iter().take(k).map(|&(d, v)| (v, d)).collect();
+            prop_assert_eq!(k_nearest_from_dists(&row, k), expect, "k = {}, row = {:?}", k, row);
         }
     }
 }

@@ -14,8 +14,8 @@
 //!   `save`/`load` and typed corrupt-input errors;
 //! * [`service`] — [`OracleService`](service::OracleService), a
 //!   multi-snapshot registry answering `Dist`/`Route`/`KNearest` queries in
-//!   parallel batches (via `cc_par`), with a hot-row LRU cache and
-//!   per-query latency accounting;
+//!   parallel batches (via `cc_par`), with a hot-row LRU cache of
+//!   k-nearest prefixes and per-query latency accounting;
 //! * [`loadgen`] — the deterministic closed-loop load generator (seeded
 //!   zipf/uniform mixes) whose throughput, latency and fingerprint the
 //!   `ccapsp bench-serve` subcommand prints; its

@@ -16,10 +16,13 @@
 //! slice over the workspace's `cc_par` pool and reassembles responses **in
 //! query order** — so for a fixed snapshot the responses are bit-identical
 //! at every thread count (property-tested in `tests/serve_determinism.rs`).
-//! `KNearest` is the only query whose per-call work is superlinear in the
-//! row, so the service keeps a bounded LRU cache of fully-sorted hot rows;
-//! cache state affects hit-rate statistics and latency only, never a
-//! response.
+//! `KNearest` is the only query that scans a whole row: a miss selects the
+//! query's `k` nearest in O(n log k) and the service keeps that sorted
+//! prefix, with the `k` it answered, in a bounded LRU of hot rows. A later
+//! query for the same row hits when it asks for no more than that `k`, or
+//! when the prefix already holds every reachable node; a larger `k`
+//! recomputes. Cache state affects hit-rate statistics and latency only,
+//! never a response.
 
 use cc_apsp::oracle::DistanceOracle;
 use cc_graph::codec::{fnv1a, put_u64};
@@ -136,8 +139,9 @@ pub(crate) fn put_response(out: &mut Vec<u8>, r: &Response) {
 /// Tuning knobs for [`OracleService`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ServiceConfig {
-    /// Capacity (in rows) of the per-snapshot sorted-row LRU cache backing
-    /// `KNearest` queries. `0` disables caching.
+    /// Capacity (in rows) of the per-snapshot LRU of k-nearest prefixes
+    /// backing `KNearest` queries (one sorted prefix per row). `0` disables
+    /// caching.
     pub cache_rows: usize,
 }
 
@@ -150,9 +154,10 @@ impl Default for ServiceConfig {
 /// Cache hit/miss counters for one snapshot.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct CacheStats {
-    /// `KNearest` calls served from the sorted-row cache.
+    /// `KNearest` calls served from a cached prefix.
     pub hits: u64,
-    /// `KNearest` calls that had to sort the row.
+    /// `KNearest` calls that had to select from the row: no prefix was
+    /// cached for it, or the cached one was too short for the asked `k`.
     pub misses: u64,
 }
 
@@ -168,24 +173,32 @@ impl CacheStats {
     }
 }
 
-/// A bounded LRU of fully-sorted estimate rows, keyed by **(snapshot
-/// version, row)** — after a blue/green swap ([`OracleService::apply_delta`]
-/// bumps the entry's version in place) every lookup misses by construction,
-/// so a cached row from the previous estimate can never be served against
-/// the new one. Recency is a logical clock stamp; eviction scans for the
-/// minimum stamp (caches are small — tens of rows — so the O(capacity)
-/// scan is cheaper than maintaining a list).
+/// A bounded LRU of k-nearest prefixes, keyed by **(snapshot version,
+/// row)** — after a blue/green swap ([`OracleService::apply_delta`] bumps
+/// the entry's version in place) every lookup misses by construction, so a
+/// cached prefix from the previous estimate can never be served against the
+/// new one. Each entry keeps the sorted prefix a miss selected and the `k`
+/// it answered; a lookup for `k'` hits when `k' ≤ k`, or when the prefix is
+/// shorter than `k` (it then holds every reachable node). Recency is a
+/// logical clock stamp; eviction scans for the minimum stamp (caches are
+/// small — tens of rows — so the O(capacity) scan is cheaper than
+/// maintaining a list).
 struct RowCache {
     cap: usize,
     clock: u64,
-    rows: HashMap<CacheKey, (u64, SortedRow)>,
+    rows: HashMap<CacheKey, CachedPrefix>,
 }
 
 /// `(snapshot version, source row)` — the cache key; see [`RowCache`].
 type CacheKey = (u32, NodeId);
 
-/// A fully-sorted `(node, distance)` estimate row.
-type SortedRow = Vec<(NodeId, Weight)>;
+/// One [`RowCache`] entry: the `k` nearest of a row, sorted by
+/// `(distance, id)`, with the `k` that selected them.
+struct CachedPrefix {
+    stamp: u64,
+    k: usize,
+    prefix: Vec<(NodeId, Weight)>,
+}
 
 impl RowCache {
     fn new(cap: usize) -> Self {
@@ -196,16 +209,19 @@ impl RowCache {
         }
     }
 
-    fn get(&mut self, version: u32, u: NodeId) -> Option<&SortedRow> {
+    /// The cached prefix of row `u`, if it answers a query for `k`.
+    fn get(&mut self, version: u32, u: NodeId, k: usize) -> Option<&[(NodeId, Weight)]> {
         self.clock += 1;
-        let clock = self.clock;
-        self.rows.get_mut(&(version, u)).map(|(stamp, row)| {
-            *stamp = clock;
-            &*row
-        })
+        let entry = self.rows.get_mut(&(version, u))?;
+        if k > entry.k && entry.prefix.len() == entry.k {
+            return None;
+        }
+        entry.stamp = self.clock;
+        Some(&entry.prefix)
     }
 
-    fn insert(&mut self, version: u32, u: NodeId, row: SortedRow) {
+    /// Caches `prefix`, the answer for `k`, replacing any entry for the row.
+    fn insert(&mut self, version: u32, u: NodeId, k: usize, prefix: &[(NodeId, Weight)]) {
         if self.cap == 0 {
             return;
         }
@@ -216,14 +232,19 @@ impl RowCache {
             if let Some(evict) = self
                 .rows
                 .iter()
-                .min_by_key(|(key, (stamp, _))| (*stamp, **key))
+                .min_by_key(|(key, entry)| (entry.stamp, **key))
                 .map(|(key, _)| *key)
             {
                 self.rows.remove(&evict);
             }
         }
         self.clock += 1;
-        self.rows.insert((version, u), (self.clock, row));
+        let entry = CachedPrefix {
+            stamp: self.clock,
+            k,
+            prefix: prefix.to_vec(),
+        };
+        self.rows.insert((version, u), entry);
     }
 }
 
@@ -490,34 +511,30 @@ impl OracleService {
     }
 
     /// The `k` nearest nodes to `u` under the estimate, through the hot-row
-    /// cache: a hit truncates the cached sorted row, a miss sorts the row
-    /// (the same `(distance, id)` order as `cc_graph::sssp::k_nearest`) and
-    /// caches it in full so any later `k` is a truncation.
+    /// cache: a hit truncates the cached prefix, a miss selects the row's
+    /// `k` nearest (the same `(distance, id)` order as
+    /// `cc_graph::sssp::k_nearest`) and caches that prefix for the row.
     fn k_nearest(&self, e: &Entry, u: NodeId, k: usize) -> Vec<(NodeId, Weight)> {
         {
             let mut cache = lock_recovering(&e.cache);
-            if let Some(row) = cache.get(e.version, u) {
+            if let Some(prefix) = cache.get(e.version, u, k) {
                 e.hits.fetch_add(1, Ordering::Relaxed);
                 cc_obs::counter("serve.cache.hit", 1);
-                return row.iter().take(k).copied().collect();
+                return prefix.iter().take(k).copied().collect();
             }
         }
         e.misses.fetch_add(1, Ordering::Relaxed);
         cc_obs::counter("serve.cache.miss", 1);
-        // Sort outside the lock; concurrent misses may duplicate the work
-        // but the row they compute is identical. Dense backends expose the
-        // row zero-copy; landmark backends materialize it per miss (which
-        // the cache then amortizes).
-        let full = match e.oracle.backend().as_dense() {
-            Some(matrix) => k_nearest_from_dists(matrix.row(u), matrix.n()),
-            None => {
-                let row = e.oracle.backend().dist_row(u);
-                k_nearest_from_dists(&row, row.len())
-            }
+        // Select outside the lock; concurrent misses may duplicate the work
+        // but the prefix they compute is identical. Dense backends expose
+        // the row zero-copy; landmark backends materialize it per miss
+        // (which the cache then amortizes).
+        let nearest = match e.oracle.backend().as_dense() {
+            Some(matrix) => k_nearest_from_dists(matrix.row(u), k),
+            None => k_nearest_from_dists(&e.oracle.backend().dist_row(u), k),
         };
-        let answer = full.iter().take(k).copied().collect();
-        lock_recovering(&e.cache).insert(e.version, u, full);
-        answer
+        lock_recovering(&e.cache).insert(e.version, u, k, &nearest);
+        nearest
     }
 
     /// Executes a batch of queries, sharded over the `cc_par` pool selected
@@ -578,14 +595,18 @@ mod tests {
 
     fn exact_snapshot(n: usize, seed: u64) -> Snapshot {
         let mut rng = StdRng::seed_from_u64(seed);
-        let g = generators::gnp_connected(n, 0.15, 1..=30, &mut rng);
+        snapshot_of(generators::gnp_connected(n, 0.15, 1..=30, &mut rng))
+    }
+
+    /// An exact snapshot of `g`.
+    fn snapshot_of(g: Graph) -> Snapshot {
         let exact = apsp::exact_apsp(&g);
         Snapshot::new(
             g,
             exact,
             SnapshotMeta {
                 algo: "exact".into(),
-                seed,
+                seed: 0,
                 stretch_bound: 1.0,
                 rounds: 0,
                 source: "test".into(),
@@ -642,29 +663,130 @@ mod tests {
         let (service, id) = OracleService::single(snap);
         let first = service.answer(id, &Query::KNearest(3, 4));
         let again = service.answer(id, &Query::KNearest(3, 4));
+        // The cached prefix holds only 4 entries: a larger k recomputes.
         let wider = service.answer(id, &Query::KNearest(3, 9));
         assert_eq!(first, again);
         if let (Response::KNearest(narrow), Response::KNearest(wide)) = (&first, &wider) {
+            assert_eq!(wide.len(), 9);
             assert_eq!(&wide[..4], &narrow[..]);
         } else {
             panic!("wrong response kinds");
         }
         let stats = service.cache_stats(id);
-        assert_eq!(stats.misses, 1);
-        assert_eq!(stats.hits, 2);
-        assert!((stats.hit_rate() - 2.0 / 3.0).abs() < 1e-12);
+        assert_eq!(stats.misses, 2);
+        assert_eq!(stats.hits, 1);
+        assert!((stats.hit_rate() - 1.0 / 3.0).abs() < 1e-12);
+        // The k = 9 prefix replaced the k = 4 one and answers any k ≤ 9.
+        assert_eq!(service.answer(id, &Query::KNearest(3, 4)), first);
+        assert_eq!(service.answer(id, &Query::KNearest(3, 9)), wider);
+        assert_eq!(service.cache_stats(id), CacheStats { hits: 3, misses: 2 });
+
+        // A prefix shorter than its k holds the whole reachable component,
+        // so every larger k is a hit.
+        let g = Graph::from_edges(6, Direction::Undirected, &[(0, 1, 2), (1, 2, 3), (3, 4, 1)]);
+        let (service, id) = OracleService::single(snapshot_of(g));
+        let component = Response::KNearest(vec![(0, 0), (1, 2), (2, 5)]);
+        assert_eq!(service.answer(id, &Query::KNearest(0, 4)), component);
+        for k in [5, 6, 100, usize::MAX] {
+            assert_eq!(service.answer(id, &Query::KNearest(0, k)), component);
+        }
+        assert_eq!(service.cache_stats(id), CacheStats { hits: 4, misses: 1 });
+    }
+
+    /// The reference every k-nearest answer must match: sort every
+    /// reachable `(distance, id)` pair of the row, keep the first `k`.
+    fn full_sort_nearest(row: &[Weight], k: usize) -> Vec<(NodeId, Weight)> {
+        let mut order: Vec<(Weight, NodeId)> = row
+            .iter()
+            .copied()
+            .enumerate()
+            .filter(|&(_, d)| d < INF)
+            .map(|(v, d)| (d, v))
+            .collect();
+        order.sort_unstable();
+        order.truncate(k);
+        order.into_iter().map(|(d, v)| (v, d)).collect()
+    }
+
+    #[test]
+    fn any_k_answers_like_the_full_sort() {
+        // Two components, so no row reaches every node; node 1 sees 0 and 2
+        // at the same distance.
+        let g = Graph::from_edges(
+            7,
+            Direction::Undirected,
+            &[
+                (0, 1, 3),
+                (1, 2, 3),
+                (0, 2, 6),
+                (2, 3, 1),
+                (4, 5, 2),
+                (5, 6, 2),
+            ],
+        );
+        let matrix = apsp::exact_apsp(&g);
+        let n = g.n();
+        let mut queries = Vec::new();
+        let mut expect = Vec::new();
+        for u in 0..n {
+            for k in [0, 1, n, n + 1, usize::MAX] {
+                queries.push(Query::KNearest(u, k));
+                expect.push(Response::KNearest(full_sort_nearest(matrix.row(u), k)));
+            }
+        }
+        for cache_rows in [0, 2, 64] {
+            let mut service = OracleService::new(ServiceConfig { cache_rows });
+            let id = service.register("g", snapshot_of(g.clone()));
+            let direct: Vec<Response> = queries.iter().map(|q| service.answer(id, q)).collect();
+            assert_eq!(direct, expect, "answer, cache_rows={cache_rows}");
+            for exec in [ExecPolicy::Seq, ExecPolicy::with_threads(2)] {
+                let batch = service.run_batch(id, &queries, exec);
+                assert_eq!(batch.responses, expect, "{exec}, cache_rows={cache_rows}");
+            }
+        }
+    }
+
+    #[test]
+    fn query_counts_match_the_batch_mix_and_each_call() {
+        let (service, id) = OracleService::single(exact_snapshot(16, 10));
+        // 60 dist, 25 route, 15 k-nearest, interleaved across every shard.
+        let queries: Vec<Query> = (0..100)
+            .map(|i| match i % 20 {
+                0..=11 => Query::Dist(i % 16, (i * 3) % 16),
+                12..=16 => Query::Route(i % 16, (i * 5) % 16),
+                _ => Query::KNearest(i % 16, 1 + i % 5),
+            })
+            .collect();
+        let expect = [60, 25, 15];
+        for exec in [
+            ExecPolicy::Seq,
+            ExecPolicy::with_threads(2),
+            ExecPolicy::with_threads(4),
+        ] {
+            let before = service.query_counts(id);
+            service.run_batch(id, &queries, exec);
+            let after = service.query_counts(id);
+            let added: [u64; 3] = std::array::from_fn(|t| after[t] - before[t]);
+            assert_eq!(added, expect, "{exec}");
+        }
+        let mut total = service.query_counts(id);
+        for query in [Query::Dist(0, 1), Query::Route(0, 1), Query::KNearest(0, 3)] {
+            service.answer(id, &query);
+            total[query.type_index()] += 1;
+            assert_eq!(service.query_counts(id), total, "{query:?}");
+        }
     }
 
     #[test]
     fn lru_evicts_the_least_recently_used_row() {
         let mut cache = RowCache::new(2);
-        cache.insert(1, 0, vec![(0, 0)]);
-        cache.insert(1, 1, vec![(1, 0)]);
-        assert!(cache.get(1, 0).is_some()); // 0 is now more recent than 1
-        cache.insert(1, 2, vec![(2, 0)]); // evicts 1
-        assert!(cache.get(1, 1).is_none());
-        assert!(cache.get(1, 0).is_some());
-        assert!(cache.get(1, 2).is_some());
+        cache.insert(1, 0, 1, &[(0, 0)]);
+        cache.insert(1, 1, 1, &[(1, 0)]);
+        assert!(cache.get(1, 0, 1).is_some()); // 0 is now more recent than 1
+        cache.insert(1, 2, 1, &[(2, 0)]); // evicts 1
+        assert!(cache.get(1, 1, 1).is_none());
+        assert!(cache.get(1, 0, 1).is_some());
+        assert!(cache.get(1, 2, 1).is_some());
     }
 
     #[test]
@@ -770,13 +892,13 @@ mod tests {
     #[test]
     fn row_cache_is_keyed_by_version() {
         let mut cache = RowCache::new(4);
-        cache.insert(1, 0, vec![(0, 0), (1, 5)]);
-        assert!(cache.get(1, 0).is_some());
+        cache.insert(1, 0, 2, &[(0, 0), (1, 5)]);
+        assert!(cache.get(1, 0, 2).is_some());
         // Same row, newer version: miss by construction.
-        assert!(cache.get(2, 0).is_none());
-        cache.insert(2, 0, vec![(0, 0), (1, 1)]);
-        assert_eq!(cache.get(2, 0).unwrap()[1], (1, 1));
-        assert_eq!(cache.get(1, 0).unwrap()[1], (1, 5));
+        assert!(cache.get(2, 0, 2).is_none());
+        cache.insert(2, 0, 2, &[(0, 0), (1, 1)]);
+        assert_eq!(cache.get(2, 0, 2).unwrap()[1], (1, 1));
+        assert_eq!(cache.get(1, 0, 2).unwrap()[1], (1, 5));
     }
 
     #[test]

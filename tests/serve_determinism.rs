@@ -5,10 +5,11 @@
 
 use cc_apsp::pipeline::{approximate_apsp, PipelineConfig};
 use cc_graph::graph::{Direction, Graph};
+use cc_graph::sssp::k_nearest_from_dists;
 use cc_graph::{NodeId, Weight};
 use cc_par::ExecPolicy;
 use cc_serve::loadgen::{drive, generate_queries, LoadSpec, QueryMix, Skew};
-use cc_serve::service::OracleService;
+use cc_serve::service::{OracleService, Query, Response, ServiceConfig};
 use cc_serve::snapshot::{Snapshot, SnapshotMeta};
 use proptest::prelude::*;
 
@@ -89,6 +90,57 @@ proptest! {
             let (service, id) = OracleService::single(snap.clone());
             let par = service.run_batch(id, &queries, ExecPolicy::with_threads(threads));
             prop_assert_eq!(&par.responses, &seq.responses, "threads={}", threads);
+        }
+    }
+
+    /// The k-nearest row cache never changes an answer. A few hot sources
+    /// are asked narrow k first, then wide k up to past n: with room for
+    /// only two prefixes, lookups evict and recompute larger prefixes, yet
+    /// every response equals a fresh selection on the estimate row and the
+    /// uncached service's, at every thread count.
+    #[test]
+    fn cached_prefixes_never_change_a_knearest_answer(
+        g in arb_graph(28, 30),
+        seed in 0u64..500,
+        picks in proptest::collection::vec((0usize..3, 0usize..1000), 40..120),
+    ) {
+        let snap = pipeline_snapshot(&g, seed);
+        let matrix = snap.dense_estimate().expect("dense snapshot").clone();
+        let n = g.n();
+        let narrow = picks.len() / 2;
+        let asks: Vec<(NodeId, usize)> = picks
+            .iter()
+            .enumerate()
+            .map(|(i, &(source, r))| {
+                let u = (seed as usize + source * n / 3) % n;
+                let k = if i < narrow {
+                    1 + r % 3
+                } else if r % 10 == 0 {
+                    usize::MAX
+                } else {
+                    r % (n + 4)
+                };
+                (u, k)
+            })
+            .collect();
+        let queries: Vec<Query> = asks.iter().map(|&(u, k)| Query::KNearest(u, k)).collect();
+        let expect: Vec<Response> = asks
+            .iter()
+            .map(|&(u, k)| Response::KNearest(k_nearest_from_dists(matrix.row(u), k)))
+            .collect();
+        for cache_rows in [2, 0] {
+            for threads in THREADS {
+                let mut service = OracleService::new(ServiceConfig { cache_rows });
+                let id = service.register("g", snap.clone());
+                let got = service.run_batch(id, &queries, ExecPolicy::with_threads(threads));
+                prop_assert_eq!(
+                    &got.responses,
+                    &expect,
+                    "cache_rows={}, threads={}",
+                    cache_rows,
+                    threads
+                );
+            }
         }
     }
 
