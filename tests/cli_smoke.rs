@@ -209,6 +209,50 @@ fn snapshot_query_bench_serve_round_trip() {
     );
 }
 
+/// The served bytes of a fixed snapshot and stream, pinned: `bench-serve`'s
+/// fingerprint for the n=48 seed-7 graph, as a dense thm11 snapshot and as
+/// a landmark one, at one and at four threads.
+#[test]
+fn bench_serve_fingerprints_are_pinned() {
+    for (oracle, expect) in [
+        ("dense", "fingerprint    cd558f6292658409"),
+        ("landmark", "fingerprint    8158d4944fc468a8"),
+    ] {
+        let snap = TempEdges::with_ext(&format!("pin_{oracle}"), "ccsnap");
+        let made = ccapsp(&[
+            "snapshot",
+            "--n",
+            "48",
+            "--seed",
+            "7",
+            "--oracle",
+            oracle,
+            "-o",
+            snap.as_str(),
+        ]);
+        assert!(made.status.success(), "snapshot failed: {made:?}");
+        for threads in ["1", "4"] {
+            let out = bench_serve(
+                &format!("pin_{oracle}"),
+                &[
+                    snap.as_str(),
+                    "--queries",
+                    "3000",
+                    "--seed",
+                    "7",
+                    "--threads",
+                    threads,
+                ],
+            );
+            assert_eq!(
+                line(&out, "fingerprint"),
+                expect,
+                "{oracle}, threads={threads}"
+            );
+        }
+    }
+}
+
 #[test]
 fn query_rejects_out_of_range_nodes() {
     let snap = TempEdges::with_ext("range", "ccsnap");
