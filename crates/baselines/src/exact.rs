@@ -20,24 +20,19 @@ pub fn product_rounds(n: usize) -> u64 {
 }
 
 /// Exact APSP by repeated squaring, with round charges per squaring, under
-/// the `CC_THREADS` execution default.
+/// the `CC_THREADS` execution and `CC_KERNEL` dispatch defaults.
 /// Returns the exact distance matrix.
 pub fn exact_apsp_squaring(clique: &mut Clique, g: &Graph) -> DistMatrix {
-    exact_apsp_squaring_with(clique, g, ExecPolicy::from_env())
+    exact_apsp_squaring_kernel(clique, g, ExecPolicy::from_env(), KernelMode::from_env())
 }
 
 /// [`exact_apsp_squaring`] under an explicit [`ExecPolicy`] for the local
-/// min-plus squarings, with kernel dispatch from `CC_KERNEL`.
-pub fn exact_apsp_squaring_with(clique: &mut Clique, g: &Graph, exec: ExecPolicy) -> DistMatrix {
-    exact_apsp_squaring_kernel(clique, g, exec, KernelMode::from_env())
-}
-
-/// [`exact_apsp_squaring_with`] under an explicit [`KernelMode`]: every
-/// squaring runs through the kernel engine's self-product path
-/// ([`engine::square`]), which re-plans per multiply — the first squarings
-/// of an adjacency matrix dispatch sparse, the later (filled-in) ones to
-/// the blocked-FW k-tiled dense kernel at the narrowest lane width the
-/// entries permit. Output and round charges are bit-identical across modes.
+/// min-plus squarings and an explicit [`KernelMode`]: every squaring runs
+/// through the kernel engine's self-product path ([`engine::square`]),
+/// which re-plans per multiply — the first squarings of an adjacency matrix
+/// dispatch sparse, the later (filled-in) ones to the blocked-FW k-tiled
+/// dense kernel at the narrowest lane width the entries permit. Output and
+/// round charges are bit-identical across modes.
 pub fn exact_apsp_squaring_kernel(
     clique: &mut Clique,
     g: &Graph,

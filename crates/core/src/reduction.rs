@@ -65,24 +65,20 @@ pub fn reduce_once(
     a_bound: f64,
     rng: &mut StdRng,
 ) -> ReductionOutcome {
-    reduce_once_with(clique, g, delta, a_bound, rng, ExecPolicy::from_env())
+    reduce_once_kernel(
+        clique,
+        g,
+        delta,
+        a_bound,
+        rng,
+        ExecPolicy::from_env(),
+        KernelMode::from_env(),
+    )
 }
 
 /// [`reduce_once`] under an explicit [`ExecPolicy`] for the local kernels
-/// (skeleton product, skeleton APSP), with kernel dispatch from `CC_KERNEL`.
-pub fn reduce_once_with(
-    clique: &mut Clique,
-    g: &Graph,
-    delta: &DistMatrix,
-    a_bound: f64,
-    rng: &mut StdRng,
-    exec: ExecPolicy,
-) -> ReductionOutcome {
-    reduce_once_kernel(clique, g, delta, a_bound, rng, exec, KernelMode::from_env())
-}
-
-/// [`reduce_once_with`] under an explicit [`KernelMode`] for the engine's
-/// min-plus dispatch. Outputs are bit-identical across modes.
+/// (skeleton product, skeleton APSP) and an explicit [`KernelMode`] for the
+/// engine's min-plus dispatch. Outputs are bit-identical across modes.
 #[allow(clippy::too_many_arguments)]
 pub fn reduce_once_kernel(
     clique: &mut Clique,

@@ -101,31 +101,21 @@ pub fn build_skeleton(
     tilde: &FilteredMatrix,
     rng: &mut StdRng,
 ) -> Skeleton {
-    build_skeleton_with(clique, g, tilde, rng, ExecPolicy::from_env())
+    build_skeleton_kernel(
+        clique,
+        g,
+        tilde,
+        rng,
+        ExecPolicy::from_env(),
+        KernelMode::from_env(),
+    )
 }
 
-/// [`build_skeleton`] under an explicit [`ExecPolicy`] (the step-3c
-/// min-plus product runs through the kernel engine under the `CC_KERNEL`
-/// dispatch default).
-///
-/// # Panics
-///
-/// Panics if dimensions mismatch.
-pub fn build_skeleton_with(
-    clique: &mut Clique,
-    g: &Graph,
-    tilde: &FilteredMatrix,
-    rng: &mut StdRng,
-    exec: ExecPolicy,
-) -> Skeleton {
-    build_skeleton_kernel(clique, g, tilde, rng, exec, KernelMode::from_env())
-}
-
-/// [`build_skeleton_with`] under an explicit [`KernelMode`]: the step-3c
-/// product `X ⋆ Y` is dispatched by the kernel engine (dense-tiled vs
-/// sparse-sharded per the measured densities, or as forced by `kernel`).
-/// The result — skeleton graph, round charges, everything — is
-/// bit-identical for every mode.
+/// [`build_skeleton`] under an explicit [`ExecPolicy`] and [`KernelMode`]:
+/// the step-3c product `X ⋆ Y` is dispatched by the kernel engine
+/// (dense-tiled vs sparse-sharded per the measured densities, or as forced
+/// by `kernel`). The result — skeleton graph, round charges, everything —
+/// is bit-identical for every mode.
 ///
 /// # Panics
 ///

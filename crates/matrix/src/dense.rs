@@ -18,7 +18,7 @@
 //!   narrow arms, not a kernel of its own; it is the only lawful arm for
 //!   entries past the `u32` bound; and the wide *squares* that dominate
 //!   [`power`]/[`closure`] already take the k-tiled kernel below.
-//! * [`square_ktiled_with`] — the blocked-Floyd–Warshall-style self-product
+//! * [`square_ktiled_opts`] — the blocked-Floyd–Warshall-style self-product
 //!   used by [`power`]/[`closure`]-shaped squarings: the output is walked in
 //!   [`KTILED_ROWS`]-row accumulator strips and the *full* `k` sweep runs
 //!   against each strip before moving on, so the strip stays L1-resident
@@ -97,8 +97,8 @@ pub fn distance_product_with(a: &DistMatrix, b: &DistMatrix, exec: ExecPolicy) -
 /// slice of the right operand fits in L2 at the sizes the pipelines use.
 pub const DEFAULT_TILE: usize = 64;
 
-/// The tile size used by [`distance_product_lanes_with`] and
-/// [`square_ktiled_with`]: the `CC_TILE` environment variable (read once
+/// The tile size used by [`distance_product_lanes_with`] and the kernel
+/// engine's plans: the `CC_TILE` environment variable (read once
 /// per process), else [`DEFAULT_TILE`]. Values are clamped to at least 1.
 /// The tile size never changes results, only wall-clock time.
 pub fn tile_size() -> usize {
@@ -313,18 +313,9 @@ pub(crate) fn ktiled_kernel<T: TropicalEntry>(
 
 /// The lane-kernel distance product: same result as [`distance_product`],
 /// computed by [`lanes_kernel`] over `u64` entries with the `CC_TILE` tile
-/// size and the `CC_THREADS` execution default. This is the engine's wide
-/// dense path; the bounded-entry `u32`/`u16` instantiations are dispatched
-/// by [`crate::engine`].
-///
-/// # Panics
-///
-/// Panics if dimensions differ.
-pub fn distance_product_lanes(a: &DistMatrix, b: &DistMatrix) -> DistMatrix {
-    distance_product_lanes_with(a, b, ExecPolicy::from_env())
-}
-
-/// [`distance_product_lanes`] under an explicit [`ExecPolicy`].
+/// size, under an explicit [`ExecPolicy`]. This is the engine's wide dense
+/// path; the bounded-entry `u32`/`u16` instantiations are dispatched by
+/// [`crate::engine`].
 ///
 /// # Panics
 ///
@@ -333,7 +324,7 @@ pub fn distance_product_lanes_with(a: &DistMatrix, b: &DistMatrix, exec: ExecPol
     distance_product_lanes_opts(a, b, exec, tile_size())
 }
 
-/// [`distance_product_lanes`] with every knob explicit. The tile size is a
+/// [`distance_product_lanes_with`] with every knob explicit. The tile size is a
 /// pure performance parameter: the output is bit-identical to
 /// [`distance_product`] for **every** `tile ≥ 1` and every policy (property
 /// tested in `tests/kernel_props.rs`).
@@ -354,20 +345,9 @@ pub fn distance_product_lanes_opts(
     DistMatrix::from_raw(n, lanes_kernel(n, &ac, &bc, exec, tile))
 }
 
-/// The k-tiled self-product `A ⋆ A`: same result as
-/// `distance_product(a, a)`, computed by [`ktiled_kernel`] with the
-/// `CC_TILE` tile size and the `CC_THREADS` execution default.
-pub fn square_ktiled(a: &DistMatrix) -> DistMatrix {
-    square_ktiled_with(a, ExecPolicy::from_env())
-}
-
-/// [`square_ktiled`] under an explicit [`ExecPolicy`].
-pub fn square_ktiled_with(a: &DistMatrix, exec: ExecPolicy) -> DistMatrix {
-    square_ktiled_opts(a, exec, tile_size())
-}
-
-/// [`square_ktiled`] with every knob explicit; bit-identical to
-/// `distance_product(a, a)` for every `tile ≥ 1` and every policy.
+/// The k-tiled self-product `A ⋆ A`, computed by [`ktiled_kernel`] with
+/// every knob explicit; bit-identical to `distance_product(a, a)` for every
+/// `tile ≥ 1` and every policy.
 pub fn square_ktiled_opts(a: &DistMatrix, exec: ExecPolicy, tile: usize) -> DistMatrix {
     let n = a.n();
     let ac = clamp_top::<Weight>(a.raw());

@@ -1,17 +1,14 @@
 //! Client side of the `ccapsp serve` wire protocol: a blocking
-//! single-connection [`Client`], the multi-connection networked load
-//! generator ([`drive_network`]), and the chaos client ([`chaos`]) that
-//! feeds the server hostile input and checks it survives.
+//! single-connection [`Client`], the multi-connection networked replay
+//! ([`replay_network`]) whose fingerprint must equal the in-process one,
+//! and the chaos client ([`chaos`]) that feeds the server hostile input and
+//! checks it survives.
 
 use std::io::{Read, Write};
 use std::net::{Shutdown, TcpStream, ToSocketAddrs};
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
-use cc_obs::Histogram;
-
-use crate::loadgen::{generate_queries, LoadSpec, ServeBenchResult};
-use cc_graph::codec::fnv1a;
-
+use crate::loadgen::{generate_queries, stream_fingerprint, LoadSpec};
 use crate::service::{fingerprint, Query};
 use crate::wire::{self, Reply, Request, ServeInfo, WireError};
 
@@ -159,57 +156,42 @@ pub fn scrape_http_metrics(addr: impl ToSocketAddrs) -> std::io::Result<String> 
     Ok(body.to_string())
 }
 
-/// Drives a served snapshot over TCP with `conns` concurrent connections,
-/// closed-loop per connection, and reduces the run exactly like the
-/// in-process [`crate::loadgen::drive`]:
+/// Replays the spec's query stream against the snapshot a daemon serves as
+/// `name`, over `conns` concurrent connections, and returns the stream
+/// fingerprint the in-process [`crate::loadgen::replay`] would:
 ///
 /// * the query stream is the same pure function of `(LoadSpec, n)` (`n`
 ///   fetched via [`Request::Info`]);
 /// * batches are the same `spec.batch` chunks, dealt round-robin to
-///   connections by batch index and re-assembled in batch order, so the
-///   run's fingerprint (per-batch response fingerprints concatenated, then
-///   FNV-1a) is **bit-identical** to the in-process path whenever the
-///   server serves the same snapshot;
-/// * latency percentiles cover per-*query* service time approximated as
-///   batch round-trip divided by batch size (the wire adds what it adds);
-/// * the cache hit rate is the served snapshot's delta over this run, read
-///   from the info frame;
-/// * `threads` reports `conns` — the client-side concurrency.
+///   connections by batch index, each connection closed-loop, and their
+///   fingerprints are folded back in batch order, so the result is
+///   **bit-identical** to the in-process path whenever the server serves
+///   the same snapshot.
 ///
 /// [`Reply::Overload`] answers are retried with a backoff (admission
 /// control sheds load; the closed loop re-offers it).
-pub fn drive_network(
+pub fn replay_network(
     addr: impl ToSocketAddrs + Clone + Send + Sync,
     name: &str,
     spec: &LoadSpec,
     conns: usize,
-) -> Result<ServeBenchResult, WireError> {
+) -> Result<u64, WireError> {
     let conns = conns.max(1);
-    let mut probe = Client::connect(addr.clone())?;
-    let before = probe.info(name)?;
-    let queries = generate_queries(before.n, spec);
+    let n = Client::connect(addr.clone())?.info(name)?.n;
+    let queries = generate_queries(n, spec);
     let batches: Vec<&[Query]> = queries.chunks(spec.batch.max(1)).collect();
 
-    // `(batch index, response fingerprint, rtt ns, batch len)` per batch.
-    type ConnLog = Vec<(usize, u64, u64, usize)>;
-    let start = Instant::now();
-    let per_conn: Vec<Result<ConnLog, WireError>> = std::thread::scope(|scope| {
+    // `(batch index, response fingerprint)` per batch, per connection.
+    let per_conn: Vec<Result<Vec<(usize, u64)>, WireError>> = std::thread::scope(|scope| {
         let handles: Vec<_> = (0..conns)
             .map(|c| {
                 let addr = addr.clone();
                 let batches = &batches;
                 scope.spawn(move || {
                     let mut client = Client::connect(addr)?;
-                    // (batch index, response fingerprint, rtt ns, len)
                     let mut out = Vec::new();
-                    for (i, batch) in batches.iter().enumerate() {
-                        if i % conns != c {
-                            continue;
-                        }
-                        let t = Instant::now();
-                        let responses = client.batch(name, batch)?;
-                        let rtt = t.elapsed().as_nanos() as u64;
-                        out.push((i, fingerprint(&responses), rtt, batch.len()));
+                    for (i, batch) in batches.iter().enumerate().skip(c).step_by(conns) {
+                        out.push((i, fingerprint(&client.batch(name, batch)?)));
                     }
                     Ok(out)
                 })
@@ -217,50 +199,16 @@ pub fn drive_network(
             .collect();
         handles
             .into_iter()
-            .map(|h| h.join().expect("loadgen connection thread panicked"))
+            .map(|h| h.join().expect("replay connection thread panicked"))
             .collect()
     });
-    let wall_ms = start.elapsed().as_secs_f64() * 1e3;
-
-    let mut results: Vec<(usize, u64, u64, usize)> = Vec::with_capacity(batches.len());
-    for r in per_conn {
-        results.extend(r?);
-    }
-    results.sort_unstable_by_key(|&(i, ..)| i);
-
-    let mut batch_prints: Vec<u8> = Vec::new();
-    let mut hist = Histogram::new();
-    for &(_, print, rtt, len) in &results {
-        batch_prints.extend_from_slice(&print.to_le_bytes());
-        let per_query = rtt / len.max(1) as u64;
-        for _ in 0..len {
-            hist.record(per_query);
+    let mut prints = vec![0u64; batches.len()];
+    for log in per_conn {
+        for (i, print) in log? {
+            prints[i] = print;
         }
     }
-    let after = probe.info(name)?;
-    let lookups =
-        (after.cache_hits + after.cache_misses) - (before.cache_hits + before.cache_misses);
-    let cache_hit_rate = if lookups == 0 {
-        0.0
-    } else {
-        (after.cache_hits - before.cache_hits) as f64 / lookups as f64
-    };
-
-    Ok(ServeBenchResult {
-        queries: queries.len(),
-        threads: conns,
-        wall_ms,
-        qps: if wall_ms > 0.0 {
-            queries.len() as f64 / (wall_ms / 1e3)
-        } else {
-            0.0
-        },
-        p50_us: hist.percentile(0.50) / 1e3,
-        p95_us: hist.percentile(0.95) / 1e3,
-        p99_us: hist.percentile(0.99) / 1e3,
-        cache_hit_rate,
-        fingerprint: fnv1a(&batch_prints),
-    })
+    Ok(stream_fingerprint(prints))
 }
 
 /// The outcome of one [`chaos`] run.

@@ -1,24 +1,21 @@
-//! Deterministic closed-loop load generator for the serving layer.
+//! Deterministic query streams for the serving layer, and their replay.
 //!
 //! Generates a seeded query stream (uniform or zipf-skewed sources, a
-//! configurable dist/route/k-nearest mix), drives an [`OracleService`] with
-//! it batch-by-batch (closed loop: the next batch is issued only after the
-//! previous one completed), and reduces the per-query latencies into the
-//! throughput and latency report that `ccapsp bench-serve` prints.
+//! configurable dist/route/k-nearest mix) and [`replay`]s it against an
+//! [`OracleService`] batch by batch, reducing every response to one stream
+//! fingerprint: the line `ccapsp bench-serve` prints, and the value its
+//! `--addr` mode compares against a live daemon. Timing the serving path is
+//! the benchmark's job (ccbench `serve`, `serve_net` and `update`).
 //!
 //! Everything about the *stream* is a pure function of
 //! ([`LoadSpec`], node count): the same spec replays the same queries, so
-//! [`ServeBenchResult::fingerprint`] must match across thread counts — only
-//! the timing fields may differ.
+//! the fingerprint must match across thread counts.
 
-use cc_dynamic::incremental::{DynamicConfig, IncrementalOracle};
-use cc_dynamic::update::{random_batch, MutationProfile};
 use cc_graph::codec::fnv1a;
 use cc_graph::NodeId;
 use cc_par::ExecPolicy;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use std::time::Instant;
 
 use crate::service::{fingerprint, OracleService, Query, SnapshotId};
 
@@ -127,10 +124,6 @@ impl Default for LoadSpec {
 /// arbitrary odd 64-bit constant; see [`generate_queries`]).
 const ZIPF_PERM_SALT: u64 = 0x9e37_79b9_7f4a_7c15;
 
-/// Salt deriving the mutation-stream seed from the read-stream seed in
-/// [`drive_readwrite`].
-const WRITE_SALT: u64 = 0x5851_f42d_4c95_7f2d;
-
 /// Inverse-CDF zipf sampler over `n` ranks with a seeded rank→node
 /// permutation.
 pub struct ZipfSampler {
@@ -222,246 +215,30 @@ pub fn generate_queries(n: usize, spec: &LoadSpec) -> Vec<Query> {
     out
 }
 
-/// The measured outcome of one [`drive`] run.
-#[derive(Debug, Clone, PartialEq)]
-pub struct ServeBenchResult {
-    /// Queries issued.
-    pub queries: usize,
-    /// Worker threads the batches executed with.
-    pub threads: usize,
-    /// Total closed-loop wall-clock in milliseconds.
-    pub wall_ms: f64,
-    /// Queries per second over the whole run.
-    pub qps: f64,
-    /// Median per-query latency in microseconds.
-    pub p50_us: f64,
-    /// 95th-percentile per-query latency in microseconds.
-    pub p95_us: f64,
-    /// 99th-percentile per-query latency in microseconds.
-    pub p99_us: f64,
-    /// Hot-row cache hit rate over the run (`KNearest` lookups).
-    pub cache_hit_rate: f64,
-    /// Fingerprint of all responses in order — identical across thread
-    /// counts for a fixed spec and snapshot.
-    pub fingerprint: u64,
+/// Folds per-batch response [`fingerprint`]s, in batch order, into one
+/// stream fingerprint: FNV-1a over the little-endian concatenation. The
+/// in-process [`replay`] and the networked
+/// [`crate::client::replay_network`] both reduce through here, so the two
+/// agree exactly when every batch got the same responses.
+pub(crate) fn stream_fingerprint(batch_prints: impl IntoIterator<Item = u64>) -> u64 {
+    let bytes: Vec<u8> = batch_prints
+        .into_iter()
+        .flat_map(u64::to_le_bytes)
+        .collect();
+    fnv1a(&bytes)
 }
 
-/// The `q`-quantile (0 ≤ q ≤ 1) of a latency list, in microseconds, reduced
-/// through [`cc_obs::Histogram`]: exact nearest-rank (the same
-/// `(len − 1) · q` index rule this file always used) up to
-/// [`cc_obs::EXACT_CAP`] samples, log₂-sub-bucket interpolated — monotone
-/// in `q`, ≤ 6.25% relative error — beyond that.
-fn percentile_us(ns: &[u64], q: f64) -> f64 {
-    let mut h = cc_obs::Histogram::new();
-    for &v in ns {
-        h.record(v);
-    }
-    h.percentile(q) / 1e3
-}
-
-/// Drives the service with the spec's query stream in closed-loop batches
-/// and reduces the measurements. Cache hit rate is the delta over this run,
-/// so repeated drives against one service stay meaningful.
-pub fn drive(
-    service: &OracleService,
-    id: SnapshotId,
-    spec: &LoadSpec,
-    exec: ExecPolicy,
-) -> ServeBenchResult {
+/// Replays the spec's query stream against snapshot `id` in closed-loop
+/// batches of `spec.batch` and returns the stream fingerprint of every
+/// response in order. The fingerprint is a pure function of the snapshot
+/// and the spec: the thread count and the row cache's state never move it.
+pub fn replay(service: &OracleService, id: SnapshotId, spec: &LoadSpec, exec: ExecPolicy) -> u64 {
     let queries = generate_queries(service.n(id), spec);
-    let before = service.cache_stats(id);
-    let mut latencies: Vec<u64> = Vec::with_capacity(queries.len());
-    let mut batch_prints: Vec<u8> = Vec::new();
-    let start = Instant::now();
-    for batch in queries.chunks(spec.batch.max(1)) {
-        let outcome = service.run_batch(id, batch, exec);
-        latencies.extend_from_slice(&outcome.latencies_ns);
-        batch_prints.extend_from_slice(&fingerprint(&outcome.responses).to_le_bytes());
-    }
-    let wall_ms = start.elapsed().as_secs_f64() * 1e3;
-    let after = service.cache_stats(id);
-    let lookups = (after.hits + after.misses) - (before.hits + before.misses);
-    let cache_hit_rate = if lookups == 0 {
-        0.0
-    } else {
-        (after.hits - before.hits) as f64 / lookups as f64
-    };
-    latencies.sort_unstable();
-    ServeBenchResult {
-        queries: queries.len(),
-        threads: exec.threads(),
-        wall_ms,
-        qps: if wall_ms > 0.0 {
-            queries.len() as f64 / (wall_ms / 1e3)
-        } else {
-            0.0
-        },
-        p50_us: percentile_us(&latencies, 0.50),
-        p95_us: percentile_us(&latencies, 0.95),
-        p99_us: percentile_us(&latencies, 0.99),
-        cache_hit_rate,
-        fingerprint: fnv1a(&batch_prints),
-    }
-}
-
-/// Specification of a mixed read/write run: a read stream plus an
-/// interleaved seeded mutation stream.
-#[derive(Debug, Clone, PartialEq)]
-pub struct ReadWriteSpec {
-    /// The read side (queries, batch size, mix, skew, seed).
-    pub load: LoadSpec,
-    /// Expected write batches per read batch (`0.2` ⇒ one write batch
-    /// every 5 read batches; values ≥ 1 write that many batches between
-    /// consecutive read batches).
-    pub write_ratio: f64,
-    /// Edge ops per write batch.
-    pub ops_per_batch: usize,
-    /// Shape of the mutation stream.
-    pub profile: MutationProfile,
-}
-
-impl Default for ReadWriteSpec {
-    fn default() -> Self {
-        Self {
-            load: LoadSpec::default(),
-            write_ratio: 0.2,
-            ops_per_batch: 8,
-            profile: MutationProfile::ReweightHeavy,
-        }
-    }
-}
-
-/// The measured outcome of one [`drive_readwrite`] run.
-#[derive(Debug, Clone, PartialEq)]
-pub struct ReadWriteResult {
-    /// Read-side metrics (throughput, latency percentiles, cache, and the
-    /// response fingerprint — which now also witnesses *when* each write
-    /// landed relative to the reads).
-    pub read: ServeBenchResult,
-    /// Write batches applied.
-    pub write_batches: usize,
-    /// Edge changes applied across all write batches.
-    pub ops_applied: usize,
-    /// Write batches served by incremental row repair.
-    pub repairs: u64,
-    /// Write batches served by full pipeline rebuild.
-    pub rebuilds: u64,
-    /// Median write-batch latency (engine apply + service swap), ms.
-    pub write_p50_ms: f64,
-    /// 95th-percentile write-batch latency, ms.
-    pub write_p95_ms: f64,
-    /// [`cc_dynamic::state_fingerprint`] of the final servable state.
-    pub final_state_fingerprint: u64,
-}
-
-/// Drives the newest snapshot under `name` with the read stream while
-/// interleaving seeded write batches: each write runs through an
-/// [`IncrementalOracle`] (repair or rebuild) and lands in the service as a
-/// verified delta via [`OracleService::apply_delta`], so reads after it
-/// observe the bumped version. Everything — queries, mutations, and their
-/// interleaving — is a pure function of the spec, so the response
-/// fingerprint is identical across thread counts.
-///
-/// # Panics
-///
-/// Panics if `name` is not registered or `write_ratio` is negative or not
-/// finite. (Engine/service delta application cannot fail here: generated
-/// batches are valid by construction and both sides advance in lockstep.)
-pub fn drive_readwrite(
-    service: &mut OracleService,
-    name: &str,
-    spec: &ReadWriteSpec,
-    exec: ExecPolicy,
-) -> ReadWriteResult {
-    assert!(
-        spec.write_ratio.is_finite() && spec.write_ratio >= 0.0,
-        "write_ratio must be finite and non-negative"
-    );
-    let id = service
-        .resolve(name)
-        .expect("snapshot registered under name");
-    let base = service.export(id);
-    let algo = base.meta.algo.clone();
-    let seed = base.meta.seed;
-    let mut engine = IncrementalOracle::with_backend(
-        base.graph,
-        base.backend,
-        &algo,
-        seed,
-        DynamicConfig {
-            exec,
-            ..Default::default()
-        },
-    );
-    let queries = generate_queries(service.n(id), &spec.load);
-    let mut write_rng = StdRng::seed_from_u64(spec.load.seed ^ WRITE_SALT);
-    let before = service.cache_stats(id);
-    let mut latencies: Vec<u64> = Vec::with_capacity(queries.len());
-    let mut write_ns: Vec<u64> = Vec::new();
-    let mut batch_prints: Vec<u8> = Vec::new();
-    let mut ops_applied = 0usize;
-    let mut writes_due = 0.0f64;
-    let start = Instant::now();
-    for batch in queries.chunks(spec.load.batch.max(1)) {
-        writes_due += spec.write_ratio;
-        while writes_due >= 1.0 {
-            writes_due -= 1.0;
-            let mutation = random_batch(
-                engine.graph(),
-                spec.ops_per_batch,
-                spec.profile,
-                &mut write_rng,
-            );
-            let t = Instant::now();
-            let outcome = engine
-                .apply(&mutation)
-                .expect("generated batches are valid");
-            service
-                .apply_delta(name, &outcome.delta)
-                .expect("engine and service advance in lockstep");
-            write_ns.push(t.elapsed().as_nanos() as u64);
-            ops_applied += outcome.changed_edges;
-        }
-        let outcome = service.run_batch(id, batch, exec);
-        latencies.extend_from_slice(&outcome.latencies_ns);
-        batch_prints.extend_from_slice(&fingerprint(&outcome.responses).to_le_bytes());
-    }
-    let wall_ms = start.elapsed().as_secs_f64() * 1e3;
-    let after = service.cache_stats(id);
-    let lookups = (after.hits + after.misses) - (before.hits + before.misses);
-    let cache_hit_rate = if lookups == 0 {
-        0.0
-    } else {
-        (after.hits - before.hits) as f64 / lookups as f64
-    };
-    latencies.sort_unstable();
-    let write_batches = write_ns.len();
-    write_ns.sort_unstable();
-    let stats = engine.stats();
-    ReadWriteResult {
-        read: ServeBenchResult {
-            queries: queries.len(),
-            threads: exec.threads(),
-            wall_ms,
-            qps: if wall_ms > 0.0 {
-                queries.len() as f64 / (wall_ms / 1e3)
-            } else {
-                0.0
-            },
-            p50_us: percentile_us(&latencies, 0.50),
-            p95_us: percentile_us(&latencies, 0.95),
-            p99_us: percentile_us(&latencies, 0.99),
-            cache_hit_rate,
-            fingerprint: fnv1a(&batch_prints),
-        },
-        write_batches,
-        ops_applied,
-        repairs: stats.repairs,
-        rebuilds: stats.rebuilds,
-        write_p50_ms: percentile_us(&write_ns, 0.50) / 1e3,
-        write_p95_ms: percentile_us(&write_ns, 0.95) / 1e3,
-        final_state_fingerprint: engine.fingerprint(),
-    }
+    stream_fingerprint(
+        queries
+            .chunks(spec.batch.max(1))
+            .map(|batch| fingerprint(&service.run_batch(id, batch, exec).responses)),
+    )
 }
 
 #[cfg(test)]
@@ -607,17 +384,36 @@ mod tests {
         let run = |threads: usize| {
             // Fresh service per run so cache state starts equal.
             let (service, id) = OracleService::single(snapshot(28, 9));
-            drive(&service, id, &spec, ExecPolicy::with_threads(threads))
+            replay(&service, id, &spec, ExecPolicy::with_threads(threads))
         };
         let seq = run(1);
-        assert_eq!(seq.queries, 600);
-        assert!(seq.wall_ms >= 0.0 && seq.qps > 0.0);
-        assert!(seq.p50_us <= seq.p95_us && seq.p95_us <= seq.p99_us);
         for threads in [2, 4] {
-            let par = run(threads);
-            assert_eq!(par.fingerprint, seq.fingerprint, "threads={threads}");
-            assert_eq!(par.threads, threads);
+            assert_eq!(run(threads), seq, "threads={threads}");
         }
+    }
+
+    #[test]
+    fn replay_folds_batch_fingerprints_in_batch_order() {
+        let spec = LoadSpec {
+            queries: 500,
+            batch: 100,
+            seed: 3,
+            ..Default::default()
+        };
+        let (service, id) = OracleService::single(snapshot(20, 2));
+        let mut prints: Vec<u64> = generate_queries(20, &spec)
+            .chunks(spec.batch)
+            .map(|batch| fingerprint(&service.run_batch(id, batch, ExecPolicy::Seq).responses))
+            .collect();
+        // FNV-1a over the little-endian concatenation, as the networked
+        // replay reassembles it.
+        let bytes: Vec<u8> = prints.iter().flat_map(|p| p.to_le_bytes()).collect();
+        let expect = fnv1a(&bytes);
+        assert_eq!(replay(&service, id, &spec, ExecPolicy::Seq), expect);
+        assert_eq!(stream_fingerprint(prints.iter().copied()), expect);
+        // Batch order matters: a reassembly that swaps two batches differs.
+        prints.swap(0, 1);
+        assert_ne!(stream_fingerprint(prints), expect);
     }
 
     #[test]
@@ -627,18 +423,18 @@ mod tests {
         // must produce distinct query streams and hence distinct response
         // fingerprints (cache warm-up must not matter either).
         let (service, id) = OracleService::single(snapshot(30, 4));
-        let drive_seed = |seed: u64| {
+        let replay_seed = |seed: u64| {
             let spec = LoadSpec {
                 queries: 800,
                 batch: 128,
                 seed,
                 ..Default::default()
             };
-            drive(&service, id, &spec, ExecPolicy::Seq).fingerprint
+            replay(&service, id, &spec, ExecPolicy::Seq)
         };
-        let a = drive_seed(1);
-        let b = drive_seed(2);
-        let a_again = drive_seed(1);
+        let a = replay_seed(1);
+        let b = replay_seed(2);
+        let a_again = replay_seed(1);
         assert_ne!(a, b, "distinct seeds must not collide");
         assert_eq!(a, a_again, "same seed replays the same stream");
         // The hot set itself differs per seed, not just the query order.
@@ -652,83 +448,5 @@ mod tests {
             ZipfSampler::new(30, 1.0, &mut perm_rng).perm.clone()
         };
         assert_ne!(hot(1), hot(2));
-    }
-
-    #[test]
-    fn readwrite_drive_is_deterministic_and_tracks_writes() {
-        let spec = ReadWriteSpec {
-            load: LoadSpec {
-                queries: 600,
-                batch: 64,
-                seed: 5,
-                ..Default::default()
-            },
-            write_ratio: 0.5,
-            ops_per_batch: 3,
-            profile: MutationProfile::TopologyHeavy,
-        };
-        let run = |threads: usize| {
-            let mut service = OracleService::default();
-            service.register("g", snapshot(26, 8));
-            let result =
-                drive_readwrite(&mut service, "g", &spec, ExecPolicy::with_threads(threads));
-            let final_snap = service.export(service.resolve("g").unwrap());
-            (result, final_snap)
-        };
-        let (seq, seq_snap) = run(1);
-        assert_eq!(
-            seq.write_batches, 5,
-            "0.5 writes/read-batch over 10 read batches"
-        );
-        assert!(seq.ops_applied > 0);
-        assert_eq!(seq.repairs + seq.rebuilds, seq.write_batches as u64);
-        assert!(seq.write_p50_ms <= seq.write_p95_ms);
-        // The served state really moved, and service/engine agree on it.
-        assert_ne!(
-            seq.final_state_fingerprint,
-            snapshot(26, 8).state_fingerprint()
-        );
-        assert_eq!(seq.final_state_fingerprint, seq_snap.state_fingerprint());
-        // The final estimate is exactly a from-scratch rebuild.
-        assert_eq!(
-            seq_snap.dense_estimate().expect("dense snapshot"),
-            &apsp::exact_apsp(&seq_snap.graph)
-        );
-        for threads in [2, 4] {
-            let (par, par_snap) = run(threads);
-            assert_eq!(
-                par.read.fingerprint, seq.read.fingerprint,
-                "threads={threads}"
-            );
-            assert_eq!(par.final_state_fingerprint, seq.final_state_fingerprint);
-            assert_eq!(par_snap, seq_snap);
-            assert_eq!((par.repairs, par.rebuilds), (seq.repairs, seq.rebuilds));
-        }
-        // Pure-read spec degenerates to zero writes.
-        let mut service = OracleService::default();
-        service.register("g", snapshot(26, 8));
-        let none = drive_readwrite(
-            &mut service,
-            "g",
-            &ReadWriteSpec {
-                write_ratio: 0.0,
-                load: spec.load.clone(),
-                ..spec.clone()
-            },
-            ExecPolicy::Seq,
-        );
-        assert_eq!(none.write_batches, 0);
-        assert_eq!(
-            none.final_state_fingerprint,
-            snapshot(26, 8).state_fingerprint()
-        );
-    }
-
-    #[test]
-    fn percentiles_of_known_distribution() {
-        let sorted: Vec<u64> = (1..=100).map(|i| i * 1000).collect(); // 1..100 µs
-        assert!((percentile_us(&sorted, 0.50) - 50.0).abs() < 1.5);
-        assert!((percentile_us(&sorted, 0.99) - 99.0).abs() < 1.5);
-        assert_eq!(percentile_us(&[], 0.5), 0.0);
     }
 }

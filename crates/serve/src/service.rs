@@ -1,9 +1,10 @@
 //! The query engine: a multi-snapshot registry answering typed distance
 //! queries, in batches, under any [`ExecPolicy`].
 //!
-//! An [`OracleService`] holds one or more loaded [`Snapshot`]s (versioned by
-//! registration order per name, like a blue/green deploy of a freshly
-//! recomputed estimate) and answers three query types:
+//! An [`OracleService`] holds one live [`Snapshot`] per name, versioned like
+//! a blue/green deploy of a freshly recomputed estimate: registering a name
+//! again, or applying a delta to it, replaces its state in place under the
+//! next version number. It answers three query types:
 //!
 //! * [`Query::Dist`] — the estimate δ(u, v), a single matrix read;
 //! * [`Query::Route`] — the greedy next-hop walk of
@@ -291,6 +292,22 @@ struct Entry {
     query_counts: [AtomicU64; 3],
 }
 
+impl Entry {
+    /// A fresh entry: an empty row cache and zeroed counters.
+    fn new(name: &str, version: u32, snapshot: Snapshot, cfg: ServiceConfig) -> Self {
+        Self {
+            name: name.to_string(),
+            version,
+            meta: snapshot.meta,
+            oracle: DistanceOracle::with_backend(snapshot.graph, snapshot.backend),
+            cache: Mutex::new(RowCache::new(cfg.cache_rows)),
+            hits: AtomicU64::new(0),
+            misses: AtomicU64::new(0),
+            query_counts: Default::default(),
+        }
+    }
+}
+
 /// The outcome of one [`OracleService::run_batch`] call.
 #[derive(Debug, Clone, PartialEq)]
 pub struct BatchOutcome {
@@ -298,15 +315,15 @@ pub struct BatchOutcome {
     pub responses: Vec<Response>,
     /// Per-query service time in nanoseconds, in query order.
     pub latencies_ns: Vec<u64>,
-    /// Wall-clock for the whole batch in milliseconds.
-    pub wall_ms: f64,
 }
 
-/// A registry of loaded snapshots plus the batched query engine over them.
+/// A registry of loaded snapshots, one live state per name, plus the
+/// batched query engine over them.
 pub struct OracleService {
     cfg: ServiceConfig,
     entries: Vec<Entry>,
-    by_name: HashMap<String, Vec<usize>>,
+    /// Index into `entries` of each name's live state.
+    by_name: HashMap<String, usize>,
 }
 
 impl std::fmt::Debug for OracleService {
@@ -334,8 +351,8 @@ impl OracleService {
         }
     }
 
-    /// Every registered snapshot id (all names, all versions), in
-    /// registration order. The exposition renderers iterate this.
+    /// Every registered snapshot id, one per name, in the order the names
+    /// were first registered. The exposition renderers iterate this.
     pub fn ids(&self) -> impl Iterator<Item = SnapshotId> + '_ {
         (0..self.entries.len()).map(SnapshotId)
     }
@@ -354,37 +371,33 @@ impl OracleService {
         (service, id)
     }
 
-    /// Loads a snapshot under `name`. Registering the same name again adds a
-    /// new *version*; [`OracleService::resolve`] always answers with the
-    /// newest one, so a refreshed estimate can be swapped in while the old
-    /// version stays queryable by id.
+    /// Loads a snapshot under `name` as version 1. Registering a name again
+    /// swaps the new snapshot in *in place*: the id stays the same, the
+    /// version becomes the live version + 1, the row cache and counters
+    /// start fresh, and the superseded state is freed. Callers resolve names
+    /// per use (the server does so per sweep, under its read lock), so no
+    /// one holds an id across a swap.
     pub fn register(&mut self, name: &str, snapshot: Snapshot) -> SnapshotId {
-        let idx = self.entries.len();
-        let versions = self.by_name.entry(name.to_string()).or_default();
-        // Continue numbering from the newest *live* version, not the entry
-        // count: `apply_delta` bumps versions in place, and a snapshot swap
-        // after a delta must still advance the advertised version (the row
-        // cache is keyed by it, so a reused number would serve stale rows).
-        let version = versions
-            .last()
-            .map_or(0, |&prev| self.entries[prev].version)
-            + 1;
-        versions.push(idx);
-        self.entries.push(Entry {
-            name: name.to_string(),
-            version,
-            meta: snapshot.meta,
-            oracle: DistanceOracle::with_backend(snapshot.graph, snapshot.backend),
-            cache: Mutex::new(RowCache::new(self.cfg.cache_rows)),
-            hits: AtomicU64::new(0),
-            misses: AtomicU64::new(0),
-            query_counts: Default::default(),
-        });
-        SnapshotId(idx)
+        match self.by_name.get(name) {
+            Some(&idx) => {
+                // Continue from the live version, not a registration count:
+                // `apply_delta` bumps versions in place too, and the
+                // advertised version must advance on every swap.
+                let version = self.entries[idx].version + 1;
+                self.entries[idx] = Entry::new(name, version, snapshot, self.cfg);
+                SnapshotId(idx)
+            }
+            None => {
+                let idx = self.entries.len();
+                self.by_name.insert(name.to_string(), idx);
+                self.entries.push(Entry::new(name, 1, snapshot, self.cfg));
+                SnapshotId(idx)
+            }
+        }
     }
 
-    /// Applies a dynamic-update delta to the newest snapshot registered
-    /// under `name`, as an in-place blue/green version bump: the successor
+    /// Applies a dynamic-update delta to the snapshot registered under
+    /// `name`, as an in-place blue/green version bump: the successor
     /// oracle is fully constructed (both delta fingerprints verified)
     /// before it replaces the live one, and the bumped version re-keys the
     /// hot-row cache, so no query can ever observe a half-applied update or
@@ -423,20 +436,12 @@ impl OracleService {
         }
     }
 
-    /// The newest version registered under `name`.
+    /// The live snapshot registered under `name`.
     pub fn resolve(&self, name: &str) -> Option<SnapshotId> {
-        self.by_name
-            .get(name)
-            .and_then(|v| v.last())
-            .map(|&idx| SnapshotId(idx))
+        self.by_name.get(name).map(|&idx| SnapshotId(idx))
     }
 
-    /// How many versions have been registered under `name`.
-    pub fn versions(&self, name: &str) -> usize {
-        self.by_name.get(name).map_or(0, Vec::len)
-    }
-
-    /// Total registered snapshots (all names, all versions).
+    /// Total registered snapshots, one per name.
     pub fn len(&self) -> usize {
         self.entries.len()
     }
@@ -464,9 +469,8 @@ impl OracleService {
 
     /// Clones a registered snapshot's current state back out (graph,
     /// estimate, provenance) — after [`OracleService::apply_delta`] calls,
-    /// this is the *live* state, not the originally registered one. Used to
-    /// persist a mutated snapshot and to seed the dynamic engine in the
-    /// read/write load generator.
+    /// this is the *live* state, not the originally registered one, ready
+    /// to persist or to seed a dynamic engine.
     pub fn export(&self, id: SnapshotId) -> Snapshot {
         let e = &self.entries[id.0];
         Snapshot::with_backend(
@@ -542,7 +546,6 @@ impl OracleService {
     /// query order regardless of the thread count, so batch results are
     /// bit-identical across policies.
     pub fn run_batch(&self, id: SnapshotId, queries: &[Query], exec: ExecPolicy) -> BatchOutcome {
-        let start = Instant::now();
         let timed: Vec<(Response, u64)> = exec.map_shards_collect(queries.len(), |range| {
             range
                 .map(|i| {
@@ -552,7 +555,6 @@ impl OracleService {
                 })
                 .collect()
         });
-        let wall_ms = start.elapsed().as_secs_f64() * 1e3;
         let mut responses = Vec::with_capacity(timed.len());
         let mut latencies_ns = Vec::with_capacity(timed.len());
         for (r, ns) in timed {
@@ -573,7 +575,6 @@ impl OracleService {
         BatchOutcome {
             responses,
             latencies_ns,
-            wall_ms,
         }
     }
 
@@ -807,19 +808,39 @@ mod tests {
     fn registry_versions_resolve_to_newest() {
         let mut service = OracleService::default();
         let v1 = service.register("g", exact_snapshot(12, 6));
+        assert_eq!(service.label(v1), ("g", 1));
         let v2 = service.register("g", exact_snapshot(14, 7));
         let other = service.register("h", exact_snapshot(10, 8));
         assert_eq!(service.resolve("g"), Some(v2));
         assert_eq!(service.resolve("h"), Some(other));
         assert_eq!(service.resolve("missing"), None);
-        assert_eq!(service.versions("g"), 2);
-        assert_eq!(service.len(), 3);
+        assert_eq!(service.len(), 2);
         assert!(!service.is_empty());
-        assert_eq!(service.label(v1), ("g", 1));
+        // The swap replaced the entry in place: same id, next version, and
+        // only the new state is left to query.
+        assert_eq!(v1, v2);
         assert_eq!(service.label(v2), ("g", 2));
-        // The old version stays queryable by id.
-        assert_eq!(service.n(v1), 12);
         assert_eq!(service.n(v2), 14);
+        assert_eq!(service.ids().collect::<Vec<_>>(), vec![v2, other]);
+    }
+
+    #[test]
+    fn re_registering_a_name_keeps_one_live_state() {
+        let mut service = OracleService::default();
+        let id = service.register("g", exact_snapshot(12, 6));
+        service.answer(id, &Query::KNearest(0, 3));
+        service.answer(id, &Query::KNearest(0, 3));
+        assert_eq!(service.cache_stats(id), CacheStats { hits: 1, misses: 1 });
+        for i in 2..=12 {
+            assert_eq!(service.register("g", exact_snapshot(12, i)), id);
+        }
+        assert_eq!(service.len(), 1);
+        assert_eq!(service.ids().count(), 1);
+        assert_eq!(service.label(id), ("g", 12));
+        // The swapped-in state starts with a cold cache and zero counts.
+        assert_eq!(service.cache_stats(id), CacheStats::default());
+        assert_eq!(service.query_counts(id), [0; 3]);
+        assert_eq!(service.export(id), exact_snapshot(12, 12));
     }
 
     #[test]

@@ -373,8 +373,8 @@ pub enum Request {
         /// `Delta::to_bytes` encoding.
         delta: Vec<u8>,
     },
-    /// Register an encoded snapshot as the newest version under a name;
-    /// answered by [`Reply::AdminOk`].
+    /// Register an encoded snapshot under a name, replacing its live state
+    /// at the next version; answered by [`Reply::AdminOk`].
     SwapSnapshot {
         /// Snapshot name.
         name: String,

@@ -5,7 +5,7 @@
 //! The headline invariant is the networked extension of the repo-wide
 //! determinism contract: for a fixed snapshot and [`LoadSpec`], the
 //! fingerprint reduced from TCP responses is **bit-identical** to the
-//! in-process [`drive`] fingerprint, at every server thread policy and any
+//! in-process [`replay`] fingerprint, at every server thread policy and any
 //! number of client connections.
 
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
@@ -14,8 +14,8 @@ use std::sync::Arc;
 use cc_dynamic::incremental::{DynamicConfig, IncrementalOracle};
 use cc_dynamic::update::{random_batch, MutationProfile};
 use cc_par::ExecPolicy;
-use cc_serve::client::{chaos, drive_network, scrape_http_metrics, Client};
-use cc_serve::loadgen::{drive, LoadSpec};
+use cc_serve::client::{chaos, replay_network, scrape_http_metrics, Client};
+use cc_serve::loadgen::{replay, LoadSpec};
 use cc_serve::server::{Server, ServerConfig};
 use cc_serve::service::{OracleService, Query};
 use cc_serve::snapshot::{Snapshot, SnapshotMeta};
@@ -49,8 +49,8 @@ fn spawn_server(exec: ExecPolicy) -> cc_serve::server::ServerHandle {
     Server::spawn(service, "127.0.0.1:0", cfg).expect("bind ephemeral port")
 }
 
-/// The tentpole invariant: serving over TCP with 4 concurrent connections
-/// produces the exact fingerprint of the in-process loadgen, for both a
+/// The headline invariant: serving over TCP with 4 concurrent connections
+/// produces the exact fingerprint of the in-process replay, for both a
 /// sequential and a threaded server execution policy.
 #[test]
 fn networked_fingerprint_matches_in_process() {
@@ -61,16 +61,15 @@ fn networked_fingerprint_matches_in_process() {
     };
     for exec in [ExecPolicy::Seq, ExecPolicy::with_threads(4)] {
         let (service, id) = OracleService::single(make_snapshot(SEED));
-        let reference = drive(&service, id, &spec, exec);
+        let reference = replay(&service, id, &spec, exec);
 
         let handle = spawn_server(exec);
         let addr = handle.local_addr();
-        let net = drive_network(addr, "default", &spec, 4).expect("networked loadgen");
+        let net = replay_network(addr, "default", &spec, 4).expect("networked replay");
         handle.shutdown();
 
-        assert_eq!(net.queries, reference.queries);
         assert_eq!(
-            net.fingerprint, reference.fingerprint,
+            net, reference,
             "networked fingerprint diverged from in-process at exec {exec:?}"
         );
     }
@@ -256,7 +255,7 @@ fn live_metrics_scrape_and_flight_dump() {
         batch: 128,
         ..Default::default()
     };
-    drive_network(addr, "default", &spec, 3).expect("networked loadgen");
+    replay_network(addr, "default", &spec, 3).expect("networked replay");
 
     // Plain-HTTP scrape: valid grammar plus the required families.
     let text = scrape_http_metrics(metrics_addr).expect("GET /metrics");

@@ -1,7 +1,7 @@
 //! End-to-end tour of the serving layer: run the Theorem 1.1 pipeline,
 //! freeze the result into a versioned snapshot, reload it, register it in
-//! an [`OracleService`], answer point queries, and drive a zipf-skewed
-//! closed-loop load against it.
+//! an [`OracleService`], answer point queries, and replay a zipf-skewed
+//! query stream against it at two thread counts.
 //!
 //! ```sh
 //! cargo run --release --example serve_quickstart
@@ -10,7 +10,7 @@
 use cc_apsp::pipeline::{approximate_apsp, PipelineConfig};
 use cc_graph::generators;
 use cc_par::ExecPolicy;
-use cc_serve::loadgen::{drive, LoadSpec, Skew};
+use cc_serve::loadgen::{replay, LoadSpec, Skew};
 use cc_serve::service::{OracleService, Query, Response};
 use cc_serve::snapshot::{Snapshot, SnapshotMeta};
 use rand::rngs::StdRng;
@@ -72,8 +72,8 @@ fn main() {
         println!("query: 5-nearest of node 0 = {nearest:?}");
     }
 
-    // Load-generate: same stream, two thread counts — fingerprints must
-    // match, throughput may not.
+    // Replay: same stream, two thread counts — fingerprints must match.
+    // (Throughput and latency are the `ccbench` package's job.)
     let spec = LoadSpec {
         queries: 30_000,
         skew: Skew::Zipf(1.1),
@@ -81,24 +81,16 @@ fn main() {
         ..Default::default()
     };
     println!(
-        "\nload: {} queries, zipf(1.1) sources, batch {}",
+        "\nreplay: {} queries, zipf(1.1) sources, batch {}",
         spec.queries, spec.batch
     );
-    let mut fingerprints = Vec::new();
-    for threads in [1usize, 4] {
-        let report = drive(&service, id, &spec, ExecPolicy::with_threads(threads));
-        println!(
-            "  threads={threads}: {:>8.0} qps  p50 {:.1}us p99 {:.1}us  cache hit {:.0}%  fp {:016x}",
-            report.qps,
-            report.p50_us,
-            report.p99_us,
-            report.cache_hit_rate * 100.0,
-            report.fingerprint
-        );
-        fingerprints.push(report.fingerprint);
-    }
-    assert!(
-        fingerprints.windows(2).all(|w| w[0] == w[1]),
+    let [one, four] = [1, 4].map(|threads| {
+        let fingerprint = replay(&service, id, &spec, ExecPolicy::with_threads(threads));
+        println!("  threads={threads}: fingerprint {fingerprint:016x}");
+        fingerprint
+    });
+    assert_eq!(
+        one, four,
         "served results must not depend on the thread count"
     );
     println!("fingerprints agree: results are thread-count invariant");

@@ -39,14 +39,14 @@ use cc_graph::graph::Direction;
 use cc_graph::{apsp, io as gio, sssp, Graph, INF};
 use cc_matrix::engine::KernelMode;
 use cc_par::ExecPolicy;
-use cc_serve::client::{chaos, drive_network, scrape_http_metrics, Client};
-use cc_serve::loadgen::{drive, drive_readwrite, LoadSpec, ReadWriteSpec, Skew};
+use cc_serve::client::{chaos, replay_network, scrape_http_metrics, Client};
+use cc_serve::loadgen::{replay, LoadSpec, Skew};
 use cc_serve::report::{write_report, BenchRecord};
 use cc_serve::server::{Server, ServerConfig};
 use cc_serve::service::{OracleService, Query, Response};
 use cc_serve::snapshot::{Snapshot, SnapshotMeta};
 use cc_serve::telemetry::{prom_label, prom_sum, prom_value};
-use cc_serve::wire::{Request, WireError};
+use cc_serve::wire::Request;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::fmt::{Display, Write as _};
@@ -66,7 +66,6 @@ const KERNEL: Flag = ("--kernel", "auto|dense|sparse");
 const ORACLE: Flag = ("--oracle", "dense|landmark");
 const OUT: Flag = ("--out", "FILE");
 const DELTA: Flag = ("--delta", "FILE");
-const PROFILE: Flag = ("--profile", "reweight|topology");
 const QUERIES: Flag = ("--queries", "Q");
 const ADDR: Flag = ("--addr", "HOST:PORT");
 const METRICS_ADDR: Flag = ("--metrics-addr", "HOST:PORT");
@@ -122,7 +121,7 @@ const COMMANDS: &[Command] = &[
         flags: &[
             ("--ops", "FILE"),
             ("--random", "K"),
-            PROFILE,
+            ("--profile", "reweight|topology"),
             SEED,
             THREADS,
             KERNEL,
@@ -148,9 +147,6 @@ const COMMANDS: &[Command] = &[
             ("--k", "K"),
             SEED,
             THREADS,
-            ("--write-ratio", "R"),
-            ("--ops-per-batch", "K"),
-            PROFILE,
             ADDR,
             ("--conns", "C"),
             NAME,
@@ -373,13 +369,6 @@ impl Args {
         Ok(self
             .parse("--kernel", KernelMode::parse)?
             .unwrap_or_else(KernelMode::from_env))
-    }
-
-    /// `--profile`, else reweight-heavy.
-    fn profile(&self) -> Result<MutationProfile, ExitCode> {
-        Ok(self
-            .parse("--profile", MutationProfile::parse)?
-            .unwrap_or(MutationProfile::ReweightHeavy))
     }
 }
 
@@ -706,7 +695,9 @@ fn cmd_update(args: &Args) -> Result<(), ExitCode> {
     let exec = args.exec()?;
     let kernel = args.kernel()?;
     let seed = args.value_or("--seed", 1u64)?;
-    let profile = args.profile()?;
+    let profile = args
+        .parse("--profile", MutationProfile::parse)?
+        .unwrap_or(MutationProfile::ReweightHeavy);
     let random = args.parse("--random", |s| s.parse::<usize>().ok())?;
     let batch = match (args.get("--ops"), random) {
         (Some(file), None) => {
@@ -805,6 +796,11 @@ fn cmd_compact(args: &Args) -> Result<(), ExitCode> {
     Ok(())
 }
 
+/// Replays a seeded query stream against a snapshot file and prints the
+/// stream fingerprint. With `--addr`, replays it against a running daemon
+/// over `--conns` connections too, and fails unless the daemon's
+/// fingerprint equals the file's: the networked serving path must be
+/// observationally identical to in-process `run_batch`.
 fn cmd_bench_serve(args: &Args) -> Result<(), ExitCode> {
     let [path] = &args.positional[..] else {
         return Err(usage());
@@ -817,125 +813,41 @@ fn cmd_bench_serve(args: &Args) -> Result<(), ExitCode> {
         batch: args.value_or("--batch", defaults.batch)?,
         skew: args
             .parse("--skew", |s| Skew::parse(s).ok())?
-            .unwrap_or(Skew::Zipf(1.0)),
+            .unwrap_or(defaults.skew),
         k: args.value_or("--k", defaults.k)?,
         seed: args.value_or("--seed", defaults.seed)?,
         ..defaults
     };
-    let write_ratio = args
-        .parse("--write-ratio", |s| {
-            s.parse().ok().filter(|r: &f64| r.is_finite() && *r >= 0.0)
-        })?
-        .unwrap_or(0.0);
-    let ops_per_batch = args.value_or("--ops-per-batch", 8usize)?;
-    let profile = args.profile()?;
     let conns = args.value_or("--conns", 4usize)?.max(1);
-    if let Some(addr) = args.get("--addr") {
-        if write_ratio > 0.0 {
-            return Err(usage_error(
-                "--addr drives a remote daemon; --write-ratio applies to the in-process path",
-            ));
-        }
-        let name = args.get("--name").unwrap_or("default");
-        return bench_serve_networked(addr, name, snapshot, &spec, exec, conns);
-    }
-    let n = snapshot.n();
-    let (mut service, id) = OracleService::single(snapshot);
-    println!("snapshot       {n} nodes, algo {}", service.meta(id).algo);
-    println!("exec           {exec}");
-    let result = if write_ratio > 0.0 {
-        let rw_spec = ReadWriteSpec {
-            load: spec.clone(),
-            write_ratio,
-            ops_per_batch,
-            profile,
-        };
-        let rw = drive_readwrite(&mut service, "default", &rw_spec, exec);
-        println!(
-            "writes         {} batches ({} edge changes, profile {profile}, ratio {write_ratio})",
-            rw.write_batches, rw.ops_applied
-        );
-        println!(
-            "write path     {} repaired / {} rebuilt, p50 {:.2} ms / p95 {:.2} ms",
-            rw.repairs, rw.rebuilds, rw.write_p50_ms, rw.write_p95_ms
-        );
-        println!("final state    {:016x}", rw.final_state_fingerprint);
-        rw.read
-    } else {
-        drive(&service, id, &spec, exec)
-    };
-    println!(
-        "queries        {} (batch {}, {:?})",
-        result.queries, spec.batch, spec.skew
-    );
-    println!("wall           {:.1} ms", result.wall_ms);
-    println!("throughput     {:.0} qps", result.qps);
-    println!(
-        "latency        p50 {:.2} µs / p95 {:.2} µs / p99 {:.2} µs",
-        result.p50_us, result.p95_us, result.p99_us
-    );
-    println!("cache hit      {:.1}%", result.cache_hit_rate * 100.0);
-    println!("fingerprint    {:016x}", result.fingerprint);
-    Ok(())
-}
-
-/// The `bench-serve --addr` path: drive a running daemon over TCP with
-/// `conns` connections, then check the response fingerprint bit-for-bit
-/// against an in-process run of the same spec on the locally loaded
-/// snapshot — the networked serving path must be observationally identical.
-fn bench_serve_networked(
-    addr: &str,
-    name: &str,
-    snapshot: Snapshot,
-    spec: &LoadSpec,
-    exec: ExecPolicy,
-    conns: usize,
-) -> Result<(), ExitCode> {
     let (service, id) = OracleService::single(snapshot);
-    let reference = drive(&service, id, spec, exec);
-    // Scrape the daemon's Metrics-v2 exposition around the drive so the
-    // report carries its live telemetry (overload delta, 1s QPS peak).
-    let scrape = |what: &str| match Client::connect(addr)
-        .map_err(WireError::Io)
-        .and_then(|mut c| c.metrics_v2())
-    {
-        Ok(text) => Some(text),
-        Err(e) => {
-            eprintln!("warning: {what} metrics-v2 scrape of {addr} failed: {e}");
-            None
-        }
+    let local = replay(&service, id, &spec, exec);
+    let Some(addr) = args.get("--addr") else {
+        let (n, algo) = (service.n(id), &service.meta(id).algo);
+        println!("snapshot       {n} nodes, algo {algo}");
+        println!("exec           {exec}");
+        println!(
+            "queries        {} (batch {}, {:?})",
+            spec.queries, spec.batch, spec.skew
+        );
+        println!("fingerprint    {local:016x}");
+        return Ok(());
     };
-    let before = scrape("pre-drive");
-    let result = drive_network(addr, name, spec, conns)
-        .map_err(|e| fail(format!("networked drive against {addr} failed: {e}")))?;
-    let after = scrape("post-drive");
+    let name = args.get("--name").unwrap_or("default");
+    let remote = replay_network(addr, name, &spec, conns)
+        .map_err(|e| fail(format!("networked replay against {addr} failed: {e}")))?;
     println!("daemon         {addr} ({conns} connections, snapshot {name:?})");
     println!(
         "queries        {} (batch {}, {:?})",
-        result.queries, spec.batch, spec.skew
+        spec.queries, spec.batch, spec.skew
     );
-    println!("wall           {:.1} ms", result.wall_ms);
-    println!("throughput     {:.0} qps", result.qps);
-    println!(
-        "latency        p50 {:.2} µs / p95 {:.2} µs / p99 {:.2} µs (batch rtt / batch size)",
-        result.p50_us, result.p95_us, result.p99_us
-    );
-    println!("cache hit      {:.1}%", result.cache_hit_rate * 100.0);
-    println!("fingerprint    {:016x}", result.fingerprint);
-    if result.fingerprint != reference.fingerprint {
+    println!("fingerprint    {remote:016x}");
+    if remote != local {
         return Err(fail(format!(
-            "FINGERPRINT MISMATCH: networked {:016x} != in-process {:016x} \
-             (is the daemon serving a different snapshot or a mutated version?)",
-            result.fingerprint, reference.fingerprint
+            "FINGERPRINT MISMATCH: networked {remote:016x} != in-process {local:016x} \
+             (is the daemon serving a different snapshot or a mutated version?)"
         )));
     }
     println!("verified       networked responses bit-identical to in-process run_batch");
-    if let (Some(before), Some(after)) = (&before, &after) {
-        let overloads =
-            prom_sum(after, "ccapsp_overloads_total") - prom_sum(before, "ccapsp_overloads_total");
-        let peak = prom_value(after, "ccapsp_qps_1s_peak", &[]).unwrap_or(0.0);
-        println!("daemon peak    {peak:.0} qps (1s) / {overloads:.0} overload rejections");
-    }
     Ok(())
 }
 

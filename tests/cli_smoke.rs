@@ -179,7 +179,7 @@ fn snapshot_query_bench_serve_round_trip() {
     );
 
     // Serve the snapshot at two thread counts: results (the printed
-    // fingerprint) must match; only timings may differ.
+    // fingerprint) must match.
     let mut fingerprints = Vec::new();
     for threads in ["1", "4"] {
         let out = bench_serve(
@@ -194,13 +194,6 @@ fn snapshot_query_bench_serve_round_trip() {
                 "7",
             ],
         );
-        assert!(line(&out, "throughput").ends_with(" qps"), "{out}");
-        let latency = line(&out, "latency");
-        assert!(
-            latency.contains(" p50 ") && latency.contains(" p99 "),
-            "{out}"
-        );
-        assert!(line(&out, "cache hit").ends_with('%'), "{out}");
         fingerprints.push(line(&out, "fingerprint").to_string());
     }
     assert_eq!(
@@ -339,7 +332,8 @@ fn bad_invocations_exit_nonzero_with_usage() {
     // nothing gets written: an unparsable value, a value flag with no value,
     // a flag the subcommand does not take, a flag given twice (`-o` is
     // `--out`), a graph too small to query, a graph path next to --n, and
-    // the retired `--repair-fraction` and `bench-serve --out`.
+    // the retired `--repair-fraction`, `bench-serve --out` and
+    // `bench-serve --write-ratio`.
     let out = TempEdges::with_ext("bad_out", "ccsnap");
     let (e, o) = (edges.as_str(), out.as_str());
     for (args, why) in [
@@ -376,6 +370,10 @@ fn bad_invocations_exit_nonzero_with_usage() {
         (
             &["bench-serve", "s.ccsnap", "--out", o],
             "bench-serve does not take --out",
+        ),
+        (
+            &["bench-serve", "s.ccsnap", "--write-ratio", "0.2"],
+            "bench-serve does not take --write-ratio",
         ),
         (
             &[
@@ -581,53 +579,6 @@ fn update_reads_ops_files_and_rejects_bad_ones() {
 }
 
 #[test]
-fn bench_serve_write_ratio_reports_the_write_path() {
-    let snap = TempEdges::with_ext("dyn_rw", "ccsnap");
-    assert!(ccapsp(&[
-        "snapshot",
-        "--n",
-        "32",
-        "--seed",
-        "9",
-        "--algo",
-        "exact",
-        "-o",
-        snap.as_str(),
-    ])
-    .status
-    .success());
-    let out = bench_serve(
-        "dyn_rw",
-        &[
-            snap.as_str(),
-            "--queries",
-            "2000",
-            "--batch",
-            "256",
-            "--write-ratio",
-            "0.5",
-            "--ops-per-batch",
-            "2",
-            "--profile",
-            "topology",
-        ],
-    );
-    // `write path     R repaired / B rebuilt, p50 X ms / p95 Y ms`, where
-    // R + B is the batch count on the `writes` line.
-    let words = |label| line(&out, label).split_whitespace().collect::<Vec<_>>();
-    let count = |s: &str| -> usize { s.parse().unwrap_or_else(|_| panic!("{out}")) };
-    let ["write", "path", repaired, "repaired", "/", rebuilt, "rebuilt,", "p50", _, "ms", "/", "p95", _, "ms"] =
-        words("write path")[..]
-    else {
-        panic!("malformed write path line in: {out}");
-    };
-    let batches = count(words("writes")[1]);
-    assert!(batches > 0, "{out}");
-    assert_eq!(count(repaired) + count(rebuilt), batches, "{out}");
-    assert!(out.contains("final state"), "missing final state: {out}");
-}
-
-#[test]
 fn bench_oracle_writes_both_backend_rows() {
     let report = TempEdges::with_ext("oracle", "json");
     let out = ccapsp(&[
@@ -700,12 +651,15 @@ impl Drop for Daemon {
     }
 }
 
-/// Every client subcommand against one daemon on OS-assigned ports, then a
-/// clean shutdown.
+/// Every client subcommand against one daemon on OS-assigned ports — the
+/// write path (a delta, then a whole-snapshot swap) checked by replaying the
+/// files each step should serve — then a clean shutdown.
 #[test]
 fn serve_daemon_answers_every_client_subcommand() {
     let snap = TempEdges::with_ext("daemon", "ccsnap");
     let flight = TempEdges::with_ext("daemon_flight", "json");
+    let delta = TempEdges::with_ext("daemon_d", "ccdelta");
+    let updated = TempEdges::with_ext("daemon_s1", "ccsnap");
     let snap = snap.as_str();
     assert!(
         ccapsp(&["snapshot", "--n", "48", "--seed", "7", "-o", snap])
@@ -763,6 +717,29 @@ fn serve_daemon_answers_every_client_subcommand() {
         &[snap, "--addr", addr, "--conns", "2", "--queries", "2000"],
     );
     assert!(bench.contains("verified"), "{bench}");
+
+    // A delta applied over the wire lands exactly on the state `update -o`
+    // wrote, and the base file no longer matches what the daemon serves.
+    let (delta, updated) = (delta.as_str(), updated.as_str());
+    ok(&[
+        "update", snap, "--random", "3", "--seed", "1", "--delta", delta, "-o", updated,
+    ]);
+    assert!(ok(&["serve-admin", "--addr", addr, "apply-delta", delta]).contains("now v2"));
+    let replay = |file: &str| ccapsp(&["bench-serve", file, "--addr", addr, "--queries", "2000"]);
+    assert!(stdout(&replay(updated)).contains("\nverified "));
+    let stale = replay(snap);
+    assert_eq!(stale.status.code(), Some(1), "{stale:?}");
+    // A swap replaces the live state: one snapshot, the next version.
+    assert!(ok(&["serve-admin", "--addr", addr, "swap", snap]).contains("now v3"));
+    assert!(stdout(&replay(snap)).contains("\nverified "));
+    let metrics = ok(&["serve-admin", "--addr", addr, "metrics-v2"]);
+    let infos = metrics
+        .lines()
+        .filter(|l| l.starts_with("ccapsp_snapshot_info{"))
+        .count();
+    assert_eq!(infos, 1, "{metrics}");
+    assert!(ok(&["top", "--addr", addr, "--frames", "1"]).contains("\"default\" v3"));
+
     assert!(ok(&["serve-admin", "--addr", addr, "shutdown"]).contains("shutdown acknowledged"));
     assert!(daemon.0.wait().unwrap().success());
     let rest: Vec<String> = lines.map(Result::unwrap).collect();

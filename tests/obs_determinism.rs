@@ -12,8 +12,8 @@ use cc_graph::graph::{Direction, Graph};
 use cc_graph::{apsp, NodeId, Weight};
 use cc_matrix::engine::KernelMode;
 use cc_par::ExecPolicy;
-use cc_serve::client::drive_network;
-use cc_serve::loadgen::{drive, LoadSpec, Skew};
+use cc_serve::client::replay_network;
+use cc_serve::loadgen::{replay, LoadSpec, Skew};
 use cc_serve::server::{Server, ServerConfig};
 use cc_serve::service::OracleService;
 use cc_serve::snapshot::{Snapshot, SnapshotMeta};
@@ -114,7 +114,7 @@ proptest! {
         }
     }
 
-    /// The serving layer's drive fingerprint (snapshot → batched queries →
+    /// The serving layer's replay fingerprint (snapshot → batched queries →
     /// response stream) is bit-identical with tracing off vs on, even
     /// though tracing adds latency histograms and cache counters.
     #[test]
@@ -150,10 +150,9 @@ proptest! {
         for threads in THREADS {
             let (off, on, snapshot) = off_then_on(|| {
                 let (service, id) = OracleService::single(snap.clone());
-                drive(&service, id, &spec, ExecPolicy::with_threads(threads))
+                replay(&service, id, &spec, ExecPolicy::with_threads(threads))
             });
-            prop_assert_eq!(on.fingerprint, off.fingerprint, "threads={}", threads);
-            prop_assert_eq!(on.queries, off.queries);
+            prop_assert_eq!(on, off, "threads={}", threads);
             // The traced run populated the per-type latency histograms.
             let timed: u64 = snapshot
                 .histograms
@@ -224,7 +223,7 @@ proptest! {
 /// recording, flight recorder, slow-query log armed at 1 µs (so nearly
 /// every query logs), a bound `/metrics` HTTP listener, plus `cc_obs`
 /// tracing toggled off-then-on — returns response fingerprints
-/// bit-identical to the in-process drive of the same spec, at thread
+/// bit-identical to the in-process replay of the same spec, at thread
 /// counts {1, 4}. Telemetry is side-effect-only on the serving path.
 #[test]
 fn network_fingerprint_is_telemetry_invariant() {
@@ -249,7 +248,7 @@ fn network_fingerprint_is_telemetry_invariant() {
         ..Default::default()
     };
     let (service, id) = OracleService::single(snap.clone());
-    let reference = drive(&service, id, &spec, ExecPolicy::Seq);
+    let reference = replay(&service, id, &spec, ExecPolicy::Seq);
 
     for threads in THREADS {
         let (off, on, _) = off_then_on(|| {
@@ -264,14 +263,14 @@ fn network_fingerprint_is_telemetry_invariant() {
             let handle = Server::spawn(service, "127.0.0.1:0", cfg).expect("bind");
             assert!(handle.metrics_addr().is_some(), "metrics listener bound");
             let result =
-                drive_network(handle.local_addr(), "default", &spec, 3).expect("network drive");
+                replay_network(handle.local_addr(), "default", &spec, 3).expect("network replay");
             // Telemetry observed the run before the daemon stops.
             assert!(handle.telemetry().qps_1s_peak() > 0.0);
             assert!(!handle.telemetry().flight.is_empty());
             handle.shutdown();
-            result.fingerprint
+            result
         });
         assert_eq!(on, off, "threads={threads}");
-        assert_eq!(on, reference.fingerprint, "threads={threads}");
+        assert_eq!(on, reference, "threads={threads}");
     }
 }

@@ -8,7 +8,7 @@ use cc_graph::graph::{Direction, Graph};
 use cc_graph::sssp::k_nearest_from_dists;
 use cc_graph::{NodeId, Weight};
 use cc_par::ExecPolicy;
-use cc_serve::loadgen::{drive, generate_queries, LoadSpec, QueryMix, Skew};
+use cc_serve::loadgen::{generate_queries, replay, LoadSpec, QueryMix, Skew};
 use cc_serve::service::{OracleService, Query, Response, ServiceConfig};
 use cc_serve::snapshot::{Snapshot, SnapshotMeta};
 use proptest::prelude::*;
@@ -144,7 +144,7 @@ proptest! {
         }
     }
 
-    /// The full closed-loop drive — snapshot → save → load → serve — yields
+    /// The full closed-loop replay — snapshot → save → load → serve — yields
     /// the same response fingerprint at every thread count, for both skews.
     #[test]
     fn drive_fingerprint_is_thread_count_invariant(
@@ -166,13 +166,11 @@ proptest! {
         };
         let run = |threads: usize| {
             let (service, id) = OracleService::single(reloaded.clone());
-            drive(&service, id, &spec, ExecPolicy::with_threads(threads))
+            replay(&service, id, &spec, ExecPolicy::with_threads(threads))
         };
         let seq = run(1);
         for threads in THREADS {
-            let par = run(threads);
-            prop_assert_eq!(par.fingerprint, seq.fingerprint, "threads={}", threads);
-            prop_assert_eq!(par.queries, seq.queries);
+            prop_assert_eq!(run(threads), seq, "threads={}", threads);
         }
     }
 }
