@@ -4,9 +4,9 @@
 //! run` round-trips through a file on disk.
 
 use cc_bench::envelope::validate_json;
-use std::io::{BufRead, BufReader};
+use std::io::{BufRead, BufReader, Lines};
 use std::path::PathBuf;
-use std::process::{Child, Command, Output, Stdio};
+use std::process::{Child, ChildStdout, Command, Output, Stdio};
 
 fn ccapsp(args: &[&str]) -> Output {
     Command::new(env!("CARGO_BIN_EXE_ccapsp"))
@@ -640,65 +640,97 @@ fn trace_flag_works_before_and_after_the_subcommand() {
     }
 }
 
-/// A `ccapsp serve` child, killed on drop so a failed assertion never
-/// leaves a daemon behind.
-struct Daemon(Child);
+/// Runs `ccapsp` and returns its stdout, failing the test if it exits non-zero.
+fn ok(args: &[&str]) -> String {
+    let out = ccapsp(args);
+    assert!(out.status.success(), "{args:?} failed: {out:?}");
+    stdout(&out)
+}
 
-impl Drop for Daemon {
-    fn drop(&mut self) {
-        let _ = self.0.kill();
-        let _ = self.0.wait();
+/// A `ccapsp serve` child on OS-assigned ports, killed on drop so a failed
+/// assertion never leaves a daemon behind.
+struct Daemon {
+    child: Child,
+    lines: Lines<BufReader<ChildStdout>>,
+    addr: String,
+    maddr: String,
+}
+
+impl Daemon {
+    /// Serves `snap` and reads the query and metrics addresses it prints.
+    fn start(snap: &str) -> Self {
+        let mut child = Command::new(env!("CARGO_BIN_EXE_ccapsp"))
+            .args(["serve", snap, "--addr", "127.0.0.1:0"])
+            .args(["--metrics-addr", "127.0.0.1:0"])
+            .stdout(Stdio::piped())
+            .stderr(Stdio::null())
+            .spawn()
+            .expect("failed to spawn ccapsp serve");
+        let out = child.stdout.take().unwrap();
+        let mut daemon = Daemon {
+            child,
+            lines: BufReader::new(out).lines(),
+            addr: String::new(),
+            maddr: String::new(),
+        };
+        for line in &mut daemon.lines {
+            let line = line.unwrap();
+            if let Some(rest) = line.strip_prefix("listening") {
+                daemon.addr = rest.trim().to_string();
+            } else if let Some(rest) = line.strip_prefix("metrics http") {
+                daemon.maddr = rest.split_whitespace().next().unwrap().to_string();
+            } else if line.starts_with("stop with") {
+                break;
+            }
+        }
+        assert!(
+            !daemon.addr.is_empty() && !daemon.maddr.is_empty(),
+            "{:?} {:?}",
+            daemon.addr,
+            daemon.maddr
+        );
+        daemon
+    }
+
+    /// `serve-admin shutdown`; the child must report its drain and exit 0.
+    fn shut_down(&mut self) {
+        assert!(ok(&["serve-admin", "--addr", &self.addr, "shutdown"])
+            .contains("shutdown acknowledged"));
+        assert!(self.child.wait().unwrap().success());
+        let rest: Vec<String> = self.lines.by_ref().map(Result::unwrap).collect();
+        assert!(
+            rest.iter().any(|l| l.starts_with("shutdown       drained")),
+            "{rest:?}"
+        );
     }
 }
 
-/// Every client subcommand against one daemon on OS-assigned ports — the
-/// write path (a delta, then a whole-snapshot swap) checked by replaying the
-/// files each step should serve — then a clean shutdown.
+impl Drop for Daemon {
+    fn drop(&mut self) {
+        let _ = self.child.kill();
+        let _ = self.child.wait();
+    }
+}
+
+/// Every client subcommand against one daemon on OS-assigned ports, then a
+/// clean shutdown.
 #[test]
 fn serve_daemon_answers_every_client_subcommand() {
     let snap = TempEdges::with_ext("daemon", "ccsnap");
     let flight = TempEdges::with_ext("daemon_flight", "json");
-    let delta = TempEdges::with_ext("daemon_d", "ccdelta");
-    let updated = TempEdges::with_ext("daemon_s1", "ccsnap");
     let snap = snap.as_str();
     assert!(
         ccapsp(&["snapshot", "--n", "48", "--seed", "7", "-o", snap])
             .status
             .success()
     );
-    let mut daemon = Daemon(
-        Command::new(env!("CARGO_BIN_EXE_ccapsp"))
-            .args(["serve", snap, "--addr", "127.0.0.1:0"])
-            .args(["--metrics-addr", "127.0.0.1:0"])
-            .stdout(Stdio::piped())
-            .stderr(Stdio::null())
-            .spawn()
-            .expect("failed to spawn ccapsp serve"),
-    );
-    let mut lines = BufReader::new(daemon.0.stdout.take().unwrap()).lines();
-    let (mut addr, mut maddr) = (String::new(), String::new());
-    for line in &mut lines {
-        let line = line.unwrap();
-        if let Some(rest) = line.strip_prefix("listening") {
-            addr = rest.trim().to_string();
-        } else if let Some(rest) = line.strip_prefix("metrics http") {
-            maddr = rest.split_whitespace().next().unwrap().to_string();
-        } else if line.starts_with("stop with") {
-            break;
-        }
-    }
-    assert!(!addr.is_empty() && !maddr.is_empty(), "{addr:?} {maddr:?}");
-    let ok = |args: &[&str]| {
-        let out = ccapsp(args);
-        assert!(out.status.success(), "{args:?} failed: {out:?}");
-        stdout(&out)
-    };
-    let addr = addr.as_str();
+    let mut daemon = Daemon::start(snap);
+    let (addr, maddr) = (daemon.addr.as_str(), daemon.maddr.as_str());
     assert!(ok(&["serve-admin", "--addr", addr, "info"]).contains("nodes          48"));
     assert!(
         ok(&["serve-admin", "--addr", addr, "metrics-v2"]).contains("ccapsp_qps{window=\"1s\"}")
     );
-    assert!(ok(&["serve-admin", "--metrics-addr", &maddr, "scrape"])
+    assert!(ok(&["serve-admin", "--metrics-addr", maddr, "scrape"])
         .contains("# TYPE ccapsp_uptime_seconds "));
     ok(&[
         "serve-admin",
@@ -717,19 +749,35 @@ fn serve_daemon_answers_every_client_subcommand() {
         &[snap, "--addr", addr, "--conns", "2", "--queries", "2000"],
     );
     assert!(bench.contains("verified"), "{bench}");
+    daemon.shut_down();
+}
 
-    // A delta applied over the wire lands exactly on the state `update -o`
-    // wrote, and the base file no longer matches what the daemon serves.
-    let (delta, updated) = (delta.as_str(), updated.as_str());
+/// The daemon's write path, checked by replaying the file each step should
+/// serve: a delta applied over the wire lands exactly on the state
+/// `update -o` wrote, and a whole-snapshot swap replaces the live state with
+/// one snapshot at the next version.
+#[test]
+fn bench_serve_addr_verifies_the_daemon_write_path() {
+    let snap = TempEdges::with_ext("daemon_rw", "ccsnap");
+    let delta = TempEdges::with_ext("daemon_rw_d", "ccdelta");
+    let updated = TempEdges::with_ext("daemon_rw_s1", "ccsnap");
+    let (snap, delta, updated) = (snap.as_str(), delta.as_str(), updated.as_str());
+    assert!(
+        ccapsp(&["snapshot", "--n", "48", "--seed", "7", "-o", snap])
+            .status
+            .success()
+    );
+    let mut daemon = Daemon::start(snap);
+    let addr = daemon.addr.as_str();
     ok(&[
         "update", snap, "--random", "3", "--seed", "1", "--delta", delta, "-o", updated,
     ]);
     assert!(ok(&["serve-admin", "--addr", addr, "apply-delta", delta]).contains("now v2"));
     let replay = |file: &str| ccapsp(&["bench-serve", file, "--addr", addr, "--queries", "2000"]);
     assert!(stdout(&replay(updated)).contains("\nverified "));
+    // The base file no longer matches what the daemon serves.
     let stale = replay(snap);
     assert_eq!(stale.status.code(), Some(1), "{stale:?}");
-    // A swap replaces the live state: one snapshot, the next version.
     assert!(ok(&["serve-admin", "--addr", addr, "swap", snap]).contains("now v3"));
     assert!(stdout(&replay(snap)).contains("\nverified "));
     let metrics = ok(&["serve-admin", "--addr", addr, "metrics-v2"]);
@@ -739,12 +787,5 @@ fn serve_daemon_answers_every_client_subcommand() {
         .count();
     assert_eq!(infos, 1, "{metrics}");
     assert!(ok(&["top", "--addr", addr, "--frames", "1"]).contains("\"default\" v3"));
-
-    assert!(ok(&["serve-admin", "--addr", addr, "shutdown"]).contains("shutdown acknowledged"));
-    assert!(daemon.0.wait().unwrap().success());
-    let rest: Vec<String> = lines.map(Result::unwrap).collect();
-    assert!(
-        rest.iter().any(|l| l.starts_with("shutdown       drained")),
-        "{rest:?}"
-    );
+    daemon.shut_down();
 }
