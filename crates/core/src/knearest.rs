@@ -413,6 +413,10 @@ mod tests {
         let out = one_round(&mut clique, &abar, h);
         let expect = filtered_power_reference(&abar.to_dense(), k, h as u64);
         assert_eq!(out, expect);
+        // The charge is the all-broadcast of every node's arcs, whatever the
+        // local work: knearest-fallback-broadcast alone.
+        assert_eq!(clique.rounds(), 8);
+        assert_eq!(clique.traffic().total_words(), 120);
     }
 
     /// Lemma 5.2 + Lemma 5.5: i iterations give filter_k(A^(h^i)).
@@ -466,9 +470,13 @@ mod tests {
         let g = random_digraph(n, 0.05, 4);
         let abar = FilteredMatrix::from_graph(&g, k);
         let mut clique = clique_for(n);
-        let plan = plan_bins(n, k, 2).expect("plan exists");
-        let out = one_round_binned(&mut clique, &abar, 2, &plan);
+        assert!(plan_bins(n, k, 2).is_some());
+        let out = one_round(&mut clique, &abar, 2);
         assert_eq!(out.n(), n);
+        // Rounds and words come from the bin geometry alone:
+        // knearest-bin-transfer 16 + knearest-responses 8.
+        assert_eq!(clique.rounds(), 24);
+        assert_eq!(clique.traffic().total_words(), 171_184);
         // Check ledger: each routing event charged O(1) rounds for n-load.
         for ev in clique.ledger().events() {
             assert!(
