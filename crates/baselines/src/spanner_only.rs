@@ -53,8 +53,8 @@ mod tests {
         let mut clique = Clique::new(g.n(), Bandwidth::standard(g.n()));
         spanner_only_apsp(&mut clique, &g, &mut rng);
         // construction (3) + broadcast of an O(n)-edge spanner (the
-        // Baswana–Sen size constant drives the broadcast; see DESIGN.md on
-        // the CZ22 substitution).
+        // Baswana–Sen size constant drives the broadcast; see the
+        // `cc_apsp::spanner` module doc on the CZ22 substitution).
         assert!(clique.rounds() <= 32, "rounds = {}", clique.rounds());
     }
 }

@@ -1,6 +1,6 @@
 //! `cargo bench -p cc-bench --bench ablations` — design-choice ablations
-//! (A1–A4), quantifying the alternatives DESIGN.md documents. Set `FAST=1`
-//! for a smoke run.
+//! (A1–A4), quantifying the alternatives documented in `cc_apsp::ablation`.
+//! Set `FAST=1` for a smoke run.
 
 use cc_apsp::ablation;
 use cc_apsp::pipeline::{approximate_apsp, PipelineConfig};

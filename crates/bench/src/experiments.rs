@@ -1,5 +1,5 @@
-//! The per-claim experiments (E1–E15). See DESIGN.md §4 for the index and
-//! EXPERIMENTS.md for archived output with commentary.
+//! The per-claim experiments (E1–E15), run in order by [`run_all`]; the
+//! README's "Benchmarks and experiments" section says how to run them.
 
 use cc_apsp::params::{self, hopset_beta_bound};
 use cc_apsp::pipeline::{approximate_apsp, apsp_large_bandwidth, apsp_tradeoff, PipelineConfig};
@@ -770,7 +770,7 @@ pub fn e15_routing() {
 pub fn run_all() {
     println!("== Congested Clique APSP — experiment tables ==");
     println!(
-        "(paper: Bui, Chandra, Chang, Dory, Leitersdorf, PODC 2024; see EXPERIMENTS.md)\nfast mode: {}",
+        "(paper: Bui, Chandra, Chang, Dory, Leitersdorf, PODC 2024)\nfast mode: {}",
         fast()
     );
     e01_theorem_1_1();

@@ -3,7 +3,8 @@
 //! Each `eNN_*` function in [`experiments`] regenerates one "table/figure":
 //! a quantitative claim of the paper (theorem or lemma), printed as a table
 //! of `paper bound vs. measured value` rows. The `tables` bench target runs
-//! them all under `cargo bench`; EXPERIMENTS.md archives the output.
+//! them all under `cargo bench` (see the README's "Benchmarks and
+//! experiments").
 
 pub mod envelope;
 pub mod experiments;

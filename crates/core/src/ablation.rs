@@ -1,6 +1,7 @@
 //! Ablations: alternative implementations of design choices, used to
-//! cross-validate the main code paths and to quantify the tradeoffs
-//! DESIGN.md calls out (experiment set A in EXPERIMENTS.md).
+//! cross-validate the main code paths and to quantify the tradeoffs the
+//! substitution notes in [`crate::scaling`] and [`crate::spanner`] call out
+//! (the A1–A4 tables of `cargo bench -p cc-bench --bench ablations`).
 //!
 //! * [`greedy_hitting_set`] — a deterministic greedy set-cover hitting set,
 //!   vs. the paper's sampled one (Lemma 6.2). Greedy gives smaller sets but

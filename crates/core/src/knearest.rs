@@ -19,14 +19,24 @@
 //!    arcs in its bins;
 //! 4. a combination node computes, for every node `u` owning an arc in its
 //!    *first* bin, the `k` nearest nodes within `h` hops over its arcs, and
-//!    sends them to `u`; `u` merges the responses.
+//!    sends them to `u`; `u` merges the responses. The model counts this
+//!    local work as free; here it reads `M` in place. Node `x`'s arcs are
+//!    the `k` slots `M[x·k..(x+1)·k]`, so each hop scans only the slots,
+//!    within the combination's bins, of the nodes the previous hop lowered.
+//!
+//! When no bin plan exists (tiny `n` or large `h`), every node broadcasts its
+//! arcs instead; the local work is then the one-combination case, with all
+//! of `M` in one node and every node a source. Only the charges differ.
 //!
 //! Every `≤h`-hop path's arcs live in some combination whose first bin holds
 //! the path's first arc (owned by the path's source), so the merge recovers
 //! exactly `filter_k(Ā^h)` (Lemma 5.4).
 
+use std::ops::Range;
+
+use cc_graph::sssp::select_k_smallest;
 use cc_graph::{wadd, Graph, NodeId, Weight, INF};
-use cc_matrix::filtered::{select_k_smallest, FilteredMatrix};
+use cc_matrix::filtered::FilteredMatrix;
 use clique_sim::Clique;
 
 /// The bin/combination geometry for one invocation of Lemma 5.1.
@@ -38,6 +48,18 @@ pub struct BinPlan {
     pub bin_size: usize,
     /// All h-combinations: `(first_bin, other_bins)`; index = assigned node.
     pub combinations: Vec<(usize, Vec<usize>)>,
+}
+
+impl BinPlan {
+    /// The slots of a `len`-slot list M in each bin of a combination, first
+    /// bin first.
+    fn slots(&self, (first, rest): &(usize, Vec<usize>), len: usize) -> Vec<Range<usize>> {
+        let s = self.bin_size;
+        std::iter::once(first)
+            .chain(rest)
+            .map(|&b| (b * s).min(len)..((b + 1) * s).min(len))
+            .collect()
+    }
 }
 
 /// Computes the bin plan, shrinking `p` if needed so the combination count
@@ -114,67 +136,6 @@ fn enumerate_subsets(
     }
 }
 
-/// Scratch buffers for hop-limited Bellman–Ford reused across sources.
-struct BfScratch {
-    cur: Vec<Weight>,
-    next: Vec<Weight>,
-    touched: Vec<NodeId>,
-}
-
-impl BfScratch {
-    fn new(n: usize) -> Self {
-        Self {
-            cur: vec![INF; n],
-            next: vec![INF; n],
-            touched: Vec::new(),
-        }
-    }
-
-    /// Exact `≤h`-hop distances from `src` over `arcs`; returns the `k`
-    /// smallest `(node, dist)` by `(dist, node)`.
-    fn k_nearest_h_hops(
-        &mut self,
-        arcs: &[(NodeId, NodeId, Weight)],
-        src: NodeId,
-        h: usize,
-        k: usize,
-    ) -> Vec<(NodeId, Weight)> {
-        self.cur[src] = 0;
-        self.next[src] = 0;
-        self.touched.push(src);
-        for _ in 0..h {
-            let mut changed = false;
-            for &(u, v, w) in arcs {
-                let du = self.cur[u];
-                if du >= INF {
-                    continue;
-                }
-                let cand = wadd(du, w);
-                if cand < self.next[v] {
-                    if self.next[v] == INF && self.cur[v] == INF {
-                        self.touched.push(v);
-                    }
-                    self.next[v] = cand;
-                    changed = true;
-                }
-            }
-            for &t in &self.touched {
-                self.cur[t] = self.next[t];
-            }
-            if !changed {
-                break;
-            }
-        }
-        let result = select_k_smallest(self.touched.iter().map(|&t| (t, self.cur[t])), k);
-        for &t in &self.touched {
-            self.cur[t] = INF;
-            self.next[t] = INF;
-        }
-        self.touched.clear();
-        result
-    }
-}
-
 /// One application of Lemma 5.1: from the filtered matrix `abar` (= `Ā`),
 /// computes `filter_k(Ā^h)` — each node's `k` nearest under `h`-hop
 /// distances of `Ā` — in `O(1)` charged rounds.
@@ -182,118 +143,171 @@ pub fn one_round(clique: &mut Clique, abar: &FilteredMatrix, h: usize) -> Filter
     let n = abar.n();
     let k = abar.k();
     assert_eq!(clique.n(), n, "clique size must match matrix dimension");
-    clique.phase("knearest-round", |clique| match plan_bins(n, k, h) {
-        Some(plan) => one_round_binned(clique, abar, h, &plan),
-        None => one_round_broadcast(clique, abar, h),
+    clique.phase("knearest-round", |clique| {
+        // Global list M: rows padded to exactly k slots with (u, 0) self-arcs
+        // (harmless zero self-loops), so node x's arcs are m[x·k..(x+1)·k].
+        let mut m: Vec<(NodeId, Weight)> = Vec::with_capacity(n * k);
+        for u in 0..n {
+            m.extend_from_slice(abar.row(u));
+            m.resize((u + 1) * k, (u, 0));
+        }
+        let plan = plan_bins(n, k, h);
+        match &plan {
+            Some(plan) => charge_bin_transfer(clique, plan, n, k),
+            None => {
+                // The degenerate regimes (`p < h` or bin ≤ k, both forcing
+                // `k ∈ O(1)`): every node broadcasts its `k` arcs.
+                let per_node: Vec<usize> = (0..n).map(|u| 2 * abar.row(u).len()).collect();
+                clique.broadcast_all("knearest-fallback-broadcast", &per_node);
+            }
+        }
+        // Without a plan every node computes its own row: one combination
+        // whose one bin is all of M, with every node a source.
+        let whole = BinPlan {
+            bins: 1,
+            bin_size: n * k,
+            combinations: vec![(0, Vec::new())],
+        };
+        let local = plan.as_ref().unwrap_or(&whole);
+
+        // --- Local work at each combination node + Step 4 response charge. ---
+        let mut search = HopSearch::new(n);
+        let mut responses: Vec<Vec<(NodeId, Weight)>> = vec![Vec::new(); n];
+        let mut resp_send = vec![0usize; n];
+        let mut resp_recv = vec![0usize; n];
+        for (idx, combination) in local.combinations.iter().enumerate() {
+            let ranges = local.slots(combination, n * k);
+            // Sources: owners of the slots in the first bin.
+            for u in ranges[0].start / k..ranges[0].end.div_ceil(k) {
+                let found = search.k_nearest(&m, k, &ranges, u, h);
+                resp_send[idx] += 2 * found.len();
+                resp_recv[u] += 2 * found.len();
+                responses[u].extend(found);
+            }
+        }
+        if plan.is_some() {
+            clique.charge_route_by_loads("knearest-responses", &resp_send, &resp_recv);
+        }
+
+        // --- Merge at each node: own row ∪ responses, keep k smallest. ---
+        let rows: Vec<Vec<(NodeId, Weight)>> = (0..n)
+            .map(|u| {
+                for &(v, d) in abar.row(u).iter().chain(&responses[u]) {
+                    search.lower(v, d);
+                }
+                search.take_k_smallest(k)
+            })
+            .collect();
+        FilteredMatrix::from_rows(n, k, rows)
     })
 }
 
-/// Fallback for the degenerate parameter regimes (`p < h` or bin ≤ k, both
-/// forcing `k ∈ O(1)`): every node broadcasts its `k` arcs and computes its
-/// row locally. Charge: all-broadcast of `2k` words per node.
-fn one_round_broadcast(clique: &mut Clique, abar: &FilteredMatrix, h: usize) -> FilteredMatrix {
-    let n = abar.n();
-    let k = abar.k();
-    let per_node: Vec<usize> = (0..n).map(|u| 2 * abar.row(u).len()).collect();
-    clique.broadcast_all("knearest-fallback-broadcast", &per_node);
-    let arcs: Vec<(NodeId, NodeId, Weight)> = abar.arcs().collect();
-    let mut scratch = BfScratch::new(n);
-    let rows: Vec<Vec<(NodeId, Weight)>> = (0..n)
-        .map(|u| scratch.k_nearest_h_hops(&arcs, u, h, k))
-        .collect();
-    FilteredMatrix::from_rows(n, k, rows)
-}
-
-fn one_round_binned(
-    clique: &mut Clique,
-    abar: &FilteredMatrix,
-    h: usize,
-    plan: &BinPlan,
-) -> FilteredMatrix {
-    let n = abar.n();
-    let k = abar.k();
-    let s = plan.bin_size;
-
-    // Global list M: rows padded to exactly k entries with (u, u, 0)
-    // self-arcs (harmless zero self-loops) so positions are computable.
-    let mut m_list: Vec<(NodeId, NodeId, Weight)> = Vec::with_capacity(n * k);
-    for u in 0..n {
-        let row = abar.row(u);
-        for &(v, w) in row {
-            m_list.push((u, v, w));
-        }
-        for _ in row.len()..k {
-            m_list.push((u, u, 0));
-        }
-    }
-
-    // --- Step 3 charge: combination nodes learn their bins. ---
-    // copies[j] = how many combinations include bin j.
-    let mut copies = vec![0usize; plan.bins];
-    for (first, rest) in &plan.combinations {
-        copies[*first] += 1;
-        for &b in rest {
-            copies[b] += 1;
-        }
-    }
+/// Step 3's charge: every combination node learns the arcs in its bins.
+fn charge_bin_transfer(clique: &mut Clique, plan: &BinPlan, n: usize, k: usize) {
     let mut send = vec![0usize; n];
     let mut recv = vec![0usize; n];
-    for (j, &c) in copies.iter().enumerate() {
-        let lo = j * s;
-        let hi = ((j + 1) * s).min(n * k);
-        for pos in lo..hi {
-            send[pos / k] += 2 * c;
+    for (idx, combination) in plan.combinations.iter().enumerate() {
+        for r in plan.slots(combination, n * k) {
+            recv[idx] += 2 * r.len();
+            for pos in r {
+                send[pos / k] += 2;
+            }
         }
-    }
-    for (idx, (first, rest)) in plan.combinations.iter().enumerate() {
-        let mut words = 0;
-        for &b in std::iter::once(first).chain(rest.iter()) {
-            let lo = b * s;
-            let hi = ((b + 1) * s).min(n * k);
-            words += 2 * (hi - lo);
-        }
-        recv[idx] += words;
     }
     clique.charge_route_by_loads("knearest-bin-transfer", &send, &recv);
+}
 
-    // --- Local work at each combination node + Step 4 response charge. ---
-    let mut responses: Vec<Vec<(NodeId, Weight)>> = vec![Vec::new(); n];
-    let mut resp_send = vec![0usize; n];
-    let mut resp_recv = vec![0usize; n];
-    let mut scratch = BfScratch::new(n);
-    let mut arcs: Vec<(NodeId, NodeId, Weight)> = Vec::new();
-    for (idx, (first, rest)) in plan.combinations.iter().enumerate() {
-        arcs.clear();
-        for &b in std::iter::once(first).chain(rest.iter()) {
-            let lo = b * s;
-            let hi = ((b + 1) * s).min(n * k);
-            arcs.extend_from_slice(&m_list[lo..hi]);
-        }
-        // Sources: owners of positions in the first bin.
-        let lo = first * s;
-        let hi = ((first + 1) * s).min(n * k);
-        if lo >= hi {
-            continue;
-        }
-        let src_lo = lo / k;
-        let src_hi = (hi - 1) / k;
-        for u in src_lo..=src_hi {
-            let found = scratch.k_nearest_h_hops(&arcs, u, h, k);
-            resp_send[idx] += 2 * found.len();
-            resp_recv[u] += 2 * found.len();
-            responses[u].extend(found);
+/// A combination node's working state, reused across its sources and the
+/// per-node merge: the best distance found so far, the value each node had
+/// at the end of the previous hop, the nodes lowered since the last reset,
+/// and the nodes the previous hop lowered (`frontier`) or this hop lowers.
+struct HopSearch {
+    dist: Vec<Weight>,
+    prev: Vec<Weight>,
+    touched: Vec<NodeId>,
+    frontier: Vec<NodeId>,
+    next: Vec<NodeId>,
+}
+
+impl HopSearch {
+    fn new(n: usize) -> Self {
+        Self {
+            dist: vec![INF; n],
+            prev: vec![INF; n],
+            touched: Vec::new(),
+            frontier: Vec::new(),
+            next: Vec::new(),
         }
     }
-    clique.charge_route_by_loads("knearest-responses", &resp_send, &resp_recv);
 
-    // --- Merge at each node: own row ∪ responses, keep k smallest. ---
-    let rows: Vec<Vec<(NodeId, Weight)>> = (0..n)
-        .map(|u| {
-            let own = abar.row(u).iter().copied();
-            select_k_smallest(own.chain(responses[u].iter().copied()), k)
-        })
-        .collect();
-    FilteredMatrix::from_rows(n, k, rows)
+    /// Lowers `v` to `d` if that is smaller, remembering `v` for the reset.
+    fn lower(&mut self, v: NodeId, d: Weight) {
+        if d < self.dist[v] {
+            if self.dist[v] == INF {
+                self.touched.push(v);
+            }
+            self.dist[v] = d;
+        }
+    }
+
+    /// The `k` smallest touched `(node, dist)`, by `(dist, node)`; resets
+    /// every touched entry for the next use.
+    fn take_k_smallest(&mut self, k: usize) -> Vec<(NodeId, Weight)> {
+        let out = select_k_smallest(self.touched.iter().map(|&v| (v, self.dist[v])), k);
+        for &v in &self.touched {
+            self.dist[v] = INF;
+            self.prev[v] = INF;
+        }
+        self.touched.clear();
+        out
+    }
+
+    /// `src`'s `k` nearest within `≤h` hops over the arcs of M in `ranges`.
+    /// Each hop scans only the slots owned by the nodes the previous hop
+    /// lowered, clipped to `ranges`, and relaxes each from its previous-hop
+    /// value, so no path exceeds `h` hops.
+    fn k_nearest(
+        &mut self,
+        m: &[(NodeId, Weight)],
+        k: usize,
+        ranges: &[Range<usize>],
+        src: NodeId,
+        h: usize,
+    ) -> Vec<(NodeId, Weight)> {
+        self.lower(src, 0);
+        self.prev[src] = 0;
+        self.frontier.push(src);
+        for _ in 0..h {
+            for &x in &self.frontier {
+                for r in ranges {
+                    let slots = r.start.max(x * k)..r.end.min((x + 1) * k);
+                    for &(v, w) in m.get(slots).unwrap_or_default() {
+                        let cand = wadd(self.prev[x], w);
+                        if cand < self.dist[v] {
+                            // First lowering this hop: dist still equals prev.
+                            if self.dist[v] == self.prev[v] {
+                                self.next.push(v);
+                            }
+                            if self.dist[v] == INF {
+                                self.touched.push(v);
+                            }
+                            self.dist[v] = cand;
+                        }
+                    }
+                }
+            }
+            for &v in &self.next {
+                self.prev[v] = self.dist[v];
+            }
+            std::mem::swap(&mut self.frontier, &mut self.next);
+            self.next.clear();
+            if self.frontier.is_empty() {
+                break;
+            }
+        }
+        self.frontier.clear();
+        self.take_k_smallest(k)
+    }
 }
 
 /// Lemma 5.2: `i` applications of [`one_round`], yielding each node's `k`

@@ -4,8 +4,8 @@
 //! thousand, `log₂ n ≈ 10`) several of them degenerate (`h = a^(1/4)/2 < 1`,
 //! `k = log⁴ n > n`, the reduction loop's profitability threshold
 //! `15√a < a ⇔ a > 225` never triggers). Every formula used by the pipeline
-//! lives here with its clamp, so EXPERIMENTS.md can point at a single place
-//! when explaining the finite-n regime.
+//! lives here with its clamp, so the finite-n regime is explained in a
+//! single place.
 
 use cc_graph::{log2_ceil, Weight};
 

@@ -28,7 +28,7 @@
 //! from measured loads).
 
 use cc_graph::graph::Graph;
-use cc_graph::{apsp, DistMatrix};
+use cc_graph::{apsp, sssp, DistMatrix};
 use cc_par::ExecPolicy;
 use clique_sim::{Bandwidth, Clique};
 use rand::rngs::StdRng;
@@ -43,7 +43,7 @@ use crate::smalldiam::{small_diameter_apsp, SmallDiamConfig};
 use crate::spanner::{bootstrap_k, spanner_apsp_estimate_with};
 use crate::{hopset, knearest};
 use cc_matrix::engine::KernelMode;
-use cc_matrix::filtered::{select_k_smallest, FilteredMatrix};
+use cc_matrix::filtered::FilteredMatrix;
 
 /// Configuration for the APSP pipelines.
 #[derive(Debug, Clone)]
@@ -177,9 +177,9 @@ pub fn apsp_large_bandwidth(
 
         // Step 6: skeleton from η's approximate √n-nearest sets (full
         // Lemma 6.1 with a = a_eta), exact APSP on the broadcast skeleton.
-        let tilde_rows: Vec<Vec<(usize, u64)>> = cfg.exec.map_collect(n, |u| {
-            select_k_smallest(eta.row(u).iter().copied().enumerate(), sqrt_n)
-        });
+        let tilde_rows: Vec<Vec<(usize, u64)>> = cfg
+            .exec
+            .map_collect(n, |u| sssp::k_nearest_from_dists(eta.row(u), sqrt_n));
         let tilde = FilteredMatrix::from_rows(n, sqrt_n, tilde_rows);
         let sk = build_skeleton_kernel(clique, &combined, &tilde, rng, cfg.exec, cfg.kernel);
         clique.broadcast_volume("broadcast-final-skeleton", 3 * sk.graph.m());

@@ -14,7 +14,7 @@
 //! relative rounding error for pairs joined by a shortest path of at most
 //! `h` hops; the initial δ selects which scale to read per pair.
 //!
-//! **Substitution (documented in DESIGN.md):** the paper's `K_i` adds a
+//! **Substitution:** the paper's `K_i` adds a
 //! cap-weight edge between *every* pair (`Θ(n²)` edges per scale). We
 //! instead connect every node to a hub (node 0) with weight `cap`. The
 //! resulting metric satisfies `min(d_Hi, cap) ≤ d ≤ d_Hi` for every pair —

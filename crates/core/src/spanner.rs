@@ -4,7 +4,7 @@
 //! \[CZ22\] (Lemma 7.1): a `(2k−1)`-spanner with `O(k·n^(1+1/k))` edges, or a
 //! `(1+ε)(2k−1)`-spanner with `O(n^(1+1/k))` edges, both in `O(1)` rounds.
 //!
-//! **Substitution (documented in DESIGN.md):** we implement the classic
+//! **Substitution:** we implement the classic
 //! Baswana–Sen randomized construction, which produces a `(2k−1)`-spanner
 //! with `O(k·n^(1+1/k))` expected edges — the same stretch, with an extra `k`
 //! factor in size that only matters on graphs denser than our workloads. The

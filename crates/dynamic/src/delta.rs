@@ -16,7 +16,9 @@
 //! Sections: header (n, strategy, base/result fingerprints), batch (ops),
 //! rows (repaired row indices + entries). Serialization is canonical, and
 //! [`Delta::apply`] verifies **both** fingerprints, so a delta can neither
-//! be applied to the wrong base nor silently produce a wrong result.
+//! be applied to the wrong base nor silently produce a wrong result. A
+//! landmark state's delta carries no rows: the sketch is rebuilt from the
+//! new graph and its seed.
 //!
 //! Chains compose: [`replay`] folds `state + delta*` forward, and
 //! [`compact`] collapses a chain into one equivalent delta whose batch is
@@ -343,18 +345,25 @@ impl Delta {
     /// returned state is fully constructed before the caller sees it, so a
     /// blue/green swap can never expose a half-applied update.
     ///
+    /// A dense state takes the delta's rows over a copy of its estimate. A
+    /// landmark state **rebuilds its sketch** from `(new graph, sketch
+    /// seed)` — sketch construction is a deterministic pure function of
+    /// those two, which is why a landmark delta ships no rows.
+    ///
     /// # Errors
     ///
     /// [`DeltaError::BaseMismatch`] when applied to the wrong state,
     /// [`DeltaError::Batch`] when the embedded batch does not validate,
     /// [`DeltaError::ResultMismatch`] when the recorded rows do not
-    /// reproduce the promised result.
+    /// reproduce the promised result, and [`DeltaError::Malformed`] when
+    /// the node counts differ or a delta carrying dense rows is applied to
+    /// a landmark state.
     pub fn apply(
         &self,
         graph: &Graph,
-        estimate: &DistMatrix,
-    ) -> Result<(Graph, DistMatrix), DeltaError> {
-        let actual = state_fingerprint(graph, estimate);
+        backend: &OracleBackend,
+    ) -> Result<(Graph, OracleBackend), DeltaError> {
+        let actual = backend_state_fingerprint(graph, backend);
         if actual != self.base_fingerprint {
             return Err(DeltaError::BaseMismatch {
                 expected: self.base_fingerprint,
@@ -368,76 +377,34 @@ impl Delta {
                 graph.n()
             )));
         }
-        let (new_graph, _changes) = self.batch.apply_to(graph)?;
-        let mut new_estimate = estimate.clone();
-        for (idx, row) in &self.rows {
-            new_estimate.row_mut(*idx).copy_from_slice(row);
+        if backend.as_landmark().is_some() && !self.rows.is_empty() {
+            return Err(DeltaError::Malformed(
+                "delta carries dense rows but the state is a landmark sketch".into(),
+            ));
         }
-        let produced = state_fingerprint(&new_graph, &new_estimate);
+        let (new_graph, _changes) = self.batch.apply_to(graph)?;
+        let new_backend = match backend {
+            OracleBackend::Dense(estimate) => {
+                let mut new_estimate = estimate.clone();
+                for (idx, row) in &self.rows {
+                    new_estimate.row_mut(*idx).copy_from_slice(row);
+                }
+                OracleBackend::Dense(new_estimate)
+            }
+            OracleBackend::Landmark(sketch) => OracleBackend::Landmark(LandmarkSketch::build(
+                &new_graph,
+                sketch.seed(),
+                ExecPolicy::from_env(),
+            )),
+        };
+        let produced = backend_state_fingerprint(&new_graph, &new_backend);
         if produced != self.result_fingerprint {
             return Err(DeltaError::ResultMismatch {
                 expected: self.result_fingerprint,
                 actual: produced,
             });
         }
-        Ok((new_graph, new_estimate))
-    }
-
-    /// Backend-aware [`Delta::apply`]: the dense arm is exactly `apply`
-    /// (same verification, same result); the landmark arm applies the batch
-    /// to the graph and **rebuilds the sketch** from `(new graph, sketch
-    /// seed)` — sketch construction is a deterministic pure function of
-    /// those two, which is why a landmark delta ships no rows — then
-    /// verifies the result fingerprint like any other link.
-    ///
-    /// # Errors
-    ///
-    /// As [`Delta::apply`]; additionally [`DeltaError::Malformed`] when a
-    /// delta carrying dense rows is applied to a landmark backend.
-    pub fn apply_backend(
-        &self,
-        graph: &Graph,
-        backend: &OracleBackend,
-    ) -> Result<(Graph, OracleBackend), DeltaError> {
-        match backend {
-            OracleBackend::Dense(estimate) => {
-                let (g, e) = self.apply(graph, estimate)?;
-                Ok((g, OracleBackend::Dense(e)))
-            }
-            OracleBackend::Landmark(sketch) => {
-                let actual = backend_state_fingerprint(graph, backend);
-                if actual != self.base_fingerprint {
-                    return Err(DeltaError::BaseMismatch {
-                        expected: self.base_fingerprint,
-                        actual,
-                    });
-                }
-                if graph.n() != self.n {
-                    return Err(DeltaError::Malformed(format!(
-                        "delta is for n={}, state has n={}",
-                        self.n,
-                        graph.n()
-                    )));
-                }
-                if !self.rows.is_empty() {
-                    return Err(DeltaError::Malformed(
-                        "delta carries dense rows but the state is a landmark sketch".into(),
-                    ));
-                }
-                let (new_graph, _changes) = self.batch.apply_to(graph)?;
-                let rebuilt =
-                    LandmarkSketch::build(&new_graph, sketch.seed(), ExecPolicy::from_env());
-                let new_backend = OracleBackend::Landmark(rebuilt);
-                let produced = backend_state_fingerprint(&new_graph, &new_backend);
-                if produced != self.result_fingerprint {
-                    return Err(DeltaError::ResultMismatch {
-                        expected: self.result_fingerprint,
-                        actual: produced,
-                    });
-                }
-                Ok((new_graph, new_backend))
-            }
-        }
+        Ok((new_graph, new_backend))
     }
 }
 
@@ -514,31 +481,31 @@ fn decode_rows(payload: &[u8], n: usize) -> Result<Vec<(NodeId, Vec<Weight>)>, D
     Ok(rows)
 }
 
-/// Replays a delta chain: folds `state + deltas` forward in order, verifying
-/// every link's fingerprints.
+/// Replays a delta chain: folds `state + deltas` forward with
+/// [`Delta::apply`], verifying every link's fingerprints.
 ///
 /// # Errors
 ///
 /// The first failing link's [`DeltaError`].
 pub fn replay(
     graph: &Graph,
-    estimate: &DistMatrix,
+    backend: &OracleBackend,
     deltas: &[Delta],
-) -> Result<(Graph, DistMatrix), DeltaError> {
+) -> Result<(Graph, OracleBackend), DeltaError> {
     let mut g = graph.clone();
-    let mut e = estimate.clone();
+    let mut b = backend.clone();
     for d in deltas {
-        let (ng, ne) = d.apply(&g, &e)?;
-        g = ng;
-        e = ne;
+        (g, b) = d.apply(&g, &b)?;
     }
-    Ok((g, e))
+    Ok((g, b))
 }
 
 /// Collapses a delta chain into one equivalent delta: the batch is the
-/// canonical base→final graph diff, the rows are the union of the chain's
-/// row indices carrying the **final** values, and the fingerprints span the
-/// whole chain. `apply(base, compact(chain)) == replay(base, chain)`.
+/// canonical base→final graph diff, the fingerprints span the whole chain,
+/// and for a dense state the rows are the union of the chain's row indices
+/// carrying the **final** values (a landmark chain ships no rows; the
+/// receiver rebuilds the sketch). `apply(base, compact(chain)) ==
+/// replay(base, chain)`.
 ///
 /// Returns the compacted delta together with the final state.
 ///
@@ -547,19 +514,21 @@ pub fn replay(
 /// Any replay failure; see [`replay`].
 pub fn compact(
     graph: &Graph,
-    estimate: &DistMatrix,
+    backend: &OracleBackend,
     deltas: &[Delta],
-) -> Result<(Delta, Graph, DistMatrix), DeltaError> {
-    let (final_graph, final_estimate) = replay(graph, estimate, deltas)?;
+) -> Result<(Delta, Graph, OracleBackend), DeltaError> {
+    let (final_graph, final_backend) = replay(graph, backend, deltas)?;
     let mut indices: Vec<NodeId> = deltas
         .iter()
         .flat_map(|d| d.rows.iter().map(|(i, _)| *i))
         .collect();
     indices.sort_unstable();
     indices.dedup();
+    // Only a dense chain has row indices: `apply` rejects rows on a
+    // landmark state.
     let rows: Vec<(NodeId, Vec<Weight>)> = indices
         .into_iter()
-        .map(|i| (i, final_estimate.row(i).to_vec()))
+        .map(|i| (i, final_backend.dist_row(i)))
         .collect();
     let strategy = if deltas.iter().any(|d| d.strategy == DeltaStrategy::Rebuilt) {
         DeltaStrategy::Rebuilt
@@ -569,77 +538,18 @@ pub fn compact(
     let delta = Delta {
         n: graph.n(),
         strategy,
-        base_fingerprint: state_fingerprint(graph, estimate),
-        result_fingerprint: state_fingerprint(&final_graph, &final_estimate),
+        base_fingerprint: backend_state_fingerprint(graph, backend),
+        result_fingerprint: backend_state_fingerprint(&final_graph, &final_backend),
         batch: UpdateBatch::diff(graph, &final_graph),
         rows,
     };
-    Ok((delta, final_graph, final_estimate))
-}
-
-/// Backend-aware [`replay`]: folds `state + deltas` forward with
-/// [`Delta::apply_backend`], verifying every link's fingerprints.
-///
-/// # Errors
-///
-/// The first failing link's [`DeltaError`].
-pub fn replay_backend(
-    graph: &Graph,
-    backend: &OracleBackend,
-    deltas: &[Delta],
-) -> Result<(Graph, OracleBackend), DeltaError> {
-    let mut g = graph.clone();
-    let mut b = backend.clone();
-    for d in deltas {
-        let (ng, nb) = d.apply_backend(&g, &b)?;
-        g = ng;
-        b = nb;
-    }
-    Ok((g, b))
-}
-
-/// Backend-aware [`compact`]: the dense arm delegates to `compact`; the
-/// landmark arm replays the chain, emits the canonical base→final batch with
-/// **no rows** (the receiver rebuilds the sketch deterministically), and
-/// spans the chain with backend fingerprints. In both arms
-/// `apply_backend(base, compacted) == replay_backend(base, chain)`.
-///
-/// # Errors
-///
-/// Any replay failure; see [`replay_backend`].
-pub fn compact_backend(
-    graph: &Graph,
-    backend: &OracleBackend,
-    deltas: &[Delta],
-) -> Result<(Delta, Graph, OracleBackend), DeltaError> {
-    match backend {
-        OracleBackend::Dense(estimate) => {
-            let (delta, g, e) = compact(graph, estimate, deltas)?;
-            Ok((delta, g, OracleBackend::Dense(e)))
-        }
-        OracleBackend::Landmark(_) => {
-            let (final_graph, final_backend) = replay_backend(graph, backend, deltas)?;
-            let strategy = if deltas.iter().any(|d| d.strategy == DeltaStrategy::Rebuilt) {
-                DeltaStrategy::Rebuilt
-            } else {
-                DeltaStrategy::Repaired
-            };
-            let delta = Delta {
-                n: graph.n(),
-                strategy,
-                base_fingerprint: backend_state_fingerprint(graph, backend),
-                result_fingerprint: backend_state_fingerprint(&final_graph, &final_backend),
-                batch: UpdateBatch::diff(graph, &final_graph),
-                rows: Vec::new(),
-            };
-            Ok((delta, final_graph, final_backend))
-        }
-    }
+    Ok((delta, final_graph, final_backend))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use cc_apsp::oracle::OracleBackend::Dense;
     use cc_graph::apsp;
     use cc_graph::graph::Direction;
 
@@ -689,19 +599,19 @@ mod tests {
     fn apply_verifies_and_produces_the_recorded_state() {
         let (delta, ng, ne) = sample_delta();
         let (g, e) = state();
-        let (got_g, got_e) = delta.apply(&g, &e).expect("applies");
+        let (got_g, got_b) = delta.apply(&g, &Dense(e.clone())).expect("applies");
         assert_eq!(got_g, ng);
-        assert_eq!(got_e, ne);
+        assert_eq!(got_b, Dense(ne));
         // Wrong base: apply to the *result* state.
         assert!(matches!(
-            delta.apply(&got_g, &got_e),
+            delta.apply(&got_g, &got_b),
             Err(DeltaError::BaseMismatch { .. })
         ));
         // Corrupted rows: flip one value; result fingerprint must catch it.
         let mut bad = delta.clone();
         bad.rows[0].1[0] ^= 1;
         assert!(matches!(
-            bad.apply(&g, &e),
+            bad.apply(&g, &Dense(e)),
             Err(DeltaError::ResultMismatch { .. })
         ));
     }
@@ -826,43 +736,38 @@ mod tests {
     }
 
     #[test]
-    fn landmark_apply_backend_rebuilds_and_verifies() {
+    fn landmark_apply_rebuilds_and_verifies() {
         let (g, b) = landmark_state(42);
         let (delta, ng, nb) = landmark_delta(&g, &b, vec![EdgeOp::Reweight(0, 1, 1)]);
-        let (got_g, got_b) = delta.apply_backend(&g, &b).expect("applies");
+        let (got_g, got_b) = delta.apply(&g, &b).expect("applies");
         assert_eq!(got_g, ng);
         assert_eq!(got_b, nb);
         // Wrong base state is caught before anything is rebuilt.
         assert!(matches!(
-            delta.apply_backend(&got_g, &got_b),
+            delta.apply(&got_g, &got_b),
             Err(DeltaError::BaseMismatch { .. })
         ));
         // A dense-rows delta cannot apply to a landmark state.
         let mut with_rows = delta.clone();
         with_rows.rows = vec![(0, vec![0; 5])];
         assert!(matches!(
-            with_rows.apply_backend(&g, &b),
+            with_rows.apply(&g, &b),
             Err(DeltaError::Malformed(_))
         ));
         // A tampered result fingerprint is a ResultMismatch.
         let mut lying = delta.clone();
         lying.result_fingerprint ^= 1;
         assert!(matches!(
-            lying.apply_backend(&g, &b),
+            lying.apply(&g, &b),
             Err(DeltaError::ResultMismatch { .. })
         ));
     }
 
     #[test]
-    fn dense_apply_backend_matches_dense_apply() {
-        let (delta, ng, ne) = sample_delta();
+    fn dense_backend_fingerprint_is_the_state_fingerprint() {
         let (g, e) = state();
-        let backend = OracleBackend::Dense(e.clone());
-        let (got_g, got_b) = delta.apply_backend(&g, &backend).expect("applies");
-        assert_eq!(got_g, ng);
-        assert_eq!(got_b, OracleBackend::Dense(ne));
         assert_eq!(
-            backend_state_fingerprint(&g, &backend),
+            backend_state_fingerprint(&g, &Dense(e.clone())),
             state_fingerprint(&g, &e),
             "dense backend fingerprint must equal the legacy dense fingerprint"
         );
@@ -889,12 +794,12 @@ mod tests {
             vec![EdgeOp::Delete(0, 4), EdgeOp::Insert(1, 4, 2)],
         );
         let chain = [d1, d2];
-        let (rg, rb) = replay_backend(&g, &b, &chain).expect("replays");
+        let (rg, rb) = replay(&g, &b, &chain).expect("replays");
         assert_eq!((&rg, &rb), (&g2, &b2));
-        let (merged, cg, cb) = compact_backend(&g, &b, &chain).expect("compacts");
+        let (merged, cg, cb) = compact(&g, &b, &chain).expect("compacts");
         assert_eq!((&cg, &cb), (&rg, &rb));
         assert!(merged.rows.is_empty(), "landmark compaction ships no rows");
-        let (ag, ab) = merged.apply_backend(&g, &b).expect("compacted applies");
+        let (ag, ab) = merged.apply(&g, &b).expect("compacted applies");
         assert_eq!((ag, ab), (rg, rb));
     }
 
@@ -919,16 +824,20 @@ mod tests {
             rows,
         };
         let chain = [d1, d2];
-        let (rg, re) = replay(&g, &e, &chain).expect("replays");
-        assert_eq!(state_fingerprint(&rg, &re), state_fingerprint(&g2, &e2));
-        let (merged, cg, ce) = compact(&g, &e, &chain).expect("compacts");
-        assert_eq!((&cg, &ce), (&rg, &re));
-        let (ag, ae) = merged.apply(&g, &e).expect("compacted delta applies");
-        assert_eq!((ag, ae), (rg, re));
+        let b = Dense(e);
+        let (rg, rb) = replay(&g, &b, &chain).expect("replays");
+        assert_eq!(
+            backend_state_fingerprint(&rg, &rb),
+            state_fingerprint(&g2, &e2)
+        );
+        let (merged, cg, cb) = compact(&g, &b, &chain).expect("compacts");
+        assert_eq!((&cg, &cb), (&rg, &rb));
+        let (ag, ab) = merged.apply(&g, &b).expect("compacted delta applies");
+        assert_eq!((ag, ab), (rg, rb));
         // Empty chain compacts to the identity delta.
-        let (id, ig, ie) = compact(&g, &e, &[]).expect("identity");
+        let (id, ig, ib) = compact(&g, &b, &[]).expect("identity");
         assert!(id.batch.is_empty() && id.rows.is_empty());
         assert_eq!(id.base_fingerprint, id.result_fingerprint);
-        assert_eq!((ig, ie), (g, e));
+        assert_eq!((ig, ib), (g, b));
     }
 }

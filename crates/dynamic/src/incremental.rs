@@ -316,7 +316,7 @@ impl IncrementalOracle {
             }
             OracleBackend::Landmark(sketch) => {
                 // The receiver of the row-free delta rebuilds the same way;
-                // see `Delta::apply_backend`.
+                // see `Delta::apply`.
                 let mut sp = cc_obs::span("dyn-rebuild");
                 sp.attr("changed_edges", changes.len() as f64);
                 let rebuilt = LandmarkSketch::build(&new_graph, sketch.seed(), self.cfg.exec);
@@ -606,12 +606,12 @@ mod tests {
             &mut StdRng::seed_from_u64(17),
         );
         let outcome = oracle.apply(&batch).expect("valid");
-        let (g2, e2) = outcome
+        let (g2, b2) = outcome
             .delta
-            .apply(&base_graph, &base_estimate)
+            .apply(&base_graph, &OracleBackend::Dense(base_estimate))
             .expect("replays");
         assert_eq!(&g2, oracle.graph());
-        assert_eq!(&e2, oracle.estimate());
+        assert_eq!(b2.as_dense(), Some(oracle.estimate()));
     }
 
     #[test]
@@ -642,7 +642,7 @@ mod tests {
         // …and the delta replays onto an untouched copy of the base state.
         let (g2, b2) = outcome
             .delta
-            .apply_backend(&base_graph, &base_backend)
+            .apply(&base_graph, &base_backend)
             .expect("replays");
         assert_eq!(&g2, oracle.graph());
         assert_eq!(&b2, oracle.backend());

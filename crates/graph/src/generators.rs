@@ -4,7 +4,7 @@
 //! spread of graph families. Every generator takes an explicit RNG so that
 //! experiments are reproducible bit-for-bit.
 //!
-//! Families (used throughout EXPERIMENTS.md):
+//! Families (used throughout the E1–E15 experiment tables of `cc_bench`):
 //!
 //! * [`gnp`] / [`gnp_connected`] — Erdős–Rényi `G(n, p)`.
 //! * [`random_geometric`] — unit-square geometric graphs; the "network-like"

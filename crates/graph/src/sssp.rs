@@ -170,25 +170,33 @@ pub fn k_nearest(g: &Graph, src: NodeId, k: usize) -> Vec<(NodeId, Weight)> {
 
 /// Selects the `k` nearest entries from a distance vector, ties broken by ID,
 /// excluding unreachable nodes, as `(node, dist)` sorted by `(dist, node)`.
-///
-/// One scan keeps the `k` smallest `(dist, node)` pairs in a bounded
-/// max-heap and sorts only those: O(n log k) time for an n-entry row, and
-/// nothing is sized past `min(k, n)` entries, so any `k` (`usize::MAX`
-/// included) is safe to pass.
 pub fn k_nearest_from_dists(dist: &[Weight], k: usize) -> Vec<(NodeId, Weight)> {
-    let k = k.min(dist.len());
-    let mut heap: BinaryHeap<(Weight, NodeId)> = BinaryHeap::with_capacity(k);
-    for (v, &d) in dist.iter().enumerate() {
+    select_k_smallest(dist.iter().copied().enumerate(), k)
+}
+
+/// Keeps the `k` smallest `(node, dist)` entries by `(dist, node)`, dropping
+/// unreachable (`INF`) ones, sorted ascending: the selection rule used
+/// everywhere the paper says "the k nodes with the smallest values, breaking
+/// ties by node IDs". Nodes must be distinct but may arrive in any order.
+///
+/// One scan keeps the `k` smallest pairs in a bounded max-heap and sorts
+/// only those: O(len log k) time, and nothing is sized past the iterator's
+/// lower size bound, so any `k` (`usize::MAX` included) is safe to pass.
+pub fn select_k_smallest(
+    entries: impl IntoIterator<Item = (NodeId, Weight)>,
+    k: usize,
+) -> Vec<(NodeId, Weight)> {
+    let entries = entries.into_iter();
+    let mut heap: BinaryHeap<(Weight, NodeId)> =
+        BinaryHeap::with_capacity(k.min(entries.size_hint().0));
+    for (v, d) in entries {
         if d >= INF {
             continue;
         }
         if heap.len() < k {
             heap.push((d, v));
         } else if let Some(mut top) = heap.peek_mut() {
-            // Ids arrive in increasing order, so every kept pair has a
-            // smaller id than `v`: `(d, v)` ranks before the largest kept
-            // pair exactly when its distance is strictly smaller.
-            if d < top.0 {
+            if (d, v) < *top {
                 *top = (d, v);
             }
         }

@@ -2,9 +2,10 @@
 //! saturating semiring addition ([`cc_graph::wadd`]), the integer log
 //! ([`cc_graph::log2_ceil`]), the stretch audit
 //! ([`cc_graph::DistMatrix::stretch_vs`]), and the k-nearest selection
-//! ([`cc_graph::sssp::k_nearest_from_dists`]).
+//! ([`cc_graph::sssp::k_nearest_from_dists`] over a dense row, and
+//! [`cc_graph::sssp::select_k_smallest`] over the same entries in any order).
 
-use cc_graph::sssp::k_nearest_from_dists;
+use cc_graph::sssp::{k_nearest_from_dists, select_k_smallest};
 use cc_graph::{log2_ceil, wadd, DistMatrix, NodeId, StretchStats, Weight, INF};
 use proptest::prelude::*;
 
@@ -127,6 +128,7 @@ proptest! {
     #[test]
     fn k_nearest_selection_equals_the_full_sort(
         cells in proptest::collection::vec((0u8..6, 0u64..5), 0..81),
+        keys in proptest::collection::vec(any::<u64>(), 81),
     ) {
         let row: Vec<Weight> = cells
             .iter()
@@ -144,10 +146,15 @@ proptest! {
             .map(|(v, d)| (d, v))
             .collect();
         order.sort_unstable();
+        // The shared helper takes sparse entries in any order: the row's
+        // finite entries, shuffled by sorting on random keys.
+        let mut shuffled: Vec<(NodeId, Weight)> = order.iter().map(|&(d, v)| (v, d)).collect();
+        shuffled.sort_by_key(|&(v, _)| keys[v]);
         for k in (0..=row.len() + 2).chain([usize::MAX]) {
             let expect: Vec<(NodeId, Weight)> =
                 order.iter().take(k).map(|&(d, v)| (v, d)).collect();
-            prop_assert_eq!(k_nearest_from_dists(&row, k), expect, "k = {}, row = {:?}", k, row);
+            prop_assert_eq!(k_nearest_from_dists(&row, k), expect.clone(), "k = {}, row = {:?}", k, row);
+            prop_assert_eq!(select_k_smallest(shuffled.iter().copied(), k), expect, "k = {}, entries = {:?}", k, shuffled);
         }
     }
 }

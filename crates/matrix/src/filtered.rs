@@ -10,6 +10,7 @@
 //! `(val, col)`), which is also the on-the-wire format nodes exchange in the
 //! Section 5 algorithm.
 
+use cc_graph::sssp::{k_nearest_from_dists, select_k_smallest};
 use cc_graph::{DistMatrix, Graph, NodeId, Weight, INF};
 
 /// A row-filtered tropical matrix: row `u` holds at most `k` entries,
@@ -26,18 +27,7 @@ impl FilteredMatrix {
     /// by column.
     pub fn from_dense(a: &DistMatrix, k: usize) -> Self {
         let n = a.n();
-        let rows = (0..n)
-            .map(|u| {
-                select_k_smallest(
-                    a.row(u)
-                        .iter()
-                        .copied()
-                        .enumerate()
-                        .filter(|&(_, w)| w < INF),
-                    k,
-                )
-            })
-            .collect();
+        let rows = (0..n).map(|u| k_nearest_from_dists(a.row(u), k)).collect();
         Self { n, k, rows }
     }
 
@@ -55,14 +45,11 @@ impl FilteredMatrix {
         Self { n, k, rows }
     }
 
-    /// Builds from explicit rows (each row is deduplicated, sorted, and
-    /// truncated to `k`).
+    /// Builds from explicit rows (each row is sorted and truncated to `k`;
+    /// a row must not repeat a column).
     pub fn from_rows(n: usize, k: usize, rows: Vec<Vec<(NodeId, Weight)>>) -> Self {
         assert_eq!(rows.len(), n);
-        let rows = rows
-            .into_iter()
-            .map(|r| select_k_smallest(r.into_iter(), k))
-            .collect();
+        let rows = rows.into_iter().map(|r| select_k_smallest(r, k)).collect();
         Self { n, k, rows }
     }
 
@@ -105,35 +92,6 @@ impl FilteredMatrix {
         }
         a
     }
-}
-
-/// Keeps the `k` smallest `(col, val)` entries by `(val, col)`, after
-/// collapsing duplicate columns to their minimum value.
-///
-/// This is the selection rule used everywhere the paper says "the k nodes
-/// with the smallest values, breaking ties by node IDs".
-pub fn select_k_smallest(
-    entries: impl Iterator<Item = (NodeId, Weight)>,
-    k: usize,
-) -> Vec<(NodeId, Weight)> {
-    let mut by_key: Vec<(Weight, NodeId)> = entries.map(|(c, w)| (w, c)).collect();
-    by_key.sort_unstable();
-    // Collapse duplicate columns: after sorting by (w, col), the first
-    // occurrence of a column has its minimum value.
-    let mut seen = std::collections::HashSet::new();
-    let mut out = Vec::with_capacity(k);
-    for (w, c) in by_key {
-        if w >= INF {
-            break;
-        }
-        if seen.insert(c) {
-            out.push((c, w));
-            if out.len() == k {
-                break;
-            }
-        }
-    }
-    out
 }
 
 /// Reference implementation of the Section 5 target: `filter_k(A^h)`, the
@@ -211,19 +169,18 @@ mod tests {
         assert_eq!(f.row(2), &[(2, 0)]);
     }
 
+    /// Sparse entries do not arrive in column order, so ties must be
+    /// broken on the full `(val, col)` pair, not on arrival.
     #[test]
-    fn select_k_smallest_dedups_and_tiebreaks() {
-        let entries = vec![(3, 5), (1, 5), (3, 2), (2, 7)];
-        assert_eq!(
-            select_k_smallest(entries.into_iter(), 2),
-            vec![(3, 2), (1, 5)]
-        );
+    fn select_k_smallest_breaks_ties_on_the_full_pair() {
+        let entries = vec![(3, 5), (1, 5), (4, 2), (2, 7), (0, 5)];
+        assert_eq!(select_k_smallest(entries, 3), vec![(4, 2), (0, 5), (1, 5)]);
     }
 
     #[test]
     fn select_k_smallest_drops_inf() {
         let entries = vec![(0, INF), (1, 3)];
-        assert_eq!(select_k_smallest(entries.into_iter(), 5), vec![(1, 3)]);
+        assert_eq!(select_k_smallest(entries, 5), vec![(1, 3)]);
     }
 
     #[test]

@@ -423,7 +423,7 @@ impl OracleService {
             cc_graph::DistMatrix::infinite(0),
         );
         let (graph, backend) = std::mem::replace(&mut e.oracle, placeholder).into_backend_parts();
-        match delta.apply_backend(&graph, &backend) {
+        match delta.apply(&graph, &backend) {
             Ok((new_graph, new_backend)) => {
                 e.oracle = DistanceOracle::with_backend(new_graph, new_backend);
                 e.version += 1;

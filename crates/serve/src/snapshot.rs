@@ -207,13 +207,12 @@ impl Snapshot {
     ///
     /// # Errors
     ///
-    /// See [`cc_dynamic::Delta::apply`] and
-    /// [`cc_dynamic::Delta::apply_backend`].
+    /// See [`cc_dynamic::Delta::apply`].
     pub fn apply_delta(
         &self,
         delta: &cc_dynamic::Delta,
     ) -> Result<Snapshot, cc_dynamic::DeltaError> {
-        let (graph, backend) = delta.apply_backend(&self.graph, &self.backend)?;
+        let (graph, backend) = delta.apply(&self.graph, &self.backend)?;
         Ok(Snapshot {
             graph,
             backend,

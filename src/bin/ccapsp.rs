@@ -775,7 +775,7 @@ fn cmd_compact(args: &Args) -> Result<(), ExitCode> {
         .iter()
         .map(|p| Delta::load(p).map_err(|e| fail(format!("cannot load delta {p}: {e}"))))
         .collect::<Result<Vec<_>, _>>()?;
-    let (merged, graph, backend) = ccdelta::compact_backend(&base.graph, &base.backend, &deltas)
+    let (merged, graph, backend) = ccdelta::compact(&base.graph, &base.backend, &deltas)
         .map_err(|e| fail(format!("cannot replay delta chain: {e}")))?;
     let final_snapshot = Snapshot::with_backend(graph, backend, base.meta.clone());
     let fp = final_snapshot.state_fingerprint();

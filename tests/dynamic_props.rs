@@ -3,6 +3,7 @@
 //! families × thread counts × kernel modes, and delta-chain replay/
 //! compaction fingerprints.
 
+use cc_apsp::oracle::OracleBackend;
 use cc_dynamic::delta::{backend_state_fingerprint, compact, replay, state_fingerprint, Delta};
 use cc_dynamic::incremental::{DynamicConfig, IncrementalOracle};
 use cc_dynamic::update::{random_batch, EdgeOp, MutationProfile, UpdateBatch};
@@ -193,16 +194,17 @@ proptest! {
         }
 
         // Chain replay lands exactly on the engine's state.
-        let (rg, re) = replay(&g, &estimate, &deltas).expect("chain replays");
+        let base = OracleBackend::Dense(estimate.clone());
+        let (rg, rb) = replay(&g, &base, &deltas).expect("chain replays");
         prop_assert_eq!(&rg, engine.graph());
-        prop_assert_eq!(&re, engine.estimate());
+        prop_assert_eq!(rb.as_dense(), Some(engine.estimate()));
 
         // Compaction reproduces the direct snapshot fingerprint.
-        let (merged, cg, ce) = compact(&g, &estimate, &deltas).expect("compacts");
+        let (merged, cg, cb) = compact(&g, &base, &deltas).expect("compacts");
         let direct = state_fingerprint(engine.graph(), engine.estimate());
-        prop_assert_eq!(state_fingerprint(&cg, &ce), direct);
-        let (ag, ae) = merged.apply(&g, &estimate).expect("merged applies");
-        prop_assert_eq!(state_fingerprint(&ag, &ae), direct);
+        prop_assert_eq!(backend_state_fingerprint(&cg, &cb), direct);
+        let (ag, ab) = merged.apply(&g, &base).expect("merged applies");
+        prop_assert_eq!(backend_state_fingerprint(&ag, &ab), direct);
 
         // And the serving-layer snapshot path agrees delta by delta.
         let meta = SnapshotMeta {

@@ -1,7 +1,7 @@
 //! Property-based tests (proptest) for the core invariants:
 //! estimates never underestimate, hopsets preserve distances, filtered
-//! powers commute (Lemma 5.5), spanner stretch, scaling bounds, and the
-//! zero-weight reduction.
+//! powers commute (Lemma 5.5), Lemma 5.1's round computes them, spanner
+//! stretch, scaling bounds, and the zero-weight reduction.
 
 use cc_apsp::pipeline::{approximate_apsp, PipelineConfig};
 use cc_apsp::zeroweight::apsp_with_zero_weights;
@@ -119,6 +119,34 @@ proptest! {
         });
         prop_assert!(compressed_positive);
         prop_assert_eq!(est, apsp::exact_apsp(&g));
+    }
+}
+
+/// Strategy: a random weighted digraph on 8–80 nodes with weights 0–40, so
+/// zero-weight arcs meet the zero-weight self-arcs that pad Lemma 5.1's list.
+fn arb_digraph() -> impl Strategy<Value = Graph> {
+    (8usize..=80)
+        .prop_flat_map(|n| {
+            (
+                Just(n),
+                proptest::collection::vec((0..n, 0..n, 0u64..=40), 0..=4 * n),
+            )
+        })
+        .prop_map(|(n, arcs)| Graph::from_edges(n, Direction::Directed, &arcs))
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig { cases: 64, ..ProptestConfig::default() })]
+
+    /// Lemma 5.1 over both of its plans: `one_round` equals `filter_k(Ā^h)`
+    /// whether `plan_bins` finds bins (always at h = 1 here) or falls back to
+    /// the broadcast (below n = 16 at h = 2, n = 64 at h = 3, n = 256 at h = 4).
+    #[test]
+    fn one_round_equals_the_filtered_power(g in arb_digraph(), k in 1usize..=8, h in 1usize..=4) {
+        let abar = FilteredMatrix::from_graph(&g, k);
+        let mut clique = Clique::new(g.n(), Bandwidth::standard(g.n()));
+        let out = cc_apsp::knearest::one_round(&mut clique, &abar, h);
+        prop_assert_eq!(out, filtered_power_reference(&abar.to_dense(), k, h as u64));
     }
 }
 
