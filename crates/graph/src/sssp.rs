@@ -180,8 +180,8 @@ pub fn k_nearest_from_dists(dist: &[Weight], k: usize) -> Vec<(NodeId, Weight)> 
 /// ties by node IDs". Nodes must be distinct but may arrive in any order.
 ///
 /// One scan keeps the `k` smallest pairs in a bounded max-heap and sorts
-/// only those: O(len log k) time, and nothing is sized past the iterator's
-/// lower size bound, so any `k` (`usize::MAX` included) is safe to pass.
+/// only those: O(len log k) time, and the heap never holds more than
+/// `min(k, len)` entries, so any `k` (`usize::MAX` included) is safe to pass.
 pub fn select_k_smallest(
     entries: impl IntoIterator<Item = (NodeId, Weight)>,
     k: usize,
