@@ -821,8 +821,9 @@ mod tests {
         let plan = KernelPlan::choose(&a, &a, KernelMode::Dense);
         assert_eq!(plan.choice, KernelChoice::DenseCompact);
         a.set(0, 1, COMPACT_MAX_ENTRY + 7); // would truncate under `as u32`
-        let out = min_plus_planned(&a, &a, &plan, ExecPolicy::Seq);
-        assert_eq!(out, distance_product(&a, &a));
+        let naive = distance_product(&a, &a);
+        assert_eq!(min_plus_planned(&a, &a, &plan, ExecPolicy::Seq), naive);
+        assert_eq!(square_planned(&a, &plan, ExecPolicy::Seq), naive);
     }
 
     #[test]

@@ -6,20 +6,23 @@
 //! {dense, sparse} — tracing may only add a span tree on the side.
 
 use cc_apsp::pipeline::{approximate_apsp, PipelineConfig};
+use cc_baselines::exact as exact_baseline;
 use cc_dynamic::incremental::{DynamicConfig, IncrementalOracle};
 use cc_dynamic::update::{random_batch, EdgeOp, MutationProfile, UpdateBatch};
 use cc_graph::graph::{Direction, Graph};
 use cc_graph::{apsp, NodeId, Weight};
-use cc_matrix::engine::KernelMode;
+use cc_matrix::engine::{KernelChoice, KernelMode, KernelPlan};
 use cc_par::ExecPolicy;
 use cc_serve::client::replay_network;
 use cc_serve::loadgen::{replay, LoadSpec, Skew};
 use cc_serve::server::{Server, ServerConfig};
 use cc_serve::service::OracleService;
 use cc_serve::snapshot::{Snapshot, SnapshotMeta};
+use clique_sim::{Bandwidth, Clique};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
+use std::collections::BTreeMap;
 use std::sync::Mutex;
 
 /// The thread counts and forced kernel modes the invariant is checked at,
@@ -273,4 +276,67 @@ fn network_fingerprint_is_telemetry_invariant() {
         assert_eq!(on, off, "threads={threads}");
         assert_eq!(on, reference, "threads={threads}");
     }
+}
+
+/// The exact baseline's squaring loop opens one `square[<choice>]` span per
+/// squaring under its `exact-squaring` phase, named by the kernel
+/// `KernelPlan::choose` picks at that step: sparse while the adjacency
+/// matrix is thin, then a dense width once it fills in. Benchmark replays
+/// of the loop compare their own plan choices against these span names.
+#[test]
+fn exact_squaring_spans_name_each_planned_kernel() {
+    let _guard = locked();
+    let mut rng = StdRng::seed_from_u64(0x5A);
+    let g = cc_graph::generators::gnp_connected(64, 0.05, 1..=9, &mut rng);
+    // The choices the loop must make, replayed on the reference product.
+    let mut planned = Vec::new();
+    let mut cur = cc_matrix::dense::adjacency_matrix(&g);
+    loop {
+        planned.push(KernelPlan::choose(&cur, &cur, KernelMode::Auto).choice);
+        let next = cc_matrix::dense::distance_product(&cur, &cur);
+        if next == cur {
+            break;
+        }
+        cur = next;
+    }
+    let first_dense = planned
+        .iter()
+        .position(|&c| c != KernelChoice::SparseSharded)
+        .expect("the squares fill in");
+    assert!(first_dense > 0, "planned {planned:?}");
+    assert!(
+        planned[first_dense..]
+            .iter()
+            .all(|&c| c != KernelChoice::SparseSharded),
+        "planned {planned:?}"
+    );
+
+    cc_obs::reset();
+    cc_obs::enable();
+    let mut clique = Clique::new(g.n(), Bandwidth::standard(g.n()));
+    let est = exact_baseline::exact_apsp_squaring_kernel(
+        &mut clique,
+        &g,
+        ExecPolicy::Seq,
+        KernelMode::Auto,
+    );
+    cc_obs::disable();
+    let snapshot = cc_obs::capture();
+    cc_obs::reset();
+    assert_eq!(est, cur);
+
+    let recorded: Vec<(String, u64)> = snapshot
+        .find("exact-squaring")
+        .expect("the phase span was recorded")
+        .children
+        .iter()
+        .map(|c| (c.name.clone(), c.count))
+        .collect();
+    let mut want = BTreeMap::new();
+    for choice in &planned {
+        *want
+            .entry(format!("square[{}]", choice.name()))
+            .or_insert(0u64) += 1;
+    }
+    assert_eq!(recorded, want.into_iter().collect::<Vec<_>>());
 }
