@@ -30,8 +30,9 @@ pub fn exact_apsp_squaring(clique: &mut Clique, g: &Graph) -> DistMatrix {
 /// min-plus squarings and an explicit [`KernelMode`]: every squaring runs
 /// through the kernel engine's self-product path ([`engine::square`]),
 /// which re-plans per multiply — the first squarings of an adjacency matrix
-/// dispatch sparse, the later (filled-in) ones to the blocked-FW k-tiled
-/// dense kernel at the narrowest lane width the entries permit. Output and
+/// dispatch sparse, the later (filled-in) ones to the dense lane kernel at
+/// the narrowest width the entries permit. Each squaring opens one
+/// `square[<kernel>]` span under the `exact-squaring` phase. Output and
 /// round charges are bit-identical across modes.
 pub fn exact_apsp_squaring_kernel(
     clique: &mut Clique,

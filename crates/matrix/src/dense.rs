@@ -1,39 +1,32 @@
 //! Dense min-plus products and exponentiation.
 //!
-//! Three dense kernels live here:
+//! Two dense kernels live here:
 //!
 //! * [`distance_product_with`] — the naive row-blocked triple loop. This is
 //!   the **reference semantics** every other kernel is tested against; it is
 //!   deliberately left simple.
-//! * [`distance_product_lanes_with`] — the **lane kernel** and the
-//!   production dense path ([`crate::engine`] routes every dense multiply
-//!   here). Loop order is `i, k, j`: the innermost loop broadcasts one
-//!   pre-clamped `A[i,k]` against a contiguous row of `B` and min-folds it
-//!   into the contiguous output row — a pure branchless `add + min` stream
-//!   over [`TropicalEntry::LANES`]-wide lanes with a scalar tail, no
-//!   transposition, no `∞` branches, no reduction across lanes. The same
-//!   generic kernel instantiates at `u64` (full range), `u32` (compact),
-//!   and `u16` (ultra-compact) entry widths. The `u64` arm stays whatever
-//!   its speed against the naive loop: it is the same generic code as the
-//!   narrow arms, not a kernel of its own; it is the only lawful arm for
-//!   entries past the `u32` bound; and the wide *squares* that dominate
-//!   [`power`]/[`closure`] already take the k-tiled kernel below.
-//! * [`square_ktiled_opts`] — the blocked-Floyd–Warshall-style self-product
-//!   used by [`power`]/[`closure`]-shaped squarings: the output is walked in
-//!   [`KTILED_ROWS`]-row accumulator strips and the *full* `k` sweep runs
-//!   against each strip before moving on, so the strip stays L1-resident
-//!   across the sweep and each operand row fetched serves every strip row
-//!   while hot.
+//! * [`distance_product_lanes_opts`] — the **lane kernel** and the
+//!   production dense path ([`crate::engine`] routes every dense multiply,
+//!   squares included, here). Loop order is `i, k, j`: the innermost loop
+//!   broadcasts one pre-clamped `A[i,k]` against a contiguous row of `B`
+//!   and min-folds it into the contiguous output row — a pure branchless
+//!   `add + min` stream over fixed-width lanes with a scalar tail, no
+//!   transposition, no `∞` branches, no reduction across lanes. The `k`
+//!   dimension is walked in [`TILE`]-row blocks. The same generic kernel
+//!   instantiates at `u64` (full range), `u32` (compact), and `u16`
+//!   (ultra-compact) entry widths. The `u64` arm stays whatever its speed
+//!   against the naive loop: it is the same generic code as the narrow
+//!   arms, not a kernel of its own, and it is the only lawful arm for
+//!   entries past the `u32` bound.
 //!
-//! All kernels compute the exact entrywise minimum over all `k`, so their
+//! Both kernels compute the exact entrywise minimum over all `k`, so their
 //! outputs are **bit-identical** for every tile size, lane width, and thread
 //! count — `min` over unsigned integers has no rounding. The
-//! auto-dispatching front end that picks between these and the sparse
-//! kernel is [`crate::engine`].
+//! auto-dispatching front end that picks the lane kernel's width or the
+//! sparse kernel is [`crate::engine`].
 
 use cc_graph::{wadd, DistMatrix, Graph, Weight, INF};
 use cc_par::ExecPolicy;
-use std::sync::OnceLock;
 
 /// The weighted adjacency matrix of `g` over the tropical semiring:
 /// `A[u,v] = w(u,v)` for edges, `A[v,v] = 0`, `∞` elsewhere.
@@ -92,25 +85,11 @@ pub fn distance_product_with(a: &DistMatrix, b: &DistMatrix, exec: ExecPolicy) -
     DistMatrix::from_raw(n, data)
 }
 
-/// Default tile size (rows of the `k` dimension per tile) for the blocked
-/// kernels when `CC_TILE` is unset: small enough that a full `tile × n`
-/// slice of the right operand fits in L2 at the sizes the pipelines use.
-pub const DEFAULT_TILE: usize = 64;
-
-/// The tile size used by [`distance_product_lanes_with`] and the kernel
-/// engine's plans: the `CC_TILE` environment variable (read once
-/// per process), else [`DEFAULT_TILE`]. Values are clamped to at least 1.
-/// The tile size never changes results, only wall-clock time.
-pub fn tile_size() -> usize {
-    static CACHED: OnceLock<usize> = OnceLock::new();
-    *CACHED.get_or_init(|| {
-        std::env::var("CC_TILE")
-            .ok()
-            .and_then(|v| v.trim().parse::<usize>().ok())
-            .filter(|&t| t > 0)
-            .unwrap_or(DEFAULT_TILE)
-    })
-}
+/// Rows of the `k` dimension per block in the lane kernel: small enough
+/// that a full `TILE × n` slice of the right operand fits in L2 at the
+/// sizes the pipelines use. The tile never changes results, only
+/// wall-clock time.
+pub const TILE: usize = 64;
 
 /// Lane width of the wide (`u64`) lane kernel: 8 × 8 bytes = one 64-byte
 /// cache line per lane group.
@@ -126,26 +105,49 @@ pub const COMPACT_LANES: usize = 8;
 /// baseline SSE2.
 pub const ULTRA_LANES: usize = 16;
 
-/// An entry type the dense kernels can run over: `u64` for full-range
+/// An entry type the lane kernel can run over: `u64` for full-range
 /// tropical weights, `u32` for the compact bounded-entry path, `u16` for
 /// the ultra-compact small-weight path (see [`crate::engine`]). `TOP`
 /// plays the role of `∞`.
 ///
-/// **Kernel precondition:** every entry fed to [`lanes_kernel`] or
-/// [`ktiled_kernel`] must be at most `TOP` (callers clamp once, O(n²),
-/// before the O(n³) loop). Because `TOP ≤ MAX/4`, the sum of two clamped
-/// entries never overflows, so `tadd` is a plain wrapping add — no
-/// per-element saturation in the hot loop — and any sum involving a `TOP`
-/// operand lands at or above `TOP`, where it can never win a minimum
-/// against an output entry (those start at `TOP` and only decrease). That
-/// is exactly `wadd`'s observable behaviour.
-pub(crate) trait TropicalEntry: Copy + Ord + Send + Sync {
+/// **Kernel precondition:** every entry fed to [`lanes_kernel`] must be at
+/// most `TOP` ([`TropicalEntry::from_weight`] clamps once, O(n²), before
+/// the O(n³) loop). Because `TOP ≤ MAX/4`, the sum of two clamped entries
+/// never overflows, so `tadd` is a plain wrapping add — no per-element
+/// saturation in the hot loop — and any sum involving a `TOP` operand lands
+/// at or above `TOP`, where it can never win a minimum against an output
+/// entry (those start at `TOP` and only decrease). That is exactly
+/// `wadd`'s observable behaviour.
+pub(crate) trait TropicalEntry:
+    Copy + Ord + Send + Sync + TryFrom<Weight> + Into<Weight>
+{
     /// The infinity sentinel for this width (≤ `MAX/4`).
     const TOP: Self;
     /// Unrolled lane count of the branchless inner loop for this width.
     const LANES: usize;
     /// Semiring addition under the clamped-input precondition.
     fn tadd(self, rhs: Self) -> Self;
+
+    /// A tropical weight at this width, clamped to `TOP`: `∞` (any
+    /// `w ≥ INF`) becomes `TOP`. Exact for every finite `w` within the
+    /// width's entry bound, which the engine checks before narrowing.
+    #[inline]
+    fn from_weight(w: Weight) -> Self {
+        match Self::try_from(w) {
+            Ok(v) if v < Self::TOP => v,
+            _ => Self::TOP,
+        }
+    }
+
+    /// A kernel output entry as a tropical weight: `TOP` maps back to `INF`.
+    #[inline]
+    fn to_weight(self) -> Weight {
+        if self >= Self::TOP {
+            INF
+        } else {
+            self.into()
+        }
+    }
 }
 
 impl TropicalEntry for u64 {
@@ -175,14 +177,8 @@ impl TropicalEntry for u16 {
     }
 }
 
-/// A copy with every entry clamped to `TOP` — establishes the
-/// [`TropicalEntry`] kernel precondition (values above `TOP` all mean `∞`).
-fn clamp_top<T: TropicalEntry>(src: &[T]) -> Vec<T> {
-    src.iter().map(|&w| w.min(T::TOP)).collect()
-}
-
 /// Min-folds `aik + brow[j]` into `crow[j]` for every `j`: the branchless
-/// inner loop of the lane kernels. The main loop runs over fixed
+/// inner loop of the lane kernel. The main loop runs over fixed
 /// [`TropicalEntry::LANES`]-wide chunks — a shape LLVM turns into packed
 /// integer `add`/`min` with no branches and no cross-lane reduction — and
 /// the sub-lane remainder is handled by an explicit scalar tail.
@@ -249,85 +245,36 @@ pub(crate) fn lanes_kernel<T: TropicalEntry>(
     data
 }
 
-/// Rows per accumulator strip in [`ktiled_kernel`]: small enough that the
-/// strip (`KTILED_ROWS × n` entries) plus one operand row stay L1-resident
-/// (4 × 2 KiB + 2 KiB = 10 KiB for `u32` at n = 512), large enough that
-/// each `tile × n` operand block fetched for a `k` step is reused across
-/// several output rows before eviction.
-pub const KTILED_ROWS: usize = 4;
-
-/// The blocked-Floyd–Warshall-style **k-tiled** self-product kernel over
-/// raw row-major `a` (clamped to `TOP`): returns `C = a ⋆ a`.
-///
-/// Where [`lanes_kernel`] streams a whole `rows_per_block` strip against
-/// each `k` block (the block's operand rows are evicted and re-fetched
-/// once per output row when the strip outgrows L2), this kernel walks the
-/// output in small [`KTILED_ROWS`]-row accumulator strips and runs the
-/// **full** `k` sweep against each strip before moving on — the strip
-/// stays L1-resident across the entire sweep and each `tile × n` operand
-/// block is reused across the strip's rows while still hot, which is the
-/// access pattern of the blocked Floyd–Warshall inner phase. The inner
-/// loop is the same full-width branchless [`lane_min_into`]; loop order
-/// within a strip stays `i, k, j` (`k`-outer orderings defeat the
-/// vectorizer's store chain — measured 5x slower). Used by the
-/// [`power`]/[`closure`]-shaped squarings where the same matrix is both
-/// operands. Exact min ⇒ bit-identical to the naive reference for every
-/// `(tile, exec)` (the `tile` parameter blocks the `k` sweep, matching the
-/// other kernels' knob).
-pub(crate) fn ktiled_kernel<T: TropicalEntry>(
-    n: usize,
-    a: &[T],
-    exec: ExecPolicy,
-    tile: usize,
-) -> Vec<T> {
-    debug_assert_eq!(a.len(), n * n);
-    let tile = tile.max(1);
-    let rows_per_block = exec.row_block_len(n, 1);
-    let mut data = vec![T::TOP; n * n];
-    exec.for_each_chunk_mut(&mut data, rows_per_block * n.max(1), |block, chunk| {
-        let i0 = block * rows_per_block;
-        let rows_here = chunk.len() / n.max(1);
-        let mut ii = 0;
-        while ii < rows_here {
-            let imax = (ii + KTILED_ROWS).min(rows_here);
-            let mut kk = 0;
-            while kk < n {
-                let kmax = (kk + tile).min(n);
-                for i in ii..imax {
-                    let arow = &a[(i0 + i) * n..(i0 + i) * n + n];
-                    let crow = &mut chunk[i * n..i * n + n];
-                    for (k, &aik) in arow.iter().enumerate().take(kmax).skip(kk) {
-                        if aik >= T::TOP {
-                            continue;
-                        }
-                        lane_min_into(crow, &a[k * n..k * n + n], aik);
-                    }
-                }
-                kk = kmax;
-            }
-            ii = imax;
-        }
-    });
-    data
-}
-
-/// The lane-kernel distance product: same result as [`distance_product`],
-/// computed by [`lanes_kernel`] over `u64` entries with the `CC_TILE` tile
-/// size, under an explicit [`ExecPolicy`]. This is the engine's wide dense
-/// path; the bounded-entry `u32`/`u16` instantiations are dispatched by
-/// [`crate::engine`].
+/// [`lanes_kernel`] at entry width `T` over tropical matrices: each operand
+/// is narrowed once with [`TropicalEntry::from_weight`] — a self-product
+/// (`a` and `b` the same matrix) narrows its one matrix once — and the
+/// output is widened back. Every finite entry of both operands must be
+/// within `T`'s entry bound; the engine checks it first.
 ///
 /// # Panics
 ///
 /// Panics if dimensions differ.
-pub fn distance_product_lanes_with(a: &DistMatrix, b: &DistMatrix, exec: ExecPolicy) -> DistMatrix {
-    distance_product_lanes_opts(a, b, exec, tile_size())
+pub(crate) fn lanes_product<T: TropicalEntry>(
+    a: &DistMatrix,
+    b: &DistMatrix,
+    exec: ExecPolicy,
+    tile: usize,
+) -> DistMatrix {
+    assert_eq!(a.n(), b.n(), "distance product dimension mismatch");
+    let n = a.n();
+    let narrow =
+        |m: &DistMatrix| -> Vec<T> { m.raw().iter().map(|&w| T::from_weight(w)).collect() };
+    let an = narrow(a);
+    let bn = (!std::ptr::eq(a, b)).then(|| narrow(b));
+    let c = lanes_kernel(n, &an, bn.as_deref().unwrap_or(&an), exec, tile);
+    DistMatrix::from_raw(n, c.into_iter().map(T::to_weight).collect())
 }
 
-/// [`distance_product_lanes_with`] with every knob explicit. The tile size is a
+/// The lane-kernel distance product over full-range `u64` entries with
+/// every knob explicit: the engine's wide dense path. The tile size is a
 /// pure performance parameter: the output is bit-identical to
 /// [`distance_product`] for **every** `tile ≥ 1` and every policy (property
-/// tested in `tests/kernel_props.rs`).
+/// tested in `tests/kernel_props.rs`); the engine runs it at [`TILE`].
 ///
 /// # Panics
 ///
@@ -338,20 +285,7 @@ pub fn distance_product_lanes_opts(
     exec: ExecPolicy,
     tile: usize,
 ) -> DistMatrix {
-    assert_eq!(a.n(), b.n(), "distance product dimension mismatch");
-    let n = a.n();
-    let ac = clamp_top::<Weight>(a.raw());
-    let bc = clamp_top::<Weight>(b.raw());
-    DistMatrix::from_raw(n, lanes_kernel(n, &ac, &bc, exec, tile))
-}
-
-/// The k-tiled self-product `A ⋆ A`, computed by [`ktiled_kernel`] with
-/// every knob explicit; bit-identical to `distance_product(a, a)` for every
-/// `tile ≥ 1` and every policy.
-pub fn square_ktiled_opts(a: &DistMatrix, exec: ExecPolicy, tile: usize) -> DistMatrix {
-    let n = a.n();
-    let ac = clamp_top::<Weight>(a.raw());
-    DistMatrix::from_raw(n, ktiled_kernel(n, &ac, exec, tile))
+    lanes_product::<Weight>(a, b, exec, tile)
 }
 
 /// `A^h` over the tropical semiring by binary exponentiation
@@ -515,12 +449,15 @@ mod tests {
         let h = random_graph(29, 17);
         let a = adjacency_matrix(&g);
         let b = adjacency_matrix(&h);
-        let naive = distance_product(&a, &b);
-        for tile in [1usize, 3, 8, 29, 64, 100] {
-            for threads in [1usize, 2, 4] {
-                let out =
-                    distance_product_lanes_opts(&a, &b, ExecPolicy::with_threads(threads), tile);
-                assert_eq!(out, naive, "tile={tile} threads={threads}");
+        // `A ⋆ B`, and the self-product `A ⋆ A` every squaring runs.
+        for (x, y) in [(&a, &b), (&a, &a)] {
+            let naive = distance_product(x, y);
+            for tile in [1usize, 3, 8, 29, 64, 100] {
+                for threads in [1usize, 2, 4] {
+                    let exec = ExecPolicy::with_threads(threads);
+                    let out = distance_product_lanes_opts(x, y, exec, tile);
+                    assert_eq!(out, naive, "tile={tile} threads={threads}");
+                }
             }
         }
     }
@@ -541,74 +478,31 @@ mod tests {
     }
 
     #[test]
-    fn ktiled_square_matches_naive_across_tiles() {
-        let g = random_graph(27, 18);
-        let a = adjacency_matrix(&g);
-        let naive = distance_product(&a, &a);
-        for tile in [1usize, 5, 27, 64, 100] {
-            for threads in [1usize, 2, 4] {
-                let out = square_ktiled_opts(&a, ExecPolicy::with_threads(threads), tile);
-                assert_eq!(out, naive, "tile={tile} threads={threads}");
-            }
-        }
-    }
-
-    #[test]
     fn narrow_lane_kernels_match_the_wide_one() {
-        // The u32/u16 instantiations of lanes_kernel/ktiled_kernel compute
-        // the same min-plus as the wide kernel on pre-narrowed data.
+        // The u32/u16 instantiations of the lane kernel compute the same
+        // min-plus as the wide one on entries within their bounds, for a
+        // product and a self-product (one narrowed matrix as both operands).
         let n = 13;
         let mut rng = rand::rngs::StdRng::seed_from_u64(19);
-        let wide: Vec<u64> = (0..n * n)
-            .map(|_| {
-                if rng.gen_bool(0.3) {
-                    INF
-                } else {
-                    rng.gen_range(0..1000)
-                }
-            })
-            .collect();
-        let w64: Vec<u64> = wide
-            .iter()
-            .map(|&w| w.min(<u64 as TropicalEntry>::TOP))
-            .collect();
-        let w32: Vec<u32> = wide
-            .iter()
-            .map(|&w| if w >= INF { u32::MAX / 4 } else { w as u32 })
-            .collect();
-        let w16: Vec<u16> = wide
-            .iter()
-            .map(|&w| if w >= INF { u16::MAX / 4 } else { w as u16 })
-            .collect();
-        let c64 = lanes_kernel::<u64>(n, &w64, &w64, ExecPolicy::Seq, 7);
-        let c32 = lanes_kernel::<u32>(n, &w32, &w32, ExecPolicy::Seq, 7);
-        let c16 = lanes_kernel::<u16>(n, &w16, &w16, ExecPolicy::Seq, 7);
-        let k64 = ktiled_kernel::<u64>(n, &w64, ExecPolicy::Seq, 5);
-        let k32 = ktiled_kernel::<u32>(n, &w32, ExecPolicy::Seq, 5);
-        let k16 = ktiled_kernel::<u16>(n, &w16, ExecPolicy::Seq, 5);
-        for i in 0..n * n {
-            let finite = |v: u64, top: u64| if v >= top { None } else { Some(v) };
-            let want = finite(c64[i], INF);
-            assert_eq!(
-                finite(c32[i] as u64, (u32::MAX / 4) as u64),
-                want,
-                "u32 {i}"
-            );
-            assert_eq!(
-                finite(c16[i] as u64, (u16::MAX / 4) as u64),
-                want,
-                "u16 {i}"
-            );
-            let want_k = finite(k64[i], INF);
-            assert_eq!(want, want_k, "square vs product {i}");
-            assert_eq!(finite(k32[i] as u64, (u32::MAX / 4) as u64), want_k);
-            assert_eq!(finite(k16[i] as u64, (u16::MAX / 4) as u64), want_k);
+        let mut mk = || {
+            let data = (0..n * n)
+                .map(|_| {
+                    if rng.gen_bool(0.3) {
+                        INF
+                    } else {
+                        rng.gen_range(0..1000)
+                    }
+                })
+                .collect();
+            DistMatrix::from_raw(n, data)
+        };
+        let (a, b) = (mk(), mk());
+        for (x, y) in [(&a, &b), (&a, &a)] {
+            let want = distance_product(x, y);
+            assert_eq!(lanes_product::<u64>(x, y, ExecPolicy::Seq, 7), want);
+            assert_eq!(lanes_product::<u32>(x, y, ExecPolicy::Seq, 7), want);
+            assert_eq!(lanes_product::<u16>(x, y, ExecPolicy::Seq, 7), want);
         }
-    }
-
-    #[test]
-    fn tile_size_is_positive() {
-        assert!(tile_size() >= 1);
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! The min-plus **kernel engine**: one front door for every distance
 //! product in the workspace, with per-multiply auto-dispatch between the
-//! cache-blocked dense kernel, its compact bounded-entry variant, and the
-//! sharded sparse kernel.
+//! cache-blocked dense lane kernel, at the narrowest entry width the
+//! operands allow, and the sharded sparse kernel.
 //!
 //! Every pipeline in the paper bottoms out in min-plus products — the
 //! Theorem 7.1 skeleton squaring, the small-diameter path, and the doubling
@@ -21,9 +21,9 @@
 //! | [`KernelChoice::DenseLanes`] | lane kernel over `u64` | dense, wide entries |
 //!
 //! Self-products (`A ⋆ A`, the shape of every [`power`]/[`closure`]
-//! squaring) route through [`square`], which swaps the dense lane kernel
-//! for its blocked-Floyd–Warshall-style k-tiled sibling in
-//! [`crate::dense`], at the same entry width.
+//! squaring) route through [`square`]: the same dispatch and kernels under
+//! a span of their own, with the one matrix narrowed once for both
+//! operands.
 //!
 //! The dispatch can be overridden with [`KernelMode::Dense`] /
 //! [`KernelMode::Sparse`] — threaded through `PipelineConfig` and
@@ -32,13 +32,13 @@
 //!
 //! # Bit-identical outputs
 //!
-//! All three kernels compute the exact entrywise minimum over the same
-//! candidate set, so the engine's output is **bit-identical** for every
-//! mode, tile size, and thread count — kernel selection is purely a
-//! wall-clock decision. The golden-conformance suite and
+//! The lane kernel at every width and the sparse kernel compute the exact
+//! entrywise minimum over the same candidate set, so the engine's output
+//! is **bit-identical** for every mode, tile size, and thread count —
+//! kernel selection is purely a wall-clock decision. The golden-conformance suite and
 //! `tests/kernel_props.rs` pin this contract.
 
-use crate::dense::{self, ktiled_kernel, lanes_kernel, tile_size, TropicalEntry};
+use crate::dense::{self, lanes_product, TropicalEntry, TILE};
 use crate::sparse::{cdkl_rounds, sparse_product_with, SparseMatrix, SparseProduct};
 use cc_graph::{DistMatrix, NodeId, Weight, INF};
 use cc_par::ExecPolicy;
@@ -55,18 +55,12 @@ const DENSITY_SAMPLE_ROWS: usize = 64;
 /// margin.
 pub const SPARSE_FILL_CUTOFF: f64 = 1.0 / 16.0;
 
-/// The compact (`u32`) kernel's infinity sentinel — the `u32` kernel's own
-/// `TOP`, so the mapping here and the kernel's saturation point can never
-/// drift apart.
-const COMPACT_TOP: u32 = <u32 as TropicalEntry>::TOP;
-
-/// Largest finite entry the compact kernel accepts: chosen so the sum of
-/// two finite entries stays strictly below the `u32` infinity sentinel,
-/// keeping the compact kernel bit-identical to the wide one.
-pub const COMPACT_MAX_ENTRY: u64 = ((COMPACT_TOP - 1) / 2) as u64;
-
-/// The ultra-compact (`u16`) kernel's infinity sentinel.
-const ULTRA_TOP: u16 = <u16 as TropicalEntry>::TOP;
+/// Largest finite entry the compact (`u32`) kernel accepts: chosen so the
+/// sum of two finite entries stays strictly below the `u32` kernel's own
+/// infinity sentinel (its `TOP`, so this bound and the kernel's saturation
+/// point can never drift apart), keeping the compact kernel bit-identical
+/// to the wide one.
+pub const COMPACT_MAX_ENTRY: u64 = ((<u32 as TropicalEntry>::TOP - 1) / 2) as u64;
 
 /// Largest finite entry the ultra-compact `u16` kernel accepts (8191):
 /// the sum of two finite entries stays strictly below the `u16` infinity
@@ -74,7 +68,7 @@ const ULTRA_TOP: u16 = <u16 as TropicalEntry>::TOP;
 /// the shape of the paper's weight-scaled instances (Lemma 8.1 rescales
 /// weights into a small integer range before each recursion level), at 4x
 /// the memory density of the original `u64` path.
-pub const ULTRA_MAX_ENTRY: u64 = ((ULTRA_TOP - 1) / 2) as u64;
+pub const ULTRA_MAX_ENTRY: u64 = ((<u16 as TropicalEntry>::TOP - 1) / 2) as u64;
 
 /// Which kernel family a multiply is asked to use. `Auto` measures the
 /// operands; `Dense`/`Sparse` force the family (the wide/compact/ultra
@@ -84,7 +78,7 @@ pub const ULTRA_MAX_ENTRY: u64 = ((ULTRA_TOP - 1) / 2) as u64;
 pub enum KernelMode {
     /// Density-sampling dispatch (the default).
     Auto,
-    /// Always a dense kernel (lanes, or k-tiled for self-products).
+    /// Always the dense lane kernel, at the narrowest lawful entry width.
     Dense,
     /// Always the sharded sparse kernel.
     Sparse,
@@ -175,8 +169,9 @@ impl KernelChoice {
         }
     }
 
-    /// Stable numeric code, used as the `kernel_code` span attribute in
-    /// `--trace` exports (`0..=3` in declaration order).
+    /// Stable numeric code (`0..=3` in declaration order), for reports that
+    /// must name the kernel with a number, such as the `kernel_code` extra
+    /// of BENCH rows.
     pub fn code(self) -> u64 {
         match self {
             KernelChoice::DenseLanes => 0,
@@ -193,18 +188,6 @@ impl KernelChoice {
             KernelChoice::DenseLanes => Some(dense::WIDE_LANES),
             KernelChoice::DenseCompact => Some(dense::COMPACT_LANES),
             KernelChoice::DenseUltra => Some(dense::ULTRA_LANES),
-            KernelChoice::SparseSharded => None,
-        }
-    }
-
-    /// Bytes each matrix cell occupies inside the kernel this choice runs
-    /// on (the sparse kernel stores `(column, weight)` pairs per finite
-    /// entry instead).
-    pub fn bytes_per_cell(self) -> Option<usize> {
-        match self {
-            KernelChoice::DenseLanes => Some(8),
-            KernelChoice::DenseCompact => Some(4),
-            KernelChoice::DenseUltra => Some(2),
             KernelChoice::SparseSharded => None,
         }
     }
@@ -264,8 +247,6 @@ pub struct KernelPlan {
     pub fill_a: f64,
     /// Sampled fill fraction of the right operand.
     pub fill_b: f64,
-    /// Tile size the dense kernels will use (`CC_TILE`).
-    pub tile: usize,
 }
 
 impl KernelPlan {
@@ -290,7 +271,6 @@ impl KernelPlan {
             choice,
             fill_a,
             fill_b,
-            tile: tile_size(),
         }
     }
 }
@@ -348,37 +328,57 @@ fn sampled_entry_cap(m: &DistMatrix) -> u64 {
 /// in is sampled).
 fn dense_choice(a: &DistMatrix, b: &DistMatrix) -> KernelChoice {
     let cap = sampled_entry_cap(a).max(sampled_entry_cap(b));
-    if cap <= ULTRA_MAX_ENTRY && ultra_eligible(a) && ultra_eligible(b) {
+    if cap <= ULTRA_MAX_ENTRY && fits(a, b, ULTRA_MAX_ENTRY) {
         KernelChoice::DenseUltra
-    } else if cap <= COMPACT_MAX_ENTRY && compact_eligible(a) && compact_eligible(b) {
+    } else if cap <= COMPACT_MAX_ENTRY && fits(a, b, COMPACT_MAX_ENTRY) {
         KernelChoice::DenseCompact
     } else {
         KernelChoice::DenseLanes
     }
 }
 
-/// Whether every entry is either infinite or at most [`COMPACT_MAX_ENTRY`].
-fn compact_eligible(m: &DistMatrix) -> bool {
-    m.raw().iter().all(|&w| w >= INF || w <= COMPACT_MAX_ENTRY)
-}
-
-/// Whether every entry is either infinite or at most [`ULTRA_MAX_ENTRY`].
-fn ultra_eligible(m: &DistMatrix) -> bool {
-    m.raw().iter().all(|&w| w >= INF || w <= ULTRA_MAX_ENTRY)
+/// Whether every entry of both operands is either infinite or at most
+/// `bound` (a self-product scans its one matrix once).
+fn fits(a: &DistMatrix, b: &DistMatrix, bound: Weight) -> bool {
+    let within = |m: &DistMatrix| m.raw().iter().all(|&w| w >= INF || w <= bound);
+    within(a) && (std::ptr::eq(a, b) || within(b))
 }
 
 /// Opens the per-multiply `cc_obs` span (`op[choice]`, e.g.
-/// `minplus[dense-ultra]`) tagged with the plan's dispatch inputs. One
-/// relaxed atomic load when tracing is off — the name is never formatted.
+/// `minplus[dense-ultra]`) tagged with the operand size and sampled fill.
+/// One relaxed atomic load when tracing is off — the name is never
+/// formatted.
 fn kernel_span(op: &str, n: usize, plan: &KernelPlan) -> cc_obs::SpanGuard {
     let mut sp = cc_obs::span_lazy(|| format!("{op}[{}]", plan.choice.name()));
     if sp.is_active() {
-        sp.attr("kernel_code", plan.choice.code() as f64);
         sp.attr("n", n as f64);
         sp.attr("fill", plan.fill_a * plan.fill_b);
-        sp.attr("tile", plan.tile as f64);
     }
     sp
+}
+
+/// The one dispatch behind [`min_plus_planned`] and [`square_planned`]. A
+/// plan may be reused after its operands changed (the fields are public),
+/// so a narrow choice is re-checked against both operands — narrowing a
+/// wide entry would truncate it — and [`dense_choice`] picks again when it
+/// no longer fits. Same bits either way.
+fn run_planned(a: &DistMatrix, b: &DistMatrix, plan: &KernelPlan, exec: ExecPolicy) -> DistMatrix {
+    assert_eq!(a.n(), b.n(), "distance product dimension mismatch");
+    let choice = match plan.choice {
+        KernelChoice::DenseUltra if !fits(a, b, ULTRA_MAX_ENTRY) => dense_choice(a, b),
+        KernelChoice::DenseCompact if !fits(a, b, COMPACT_MAX_ENTRY) => dense_choice(a, b),
+        choice => choice,
+    };
+    match choice {
+        KernelChoice::DenseLanes => lanes_product::<u64>(a, b, exec, TILE),
+        KernelChoice::DenseCompact => lanes_product::<u32>(a, b, exec, TILE),
+        KernelChoice::DenseUltra => lanes_product::<u16>(a, b, exec, TILE),
+        KernelChoice::SparseSharded => {
+            let s = dense_to_sparse(a);
+            let t = dense_to_sparse(b);
+            sparse_to_dense(&sparse_product_with(&s, &t, None, exec).matrix)
+        }
+    }
 }
 
 /// The engine's distance product `A ⋆ B`: plans the multiply under `mode`
@@ -403,95 +403,31 @@ pub fn min_plus_planned(
     plan: &KernelPlan,
     exec: ExecPolicy,
 ) -> DistMatrix {
-    assert_eq!(a.n(), b.n(), "distance product dimension mismatch");
-    let n = a.n();
-    let _sp = kernel_span("minplus", n, plan);
-    match plan.choice {
-        KernelChoice::DenseLanes => dense::distance_product_lanes_opts(a, b, exec, plan.tile),
-        KernelChoice::DenseCompact => {
-            // A plan may be reused after its operands changed (the fields
-            // are public); re-verify the compact bound — `w as u32` would
-            // silently truncate wide entries — and fall back to the wide
-            // lane kernel if it no longer holds. Same bits either way.
-            if !(compact_eligible(a) && compact_eligible(b)) {
-                return dense::distance_product_lanes_opts(a, b, exec, plan.tile);
-            }
-            let a32 = to_compact(a.raw());
-            let b32 = to_compact(b.raw());
-            from_compact(n, &lanes_kernel::<u32>(n, &a32, &b32, exec, plan.tile))
-        }
-        KernelChoice::DenseUltra => {
-            // Same stale-plan discipline as the compact arm.
-            if !(ultra_eligible(a) && ultra_eligible(b)) {
-                return min_plus_planned(
-                    a,
-                    b,
-                    &KernelPlan {
-                        choice: dense_choice(a, b),
-                        ..*plan
-                    },
-                    exec,
-                );
-            }
-            let a16 = to_ultra(a.raw());
-            let b16 = to_ultra(b.raw());
-            from_ultra(n, &lanes_kernel::<u16>(n, &a16, &b16, exec, plan.tile))
-        }
-        KernelChoice::SparseSharded => {
-            let s = dense_to_sparse(a);
-            let t = dense_to_sparse(b);
-            sparse_to_dense(&sparse_product_with(&s, &t, None, exec).matrix)
-        }
-    }
+    let _sp = kernel_span("minplus", a.n(), plan);
+    run_planned(a, b, plan, exec)
 }
 
-/// The engine's self-product `A ⋆ A`: plans like [`min_plus`] but runs the
-/// dense families on the blocked-Floyd–Warshall-style **k-tiled** kernel
-/// (small row strips held L1-resident across the full `k` sweep — see
-/// [`dense::KTILED_ROWS`]) instead of the row-streaming lane kernel. This
-/// is the multiply shape of every [`power`]/[`closure`] squaring.
-/// Bit-identical to `min_plus(a, a, mode, exec)` for every mode.
+/// The engine's self-product `A ⋆ A`: plans like [`min_plus`] and runs the
+/// same kernels under a `square[<kernel>]` span, narrowing the one matrix
+/// once for both operands. This is the multiply shape of every
+/// [`power`]/[`closure`] squaring. Bit-identical to
+/// `min_plus(a, a, mode, exec)` for every mode.
 pub fn square(a: &DistMatrix, mode: KernelMode, exec: ExecPolicy) -> DistMatrix {
     square_planned(a, &KernelPlan::choose(a, a, mode), exec)
 }
 
 /// [`square`] with a precomputed [`KernelPlan`].
 pub fn square_planned(a: &DistMatrix, plan: &KernelPlan, exec: ExecPolicy) -> DistMatrix {
-    let n = a.n();
-    let _sp = kernel_span("square", n, plan);
-    match plan.choice {
-        KernelChoice::DenseLanes => dense::square_ktiled_opts(a, exec, plan.tile),
-        KernelChoice::DenseCompact => {
-            if !compact_eligible(a) {
-                return dense::square_ktiled_opts(a, exec, plan.tile);
-            }
-            let a32 = to_compact(a.raw());
-            from_compact(n, &ktiled_kernel::<u32>(n, &a32, exec, plan.tile))
-        }
-        KernelChoice::DenseUltra => {
-            if !ultra_eligible(a) {
-                return square_planned(
-                    a,
-                    &KernelPlan {
-                        choice: dense_choice(a, a),
-                        ..*plan
-                    },
-                    exec,
-                );
-            }
-            let a16 = to_ultra(a.raw());
-            from_ultra(n, &ktiled_kernel::<u16>(n, &a16, exec, plan.tile))
-        }
-        KernelChoice::SparseSharded => min_plus_planned(a, a, plan, exec),
-    }
+    let _sp = kernel_span("square", a.n(), plan);
+    run_planned(a, a, plan, exec)
 }
 
 /// `A^h` through the engine: binary exponentiation where every multiply is
 /// re-planned (so squaring an adjacency-shaped matrix starts sparse and
 /// migrates to the dense kernels as it fills in), and every self-product —
-/// the repeated squarings that dominate the exponentiation — runs on the
-/// k-tiled [`square`] path. `A^0` is the tropical identity. Bit-identical
-/// to [`dense::power`].
+/// the repeated squarings that dominate the exponentiation — goes through
+/// [`square`]. `A^0` is the tropical identity. Bit-identical to
+/// [`dense::power`].
 pub fn power(a: &DistMatrix, h: u64, mode: KernelMode, exec: ExecPolicy) -> DistMatrix {
     dense::power_by(a, h, |x, y| {
         if std::ptr::eq(x, y) {
@@ -503,8 +439,8 @@ pub fn power(a: &DistMatrix, h: u64, mode: KernelMode, exec: ExecPolicy) -> Dist
 }
 
 /// Exact APSP by repeated engine squaring until fixpoint — every multiply
-/// is a self-product and runs on the k-tiled [`square`] path; returns the
-/// distance matrix and the number of squarings. Bit-identical to
+/// is a self-product and goes through [`square`]; returns the distance
+/// matrix and the number of squarings. Bit-identical to
 /// [`dense::closure`].
 pub fn closure(a: &DistMatrix, mode: KernelMode, exec: ExecPolicy) -> (DistMatrix, usize) {
     dense::closure_by(a, |x, y| {
@@ -552,7 +488,6 @@ pub fn sparse_product_planned(
                 choice: KernelChoice::SparseSharded,
                 fill_a: fill_s,
                 fill_b: fill_t,
-                tile: tile_size(),
             },
         );
         return (
@@ -567,7 +502,6 @@ pub fn sparse_product_planned(
         choice: dense_choice(&a, &b),
         fill_a: fill_s,
         fill_b: fill_t,
-        tile: tile_size(),
     };
     let _sp = kernel_span("spmm", n, &plan);
     let c = min_plus_planned(&a, &b, &plan, exec);
@@ -613,43 +547,6 @@ fn sparse_to_dense(s: &SparseMatrix) -> DistMatrix {
         }
     }
     m
-}
-
-/// `u64` tropical data → the compact `u32` representation (`≥ INF` maps to
-/// the `u32` sentinel; callers must have checked [`COMPACT_MAX_ENTRY`]).
-fn to_compact(src: &[Weight]) -> Vec<u32> {
-    src.iter()
-        .map(|&w| if w >= INF { COMPACT_TOP } else { w as u32 })
-        .collect()
-}
-
-/// Compact result → `u64` tropical data (`≥` the `u32` sentinel maps back
-/// to `INF`).
-fn from_compact(n: usize, src: &[u32]) -> DistMatrix {
-    let data: Vec<Weight> = src
-        .iter()
-        .map(|&w| if w >= COMPACT_TOP { INF } else { w as u64 })
-        .collect();
-    DistMatrix::from_raw(n, data)
-}
-
-/// `u64` tropical data → the ultra-compact `u16` representation (`≥ INF`
-/// maps to the `u16` sentinel; callers must have checked
-/// [`ULTRA_MAX_ENTRY`]).
-fn to_ultra(src: &[Weight]) -> Vec<u16> {
-    src.iter()
-        .map(|&w| if w >= INF { ULTRA_TOP } else { w as u16 })
-        .collect()
-}
-
-/// Ultra-compact result → `u64` tropical data (`≥` the `u16` sentinel maps
-/// back to `INF`).
-fn from_ultra(n: usize, src: &[u16]) -> DistMatrix {
-    let data: Vec<Weight> = src
-        .iter()
-        .map(|&w| if w >= ULTRA_TOP { INF } else { w as u64 })
-        .collect();
-    DistMatrix::from_raw(n, data)
 }
 
 #[cfg(test)]
@@ -780,8 +677,6 @@ mod tests {
         assert_eq!(KernelChoice::DenseCompact.lane_width(), Some(8));
         assert_eq!(KernelChoice::DenseUltra.lane_width(), Some(16));
         assert_eq!(KernelChoice::SparseSharded.lane_width(), None);
-        assert_eq!(KernelChoice::DenseLanes.bytes_per_cell(), Some(8));
-        assert_eq!(KernelChoice::DenseUltra.bytes_per_cell(), Some(2));
         assert_eq!(KernelChoice::DenseLanes.code(), 0);
         assert_eq!(KernelChoice::DenseCompact.code(), 1);
         assert_eq!(KernelChoice::DenseUltra.code(), 2);

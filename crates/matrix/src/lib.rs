@@ -18,11 +18,11 @@
 //!   skeleton-graph construction (Section 6);
 //! * [`engine`] — the kernel **engine** (v2): a density- and
 //!   entry-bound-sampling [`engine::KernelPlan`] dispatcher that routes
-//!   every multiply to the branchless lane kernel at the narrowest lawful
-//!   element width (`u64` wide / `u32` compact / `u16` ultra — see
-//!   [`engine::ULTRA_MAX_ENTRY`] and [`engine::COMPACT_MAX_ENTRY`]) or the
-//!   sharded sparse kernel, and self-products ([`engine::square`], used by
-//!   `power`/`closure`) to a blocked-Floyd–Warshall k-tiled kernel — with
+//!   every multiply, self-products ([`engine::square`], used by
+//!   `power`/`closure`) included, to the one branchless lane kernel at the
+//!   narrowest lawful element width (`u64` wide / `u32` compact / `u16`
+//!   ultra — see [`engine::ULTRA_MAX_ENTRY`] and
+//!   [`engine::COMPACT_MAX_ENTRY`]) or to the sharded sparse kernel — with
 //!   bit-identical results across all of them. Every pipeline's hot
 //!   products go through it.
 //!

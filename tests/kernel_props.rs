@@ -1,5 +1,5 @@
 //! Property tests for the min-plus kernel engine: the branchless lane
-//! kernel (u64/u32/u16 widths), the blocked-FW k-tiled self-product, the
+//! kernel (u64/u32/u16 widths, products and self-products alike), the
 //! sparse kernel, and the `KernelPlan` auto-dispatcher must all be
 //! **bit-identical** to the naive reference
 //! `cc_matrix::dense::distance_product` — across densities, tile sizes
@@ -7,7 +7,7 @@
 //! straddling both compact entry bounds, and dispatch modes.
 
 use cc_graph::{DistMatrix, Weight, INF};
-use cc_matrix::dense::{distance_product_lanes_opts, distance_product_with, square_ktiled_opts};
+use cc_matrix::dense::{distance_product_lanes_opts, distance_product_with};
 use cc_matrix::engine::{
     self, KernelChoice, KernelMode, KernelPlan, COMPACT_MAX_ENTRY, SPARSE_FILL_CUTOFF,
     ULTRA_MAX_ENTRY,
@@ -76,7 +76,6 @@ proptest! {
             let bounded = |m: &DistMatrix| m.raw().iter().all(|&w| w >= INF || w <= COMPACT_MAX_ENTRY);
             prop_assert!(bounded(&a) && bounded(&b), "compact chosen with wide entries");
         }
-        prop_assert!(dense.tile >= 1);
     }
 
     /// Engine exponentiation (per-multiply re-planning) equals the naive
@@ -96,32 +95,21 @@ proptest! {
     /// The branchless lane kernel equals the naive reference for every tile
     /// size — including tile 1 (degenerate), 7 (never divides n evenly), 64
     /// (the default), and n (a single tile) — at every thread count, with
-    /// weights wide enough to exercise the INF-skip path.
+    /// weights wide enough to exercise the INF-skip path, for `A ⋆ B` and
+    /// for the self-products `A ⋆ A` and `C ⋆ C` every squaring runs.
     #[test]
     fn lanes_equals_naive_for_all_tiles_and_threads(
         a in arb_matrix(13, 3, COMPACT_MAX_ENTRY * 2),
         b in arb_matrix(13, 3, 300),
+        c in arb_matrix(13, 2, 400),
     ) {
-        let naive = distance_product_with(&a, &b, ExecPolicy::Seq);
-        for tile in [1usize, 7, 64, 13] {
-            for threads in THREADS {
-                let out = distance_product_lanes_opts(&a, &b, ExecPolicy::with_threads(threads), tile);
-                prop_assert_eq!(&out, &naive, "tile={} threads={}", tile, threads);
-            }
-        }
-    }
-
-    /// The blocked-FW k-tiled self-product equals the naive self-product for
-    /// every tile size and thread count.
-    #[test]
-    fn ktiled_square_equals_naive_for_all_tiles_and_threads(
-        a in arb_matrix(13, 2, 400),
-    ) {
-        let naive = distance_product_with(&a, &a, ExecPolicy::Seq);
-        for tile in [1usize, 7, 64, 13] {
-            for threads in THREADS {
-                let out = square_ktiled_opts(&a, ExecPolicy::with_threads(threads), tile);
-                prop_assert_eq!(&out, &naive, "tile={} threads={}", tile, threads);
+        for (x, y) in [(&a, &b), (&a, &a), (&c, &c)] {
+            let naive = distance_product_with(x, y, ExecPolicy::Seq);
+            for tile in [1usize, 7, 64, 13] {
+                for threads in THREADS {
+                    let out = distance_product_lanes_opts(x, y, ExecPolicy::with_threads(threads), tile);
+                    prop_assert_eq!(&out, &naive, "tile={} threads={}", tile, threads);
+                }
             }
         }
     }
@@ -186,7 +174,6 @@ proptest! {
             KernelChoice::SparseSharded => prop_assert!(false, "Dense mode picked sparse"),
         }
         prop_assert!(dense.choice.lane_width().is_some());
-        prop_assert!(dense.choice.bytes_per_cell().is_some());
     }
 }
 
