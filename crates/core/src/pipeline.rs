@@ -12,7 +12,7 @@
 //!    (Lemma 8.1);
 //! 4. run Theorem 7.1 on every scale **in parallel** (the `log⁴n` bandwidth
 //!    pays for `log n` parallel `log³n`-bandwidth instances — in the
-//!    simulator, [`clique_sim::Clique::parallel`] charges any bandwidth
+//!    simulator, [`clique_sim::Clique::parallel_exec`] charges any bandwidth
 //!    overcommit honestly);
 //! 5. combine the per-scale estimates into η (Lemma 8.1), a good
 //!    approximation for every pair within β hops of `C` — in particular for

@@ -241,8 +241,9 @@ impl Clique {
     }
 
     /// Runs `count` independent sub-computations that execute *in parallel*
-    /// on the same clique, each with `per_instance` bandwidth. The group
-    /// charges `max(instance rounds) · overcommit`, where `overcommit =
+    /// on the same clique, each with `per_instance` bandwidth, under `exec`
+    /// (truly concurrent when the policy is `Par(k)`). The group charges
+    /// `max(instance rounds) · overcommit`, where `overcommit =
     /// ceil(count · per_instance / available)` accounts for running more
     /// parallel bandwidth than the links provide (this is how Section 8.2's
     /// "O(log n) instances need an extra O(log n) bandwidth factor"
@@ -250,33 +251,10 @@ impl Clique {
     ///
     /// Each instance runs on its own sub-clique (same `n`, `per_instance`
     /// bandwidth, inherited load guard); the sub-ledgers and traffic tables
-    /// are merged back **in instance order**, so the parent's accounting is
-    /// a pure function of the instances' outputs. [`Clique::parallel_exec`]
-    /// is the same primitive with the instances actually executed on worker
-    /// threads.
-    pub fn parallel<T>(
-        &mut self,
-        label: &str,
-        count: usize,
-        per_instance: Bandwidth,
-        mut f: impl FnMut(&mut Clique, usize) -> T,
-    ) -> Vec<T> {
-        let runs: Vec<(RoundLedger, TrafficStats, T)> = (0..count)
-            .map(|i| {
-                let mut sub = self.sub_instance(per_instance);
-                let out = f(&mut sub, i);
-                (sub.ledger, sub.stats, out)
-            })
-            .collect();
-        self.merge_parallel_runs(label, per_instance, runs)
-    }
-
-    /// [`Clique::parallel`] with the instances executed under `exec`: truly
-    /// concurrent when the policy is `Par(k)`. Because the sub-ledgers are
-    /// merged deterministically in instance order, the parent's rounds,
-    /// ledger events, and traffic tables are **identical** to a
-    /// [`ExecPolicy::Seq`] run — the thread count never changes any
-    /// simulated quantity.
+    /// are merged back **in instance order**, so the parent's rounds,
+    /// ledger events, and traffic tables are a pure function of the
+    /// instances' outputs and **identical** for every policy — the thread
+    /// count never changes any simulated quantity.
     pub fn parallel_exec<T: Send>(
         &mut self,
         label: &str,
@@ -289,26 +267,12 @@ impl Clique {
         let n = self.n;
         let load_guard = self.load_guard;
         let runs: Vec<(RoundLedger, TrafficStats, T)> = exec.map_collect(count, |i| {
-            let mut sub = Self::sub_instance_from(n, per_instance, load_guard);
+            let mut sub = Clique::new(n, per_instance);
+            sub.load_guard = load_guard;
             let out = f(&mut sub, i);
             (sub.ledger, sub.stats, out)
         });
         self.merge_parallel_runs(label, per_instance, runs)
-    }
-
-    /// A fresh clique representing one instance of a parallel group: same
-    /// node set, the instance's bandwidth share, inherited load guard.
-    fn sub_instance(&self, per_instance: Bandwidth) -> Clique {
-        Self::sub_instance_from(self.n, per_instance, self.load_guard)
-    }
-
-    /// [`Clique::sub_instance`] from the parent's copied-out fields; the
-    /// single place sub-instance construction lives, so the sequential and
-    /// threaded parallel primitives cannot drift apart.
-    fn sub_instance_from(n: usize, per_instance: Bandwidth, load_guard: Option<usize>) -> Clique {
-        let mut sub = Clique::new(n, per_instance);
-        sub.load_guard = load_guard;
-        sub
     }
 
     /// Folds parallel instances' ledgers/stats back into this clique in
@@ -422,7 +386,7 @@ mod tests {
     #[test]
     fn parallel_charges_max_not_sum() {
         let mut c = clique(4);
-        c.parallel("par", 3, Bandwidth::standard(4), |c, i| {
+        c.parallel_exec("par", 3, Bandwidth::standard(4), ExecPolicy::Seq, |c, i| {
             c.charge("work", (i as u64) + 1);
         });
         // max instance cost = 3; overcommit = ceil(3*1/1) = 3 → 9.
@@ -446,21 +410,12 @@ mod tests {
             let par = run(ExecPolicy::Par(threads));
             assert_eq!(par, seq, "threads={threads}");
         }
-        // And the sequential FnMut primitive agrees with parallel_exec(Seq).
-        let mut c = clique(6);
-        c.guard_loads(8);
-        let outs = c.parallel("par", 5, Bandwidth::words(1), |sub, i| {
-            sub.charge("work", (i as u64) + 1);
-            sub.broadcast_from("blob", 0, 4 * (i + 1));
-            i * 10
-        });
-        assert_eq!((outs, c.rounds(), c.ledger().events().to_vec()), seq);
     }
 
     #[test]
     fn parallel_no_overcommit_when_bandwidth_suffices() {
         let mut c = Clique::new(4, Bandwidth::words(8));
-        c.parallel("par", 4, Bandwidth::words(2), |c, _| {
+        c.parallel_exec("par", 4, Bandwidth::words(2), ExecPolicy::Seq, |c, _| {
             c.charge("work", 5);
         });
         assert_eq!(c.rounds(), 5);

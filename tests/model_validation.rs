@@ -2,6 +2,7 @@
 //! router realizes the closed-form charges on the balanced instances the
 //! paper's lemmas invoke, and the bandwidth/parallel accounting behaves.
 
+use cc_par::ExecPolicy;
 use clique_sim::routing::schedule_route;
 use clique_sim::{Bandwidth, Clique, Msg, ROUTE_CONSTANT};
 use proptest::prelude::*;
@@ -104,12 +105,18 @@ proptest! {
 fn parallel_group_bandwidth_overcommit_factors() {
     // count · per_instance ≤ available ⇒ no overcommit; beyond ⇒ ceil factor.
     let mut c = Clique::new(8, Bandwidth::words(4));
-    c.parallel("fits", 4, Bandwidth::words(1), |c, _| c.charge("w", 10));
-    assert_eq!(c.rounds(), 10);
-    let mut c2 = Clique::new(8, Bandwidth::words(4));
-    c2.parallel("overcommitted", 12, Bandwidth::words(1), |c, _| {
+    c.parallel_exec("fits", 4, Bandwidth::words(1), ExecPolicy::Seq, |c, _| {
         c.charge("w", 10)
     });
+    assert_eq!(c.rounds(), 10);
+    let mut c2 = Clique::new(8, Bandwidth::words(4));
+    c2.parallel_exec(
+        "overcommitted",
+        12,
+        Bandwidth::words(1),
+        ExecPolicy::Seq,
+        |c, _| c.charge("w", 10),
+    );
     assert_eq!(c2.rounds(), 30); // ceil(12/4) = 3×
 }
 
