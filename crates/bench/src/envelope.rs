@@ -204,7 +204,7 @@ pub fn check_against_envelopes(
 /// Validates that `doc` is one well-formed JSON value (any shape — objects,
 /// arrays, strings, numbers, booleans, null) with nothing trailing.
 ///
-/// This is the same byte [`Scanner`] the report parser runs on, opened up
+/// This is the same byte `Scanner` the report parser runs on, opened up
 /// to generic JSON so the trace files `ccapsp --trace` writes (the
 /// `cc-obs/v1` span dump and the Chrome-trace event file) can be smoke-
 /// checked by CI without a serde dependency. Errors name the byte offset.

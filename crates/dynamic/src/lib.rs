@@ -11,11 +11,10 @@
 //! exactly the contract here: touch only what an update batch can affect,
 //! and prove the result equals a from-scratch rebuild.
 //!
-//! * [`update`] — [`UpdateBatch`](update::UpdateBatch)es of
+//! * [`update`] — [`UpdateBatch`]es of
 //!   `Insert`/`Delete`/`Reweight` ops with deterministic canonicalization
 //!   (dedupe, last-write-wins, stable order) and typed validation;
-//! * [`incremental`] —
-//!   [`IncrementalOracle`](incremental::IncrementalOracle), which applies a
+//! * [`incremental`] — [`IncrementalOracle`], which applies a
 //!   batch to an exact estimate by re-running Dijkstra only on the rows the
 //!   worsened edges can lengthen and folding each improved edge over the
 //!   matrix in O(n²), and rebuilds approximate estimates; the hard

@@ -26,7 +26,7 @@ pub const ALGORITHMS: &str = "thm11|thm81|smalldiam|thm71|spanner|exact";
 /// Runs one named algorithm over `g`, returning
 /// `(estimate, stretch bound, simulated rounds)`.
 ///
-/// Algorithms: `thm11` (Theorem 1.1), `thm81` (Theorem 8.1 on CC[log⁴n]),
+/// Algorithms: `thm11` (Theorem 1.1), `thm81` (Theorem 8.1 on CC\[log⁴n\]),
 /// `smalldiam` (Theorem 7.1; `thm71` is an alias), `spanner` (the O(log n)
 /// baseline), `exact`
 /// (min-plus squaring baseline). Deterministic per `(algo, seed)`; `exec`

@@ -13,7 +13,7 @@
 //! * [`snapshot`] — the versioned binary `*.ccsnap` format (magic, format
 //!   version, graph, estimate, metadata, per-section checksums) with
 //!   `save`/`load` and typed corrupt-input errors;
-//! * [`service`] — [`OracleService`](service::OracleService), a registry
+//! * [`service`] — [`OracleService`], a registry
 //!   of one live snapshot per name answering `Dist`/`Route`/`KNearest`
 //!   queries in parallel batches (via `cc_par`), with a hot-row LRU cache
 //!   of k-nearest prefixes and per-query latency accounting; a write lands
