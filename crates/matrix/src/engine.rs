@@ -35,8 +35,8 @@
 //! The lane kernel at every width and the sparse kernel compute the exact
 //! entrywise minimum over the same candidate set, so the engine's output
 //! is **bit-identical** for every mode, tile size, and thread count —
-//! kernel selection is purely a wall-clock decision. The golden-conformance suite and
-//! `tests/kernel_props.rs` pin this contract.
+//! kernel selection is purely a wall-clock decision. The
+//! golden-conformance suite and `tests/kernel_props.rs` pin this contract.
 
 use crate::dense::{self, lanes_product, TropicalEntry, TILE};
 use crate::sparse::{cdkl_rounds, sparse_product_with, SparseMatrix, SparseProduct};
@@ -641,7 +641,13 @@ mod tests {
         let mut a = random_matrix(10, 0.9, ULTRA_MAX_ENTRY, 23);
         let plan = KernelPlan::choose(&a, &a, KernelMode::Dense);
         assert_eq!(plan.choice, KernelChoice::DenseUltra);
-        a.set(0, 1, COMPACT_MAX_ENTRY + 5); // past BOTH narrow bounds
+        // Past BOTH narrow bounds, and the only finite entry of row 0, so
+        // every path out of node 0 takes it: a narrowed copy, truncated or
+        // saturated to `∞`, would change row 0 of the product.
+        for v in 0..10 {
+            a.set(0, v, INF);
+        }
+        a.set(0, 1, COMPACT_MAX_ENTRY + 5);
         let out = min_plus_planned(&a, &a, &plan, ExecPolicy::Seq);
         assert_eq!(out, distance_product(&a, &a));
         let sq = square_planned(&a, &plan, ExecPolicy::Seq);
@@ -715,7 +721,12 @@ mod tests {
         }
         let plan = KernelPlan::choose(&a, &a, KernelMode::Dense);
         assert_eq!(plan.choice, KernelChoice::DenseCompact);
-        a.set(0, 1, COMPACT_MAX_ENTRY + 7); // would truncate under `as u32`
+        // Would truncate to 7 under `as u32`; as row 0's only finite entry,
+        // every path out of node 0 takes it.
+        for v in 0..6 {
+            a.set(0, v, INF);
+        }
+        a.set(0, 1, (1 << 32) + 7);
         let naive = distance_product(&a, &a);
         assert_eq!(min_plus_planned(&a, &a, &plan, ExecPolicy::Seq), naive);
         assert_eq!(square_planned(&a, &plan, ExecPolicy::Seq), naive);
