@@ -911,6 +911,71 @@ mod tests {
     }
 
     #[test]
+    fn rejected_deltas_leave_the_entry_untouched() {
+        use cc_dynamic::incremental::{DynamicConfig, IncrementalOracle};
+        use cc_dynamic::update::{EdgeOp, UpdateBatch};
+        use cc_dynamic::DeltaError;
+
+        let snap = exact_snapshot(20, 3);
+        let g = snap.graph.clone();
+        let exact = snap.dense_estimate().expect("dense snapshot").clone();
+        let mut service = OracleService::default();
+        let id = service.register("g", snap);
+        let warm = service.answer(id, &Query::KNearest(0, 5));
+        let before = service.export(id);
+
+        // A good delta: one edge heavier than 1 reweighted down to 1.
+        let (u, v, _) = g
+            .edges()
+            .into_iter()
+            .find(|&(_, _, w)| w > 1)
+            .expect("an edge heavier than 1");
+        let mut engine = IncrementalOracle::new(g, exact, "exact", 0, DynamicConfig::default());
+        let good = engine
+            .apply(&UpdateBatch::new(vec![EdgeOp::Reweight(u, v, 1)]))
+            .expect("valid batch")
+            .delta;
+        assert!(!good.rows.is_empty(), "the reweight changes rows");
+
+        let mut flipped = good.clone();
+        flipped.rows[0].1[0] ^= 1;
+        let mut rebased = good.clone();
+        rebased.base_fingerprint ^= 1;
+        let mut bad_batch = good.clone();
+        bad_batch.batch = UpdateBatch::new(vec![EdgeOp::Insert(0, 99, 1)]);
+        let mut resized = good.clone();
+        resized.n += 1;
+        for (broken, expect) in [
+            (flipped, "ResultMismatch"),
+            (rebased, "BaseMismatch"),
+            (bad_batch, "Batch"),
+            (resized, "Malformed"),
+        ] {
+            let err = service.apply_delta("g", &broken);
+            let matched = match &err {
+                Err(ApplyDeltaError::Delta(e)) => match e {
+                    DeltaError::ResultMismatch { .. } => "ResultMismatch",
+                    DeltaError::BaseMismatch { .. } => "BaseMismatch",
+                    DeltaError::Batch(_) => "Batch",
+                    DeltaError::Malformed(_) => "Malformed",
+                    _ => "other",
+                },
+                _ => "not a delta error",
+            };
+            assert_eq!(matched, expect, "{err:?}");
+            assert_eq!(service.label(id), ("g", 1), "{expect}");
+            assert_eq!(service.export(id), before, "{expect}");
+            assert_eq!(service.answer(id, &Query::KNearest(0, 5)), warm, "{expect}");
+            assert_eq!(service.cache_stats(id).misses, 1, "{expect}");
+        }
+
+        service
+            .apply_delta("g", &good)
+            .expect("the good delta applies");
+        assert_eq!(service.label(id), ("g", 2));
+    }
+
+    #[test]
     fn row_cache_is_keyed_by_version() {
         let mut cache = RowCache::new(4);
         cache.insert(1, 0, 2, &[(0, 0), (1, 5)]);
