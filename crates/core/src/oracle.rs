@@ -3,12 +3,13 @@
 //! important in distributed computing due to its close connection to
 //! network routing").
 //!
-//! After an APSP run, each node knows an estimate row δ(u, ·). A
-//! [`DistanceOracle`] wraps the estimate together with the graph and
-//! supports *greedy next-hop routing*: from `u` toward `v`, forward to the
-//! neighbor minimizing `w(u, x) + δ(x, v)`. With exact distances this
-//! follows a shortest path; with an α-approximation the detour is bounded
-//! in practice (measured by [`DistanceOracle::routing_quality`]).
+//! After an APSP run, each node knows an estimate row δ(u, ·). An
+//! [`OracleBackend`] holds the estimate and, given the graph it estimates,
+//! supports *greedy next-hop routing* ([`OracleBackend::route`]): from `u`
+//! toward `v`, forward to the neighbor minimizing `w(u, x) + δ(x, v)`.
+//! With exact distances this follows a shortest path; with an
+//! α-approximation the detour is bounded in practice (measured by
+//! [`OracleBackend::routing_quality`]).
 
 use cc_graph::{wadd, DistMatrix, Graph, NodeId, StretchStats, Weight, INF};
 use cc_par::ExecPolicy;
@@ -63,8 +64,8 @@ impl std::fmt::Display for OracleKind {
     }
 }
 
-/// The estimate store behind a [`DistanceOracle`]: either the classic dense
-/// matrix or a sublinear landmark sketch. Every layer above (snapshots, the
+/// The estimate store behind every oracle: either the classic dense matrix
+/// or a sublinear landmark sketch. Every layer above (snapshots, the
 /// serving engine, the dynamic engine, the benches) is generic over this
 /// enum; the dense arm answers bit-identically to the pre-refactor code.
 #[derive(Debug, Clone, PartialEq)]
@@ -189,140 +190,45 @@ impl OracleBackend {
         }
         StretchStats::from_tally(ratios, under, missing)
     }
-}
 
-/// A queryable distance oracle backed by an APSP estimate.
-#[derive(Debug, Clone)]
-pub struct DistanceOracle {
-    graph: Graph,
-    backend: OracleBackend,
-}
-
-/// Outcome of routing a batch of random queries through the oracle.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct RoutingQuality {
-    /// Queries attempted (connected pairs only).
-    pub attempted: usize,
-    /// Queries whose greedy walk reached the target.
-    pub delivered: usize,
-    /// Mean ratio of walked length to true distance, over delivered
-    /// queries.
-    pub mean_route_stretch: f64,
-    /// Max ratio of walked length to true distance.
-    pub max_route_stretch: f64,
-}
-
-impl DistanceOracle {
-    /// Wraps a graph and an estimate of its APSP.
-    ///
-    /// # Panics
-    ///
-    /// Panics if dimensions differ.
-    pub fn new(graph: Graph, estimate: DistMatrix) -> Self {
-        Self::with_backend(graph, OracleBackend::Dense(estimate))
-    }
-
-    /// Wraps a graph and any [`OracleBackend`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if dimensions differ.
-    pub fn with_backend(graph: Graph, backend: OracleBackend) -> Self {
-        assert_eq!(graph.n(), backend.n(), "oracle estimate dimension mismatch");
-        Self { graph, backend }
-    }
-
-    /// The underlying graph.
-    pub fn graph(&self) -> &Graph {
-        &self.graph
-    }
-
-    /// The underlying backend.
-    pub fn backend(&self) -> &OracleBackend {
-        &self.backend
-    }
-
-    /// The underlying estimate matrix (the serving layer reads rows from it
-    /// for k-nearest queries on the dense path).
-    ///
-    /// # Panics
-    ///
-    /// Panics on a landmark backend, which has no dense matrix — callers
-    /// that must handle both use [`DistanceOracle::backend`].
-    pub fn estimate(&self) -> &DistMatrix {
-        self.backend
-            .as_dense()
-            .expect("estimate(): landmark backend has no dense matrix")
-    }
-
-    /// Decomposes the oracle back into its graph and estimate, without
-    /// cloning either.
-    ///
-    /// # Panics
-    ///
-    /// Panics on a landmark backend; the serving layer's delta application
-    /// path uses [`DistanceOracle::into_backend_parts`], which handles both.
-    pub fn into_parts(self) -> (Graph, DistMatrix) {
-        match self.backend {
-            OracleBackend::Dense(m) => (self.graph, m),
-            OracleBackend::Landmark(_) => {
-                panic!("into_parts(): landmark backend has no dense matrix")
-            }
-        }
-    }
-
-    /// Decomposes the oracle into its graph and backend, without cloning
-    /// either. The serving layer's delta application path uses this to take
-    /// the current state out of a live entry, apply an update batch, and
-    /// construct the successor oracle from the result.
-    pub fn into_backend_parts(self) -> (Graph, OracleBackend) {
-        (self.graph, self.backend)
-    }
-
-    /// The distance estimate δ(u, v).
-    pub fn query(&self, u: NodeId, v: NodeId) -> Weight {
-        self.backend.query(u, v)
-    }
-
-    /// The greedy next hop from `u` toward `v`: the neighbor `x` minimizing
-    /// `(w(u,x) + δ(x,v), x)`, or `None` if `u` is isolated or every
-    /// neighbor estimates `v` as unreachable.
-    pub fn next_hop(&self, u: NodeId, v: NodeId) -> Option<NodeId> {
-        self.graph
+    /// The greedy next hop from `u` toward `v` in `graph`: the neighbor `x`
+    /// minimizing `(w(u,x) + δ(x,v), x)`, or `None` if `u` is isolated or
+    /// every neighbor estimates `v` as unreachable.
+    pub fn next_hop(&self, graph: &Graph, u: NodeId, v: NodeId) -> Option<NodeId> {
+        graph
             .neighbors(u)
-            .map(|(x, w)| (wadd(w, self.backend.query(x, v)), x))
+            .map(|(x, w)| (wadd(w, self.query(x, v)), x))
             .filter(|&(cost, _)| cost < INF)
             .min()
             .map(|(_, x)| x)
     }
 
-    /// Routes greedily from `u` to `v`: at each step, forward to the best
-    /// **unvisited** neighbor by `w(u,x) + δ(x,v)` (excluding visited nodes
-    /// guarantees termination even when the approximate estimate would
-    /// create a loop). Gives up when stuck; returns the node sequence on
-    /// success.
+    /// Routes greedily from `u` to `v` in `graph`: at each step, forward to
+    /// the best **unvisited** neighbor by `w(u,x) + δ(x,v)` (excluding
+    /// visited nodes guarantees termination even when the approximate
+    /// estimate would create a loop). Gives up when stuck; returns the node
+    /// sequence on success.
     ///
     /// Guaranteed to terminate within `n` steps for *any* estimate, however
     /// misleading: every step visits a fresh node, so the walk either
     /// reaches `v`, or runs out of unvisited neighbors (a dead end or an
     /// unreachable target, e.g. `δ(·,v) = ∞` everywhere) and returns
     /// `None` — it can never loop. `u == v` is the trivial one-node route.
-    pub fn route(&self, u: NodeId, v: NodeId) -> Option<Vec<NodeId>> {
+    pub fn route(&self, graph: &Graph, u: NodeId, v: NodeId) -> Option<Vec<NodeId>> {
         if u == v {
             return Some(vec![u]);
         }
-        let n = self.graph.n();
+        let n = graph.n();
         let mut path = vec![u];
         let mut visited = vec![false; n];
         visited[u] = true;
         let mut cur = u;
         while cur != v {
             debug_assert!(path.len() <= n, "visited-set invariant violated");
-            let next = self
-                .graph
+            let next = graph
                 .neighbors(cur)
                 .filter(|&(x, _)| !visited[x])
-                .map(|(x, w)| (wadd(w, self.backend.query(x, v)), x))
+                .map(|(x, w)| (wadd(w, self.query(x, v)), x))
                 .filter(|&(cost, _)| cost < INF)
                 .min()
                 .map(|(_, x)| x)?;
@@ -333,11 +239,16 @@ impl DistanceOracle {
         Some(path)
     }
 
-    /// Measures greedy-routing quality over all ordered connected pairs of a
-    /// deterministic sample (every `stride`-th pair), comparing walked
-    /// length to exact distance.
-    pub fn routing_quality(&self, exact: &DistMatrix, stride: usize) -> RoutingQuality {
-        let n = self.graph.n();
+    /// Measures greedy-routing quality in `graph` over all ordered
+    /// connected pairs of a deterministic sample (every `stride`-th pair),
+    /// comparing walked length to exact distance.
+    pub fn routing_quality(
+        &self,
+        graph: &Graph,
+        exact: &DistMatrix,
+        stride: usize,
+    ) -> RoutingQuality {
+        let n = graph.n();
         let stride = stride.max(1);
         let mut attempted = 0;
         let mut delivered = 0;
@@ -354,11 +265,11 @@ impl DistanceOracle {
                     continue;
                 }
                 attempted += 1;
-                if let Some(path) = self.route(u, v) {
+                if let Some(path) = self.route(graph, u, v) {
                     let length: Weight = path
                         .windows(2)
                         .map(|p| {
-                            self.graph
+                            graph
                                 .edge_weight(p[0], p[1])
                                 .expect("route uses real edges")
                         })
@@ -383,6 +294,20 @@ impl DistanceOracle {
     }
 }
 
+/// Outcome of routing a batch of random queries through an estimate.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct RoutingQuality {
+    /// Queries attempted (connected pairs only).
+    pub attempted: usize,
+    /// Queries whose greedy walk reached the target.
+    pub delivered: usize,
+    /// Mean ratio of walked length to true distance, over delivered
+    /// queries.
+    pub mean_route_stretch: f64,
+    /// Max ratio of walked length to true distance.
+    pub max_route_stretch: f64,
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -400,8 +325,8 @@ mod tests {
     fn exact_oracle_routes_along_shortest_paths() {
         let g = geometric(40, 1);
         let exact = apsp::exact_apsp(&g);
-        let oracle = DistanceOracle::new(g.clone(), exact.clone());
-        let q = oracle.routing_quality(&exact, 7);
+        let oracle = OracleBackend::Dense(exact.clone());
+        let q = oracle.routing_quality(&g, &exact, 7);
         assert_eq!(q.attempted, q.delivered);
         assert!((q.max_route_stretch - 1.0).abs() < 1e-9, "{q:?}");
     }
@@ -417,8 +342,8 @@ mod tests {
                 ..Default::default()
             },
         );
-        let oracle = DistanceOracle::new(g, result.estimate);
-        let q = oracle.routing_quality(&exact, 5);
+        let oracle = OracleBackend::Dense(result.estimate);
+        let q = oracle.routing_quality(&g, &exact, 5);
         // Most queries should deliver, and detours stay modest on geometric
         // graphs.
         assert!(q.delivered * 10 >= q.attempted * 8, "{q:?}");
@@ -426,30 +351,20 @@ mod tests {
     }
 
     #[test]
-    fn into_parts_round_trips() {
-        let g = geometric(12, 4);
-        let exact = apsp::exact_apsp(&g);
-        let oracle = DistanceOracle::new(g.clone(), exact.clone());
-        let (g2, e2) = oracle.into_parts();
-        assert_eq!(g2, g);
-        assert_eq!(e2, exact);
-    }
-
-    #[test]
     fn next_hop_none_for_isolated_node() {
         let g = Graph::from_edges(3, Direction::Undirected, &[(0, 1, 1)]);
         let exact = apsp::exact_apsp(&g);
-        let oracle = DistanceOracle::new(g, exact);
-        assert_eq!(oracle.next_hop(2, 0), None);
-        assert_eq!(oracle.route(2, 0), None);
+        let oracle = OracleBackend::Dense(exact);
+        assert_eq!(oracle.next_hop(&g, 2, 0), None);
+        assert_eq!(oracle.route(&g, 2, 0), None);
     }
 
     #[test]
     fn route_to_self_is_trivial() {
         let g = geometric(10, 3);
         let exact = apsp::exact_apsp(&g);
-        let oracle = DistanceOracle::new(g, exact);
-        assert_eq!(oracle.route(4, 4), Some(vec![4]));
+        let oracle = OracleBackend::Dense(exact);
+        assert_eq!(oracle.route(&g, 4, 4), Some(vec![4]));
     }
 
     #[test]
@@ -457,9 +372,9 @@ mod tests {
         // u == v must be the trivial route regardless of connectivity.
         let g = Graph::from_edges(3, Direction::Undirected, &[(0, 1, 1)]);
         let exact = apsp::exact_apsp(&g);
-        let oracle = DistanceOracle::new(g, exact);
-        assert_eq!(oracle.route(2, 2), Some(vec![2]));
-        assert_eq!(oracle.route(0, 0), Some(vec![0]));
+        let oracle = OracleBackend::Dense(exact);
+        assert_eq!(oracle.route(&g, 2, 2), Some(vec![2]));
+        assert_eq!(oracle.route(&g, 0, 0), Some(vec![0]));
     }
 
     #[test]
@@ -473,10 +388,10 @@ mod tests {
         );
         let exact = apsp::exact_apsp(&g);
         assert_eq!(exact.get(0, 5), INF);
-        let oracle = DistanceOracle::new(g, exact);
-        assert_eq!(oracle.route(0, 5), None);
-        assert_eq!(oracle.route(5, 0), None);
-        assert_eq!(oracle.next_hop(0, 5), None);
+        let oracle = OracleBackend::Dense(exact);
+        assert_eq!(oracle.route(&g, 0, 5), None);
+        assert_eq!(oracle.route(&g, 5, 0), None);
+        assert_eq!(oracle.next_hop(&g, 0, 5), None);
     }
 
     #[test]
@@ -489,8 +404,8 @@ mod tests {
         fake.set(1, 3, 0);
         fake.set(2, 3, 5);
         fake.set(3, 3, 0);
-        let oracle = DistanceOracle::new(g, fake);
-        assert_eq!(oracle.route(0, 3), None);
+        let oracle = OracleBackend::Dense(fake);
+        assert_eq!(oracle.route(&g, 0, 3), None);
     }
 
     #[test]
@@ -509,9 +424,9 @@ mod tests {
                 }
             }
         }
-        let oracle = DistanceOracle::new(g, fake);
+        let oracle = OracleBackend::Dense(fake);
         for target in 0..n {
-            if let Some(path) = oracle.route(0, target) {
+            if let Some(path) = oracle.route(&g, 0, target) {
                 assert!(path.len() <= n, "path too long: {path:?}");
                 let mut sorted = path.clone();
                 sorted.sort_unstable();
@@ -535,18 +450,15 @@ mod tests {
     fn dense_backend_answers_identically_to_the_old_dense_oracle() {
         let g = geometric(30, 6);
         let exact = apsp::exact_apsp(&g);
-        let oracle = DistanceOracle::new(g.clone(), exact.clone());
-        assert_eq!(oracle.backend().kind(), OracleKind::Dense);
+        let oracle = OracleBackend::Dense(exact.clone());
+        assert_eq!(oracle.kind(), OracleKind::Dense);
         for u in 0..g.n() {
             for v in 0..g.n() {
                 assert_eq!(oracle.query(u, v), exact.get(u, v));
             }
-            assert_eq!(oracle.backend().dist_row(u), exact.row(u).to_vec());
+            assert_eq!(oracle.dist_row(u), exact.row(u).to_vec());
         }
-        assert_eq!(
-            oracle.backend().approx_mem_bytes(),
-            exact.approx_mem_bytes()
-        );
+        assert_eq!(oracle.approx_mem_bytes(), exact.approx_mem_bytes());
     }
 
     #[test]
@@ -554,8 +466,8 @@ mod tests {
         let g = geometric(40, 8);
         let exact = apsp::exact_apsp(&g);
         let sketch = crate::landmark::LandmarkSketch::build(&g, 17, cc_par::ExecPolicy::Seq);
-        let oracle = DistanceOracle::with_backend(g.clone(), OracleBackend::Landmark(sketch));
-        assert_eq!(oracle.backend().kind(), OracleKind::Landmark);
+        let oracle = OracleBackend::Landmark(sketch);
+        assert_eq!(oracle.kind(), OracleKind::Landmark);
         for u in 0..g.n() {
             for v in 0..g.n() {
                 let d = exact.get(u, v);
@@ -563,7 +475,7 @@ mod tests {
                 assert!(e >= d, "underestimate at ({u},{v})");
                 if d < INF {
                     // Route must terminate; when delivered it uses real edges.
-                    if let Some(path) = oracle.route(u, v) {
+                    if let Some(path) = oracle.route(&g, u, v) {
                         assert_eq!(*path.first().unwrap(), u);
                         assert_eq!(*path.last().unwrap(), v);
                         assert!(path.len() <= g.n());
@@ -571,9 +483,7 @@ mod tests {
                 }
             }
         }
-        let stats = oracle
-            .backend()
-            .sampled_stretch(&g, 16, 3, cc_par::ExecPolicy::Seq);
+        let stats = oracle.sampled_stretch(&g, 16, 3, cc_par::ExecPolicy::Seq);
         assert_eq!(stats.underestimates, 0);
         assert_eq!(stats.missing, 0);
         assert!(stats.max_stretch <= 3.0 + 1e-9, "{stats}");
@@ -599,15 +509,6 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "landmark backend has no dense matrix")]
-    fn estimate_accessor_panics_on_landmark_backend() {
-        let g = geometric(10, 1);
-        let sketch = crate::landmark::LandmarkSketch::build(&g, 0, cc_par::ExecPolicy::Seq);
-        let oracle = DistanceOracle::with_backend(g, OracleBackend::Landmark(sketch));
-        let _ = oracle.estimate();
-    }
-
-    #[test]
     fn misleading_estimate_detected_as_loop_or_dead_end() {
         // An estimate claiming everything is at distance 1 everywhere makes
         // greedy routing walk to the ID-smallest neighbor forever; the
@@ -625,8 +526,8 @@ mod tests {
                 }
             }
         }
-        let oracle = DistanceOracle::new(g, fake);
+        let oracle = OracleBackend::Dense(fake);
         // Routing may or may not succeed, but must terminate.
-        let _ = oracle.route(0, 2);
+        let _ = oracle.route(&g, 0, 2);
     }
 }

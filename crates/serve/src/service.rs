@@ -8,7 +8,7 @@
 //!
 //! * [`Query::Dist`] — the estimate δ(u, v), a single matrix read;
 //! * [`Query::Route`] — the greedy next-hop walk of
-//!   [`cc_apsp::oracle::DistanceOracle::route`];
+//!   [`cc_apsp::oracle::OracleBackend::route`] over the snapshot's graph;
 //! * [`Query::KNearest`] — the `k` nodes nearest to `u` under δ, with the
 //!   same `(distance, id)` ordering as `cc_graph::sssp::k_nearest` and the
 //!   `cc_apsp::knearest` machinery that computes these sets in-clique.
@@ -25,7 +25,6 @@
 //! recomputes. Cache state affects hit-rate statistics and latency only,
 //! never a response.
 
-use cc_apsp::oracle::DistanceOracle;
 use cc_graph::codec::{fnv1a, put_u64};
 use cc_graph::sssp::k_nearest_from_dists;
 use cc_graph::{NodeId, Weight};
@@ -279,12 +278,11 @@ impl std::error::Error for ApplyDeltaError {
     }
 }
 
-/// One loaded snapshot: the oracle plus its serving-side state.
+/// One loaded snapshot plus its serving-side state.
 struct Entry {
     name: String,
     version: u32,
-    meta: SnapshotMeta,
-    oracle: DistanceOracle,
+    snapshot: Snapshot,
     cache: Mutex<RowCache>,
     hits: AtomicU64,
     misses: AtomicU64,
@@ -298,8 +296,7 @@ impl Entry {
         Self {
             name: name.to_string(),
             version,
-            meta: snapshot.meta,
-            oracle: DistanceOracle::with_backend(snapshot.graph, snapshot.backend),
+            snapshot,
             cache: Mutex::new(RowCache::new(cfg.cache_rows)),
             hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
@@ -360,7 +357,7 @@ impl OracleService {
     /// Canonical backend-kind name (`dense` | `landmark`) of a registered
     /// snapshot — lets a scraper tell a dense daemon from a landmark one.
     pub fn backend_kind(&self, id: SnapshotId) -> &'static str {
-        self.entries[id.0].oracle.backend().kind().name()
+        self.entries[id.0].snapshot.backend.kind().name()
     }
 
     /// Convenience: a default-tuned service with `snapshot` registered as
@@ -397,12 +394,12 @@ impl OracleService {
     }
 
     /// Applies a dynamic-update delta to the snapshot registered under
-    /// `name`, as an in-place blue/green version bump: the successor
-    /// oracle is fully constructed (both delta fingerprints verified)
-    /// before it replaces the live one, and the bumped version re-keys the
-    /// hot-row cache, so no query can ever observe a half-applied update or
-    /// a stale cached row. On any error the previous state stays live and
-    /// untouched.
+    /// `name`, as an in-place blue/green version bump: the successor graph
+    /// and backend are fully constructed (both delta fingerprints verified)
+    /// before they replace the live ones, and the bumped version re-keys
+    /// the hot-row cache, so no query can ever observe a half-applied
+    /// update or a stale cached row. On any error the previous state stays
+    /// live and untouched.
     ///
     /// # Errors
     ///
@@ -417,23 +414,13 @@ impl OracleService {
             .resolve(name)
             .ok_or_else(|| ApplyDeltaError::UnknownSnapshot(name.to_string()))?;
         let e = &mut self.entries[id.0];
-        // Take the state out without cloning; restore it verbatim on error.
-        let placeholder = DistanceOracle::new(
-            cc_graph::Graph::empty(0, cc_graph::graph::Direction::Undirected),
-            cc_graph::DistMatrix::infinite(0),
-        );
-        let (graph, backend) = std::mem::replace(&mut e.oracle, placeholder).into_backend_parts();
-        match delta.apply(&graph, &backend) {
-            Ok((new_graph, new_backend)) => {
-                e.oracle = DistanceOracle::with_backend(new_graph, new_backend);
-                e.version += 1;
-                Ok(id)
-            }
-            Err(err) => {
-                e.oracle = DistanceOracle::with_backend(graph, backend);
-                Err(ApplyDeltaError::Delta(err))
-            }
-        }
+        let (graph, backend) = delta
+            .apply(&e.snapshot.graph, &e.snapshot.backend)
+            .map_err(ApplyDeltaError::Delta)?;
+        e.snapshot.graph = graph;
+        e.snapshot.backend = backend;
+        e.version += 1;
+        Ok(id)
     }
 
     /// The live snapshot registered under `name`.
@@ -459,12 +446,12 @@ impl OracleService {
 
     /// Provenance of a registered snapshot.
     pub fn meta(&self, id: SnapshotId) -> &SnapshotMeta {
-        &self.entries[id.0].meta
+        &self.entries[id.0].snapshot.meta
     }
 
     /// Node count of a registered snapshot.
     pub fn n(&self, id: SnapshotId) -> usize {
-        self.entries[id.0].oracle.graph().n()
+        self.entries[id.0].snapshot.n()
     }
 
     /// Clones a registered snapshot's current state back out (graph,
@@ -472,12 +459,7 @@ impl OracleService {
     /// this is the *live* state, not the originally registered one, ready
     /// to persist or to seed a dynamic engine.
     pub fn export(&self, id: SnapshotId) -> Snapshot {
-        let e = &self.entries[id.0];
-        Snapshot::with_backend(
-            e.oracle.graph().clone(),
-            e.oracle.backend().clone(),
-            e.meta.clone(),
-        )
+        self.entries[id.0].snapshot.clone()
     }
 
     /// Resident size estimate (bytes) of a registered snapshot's distance
@@ -485,7 +467,7 @@ impl OracleService {
     /// landmark backend. Reported in the serve/bench records so memory is
     /// comparable across backends.
     pub fn estimate_mem_bytes(&self, id: SnapshotId) -> u64 {
-        self.entries[id.0].oracle.backend().approx_mem_bytes()
+        self.entries[id.0].snapshot.backend.approx_mem_bytes()
     }
 
     /// Cache counters of a registered snapshot.
@@ -507,9 +489,10 @@ impl OracleService {
     pub fn answer(&self, id: SnapshotId, query: &Query) -> Response {
         let e = &self.entries[id.0];
         e.query_counts[query.type_index()].fetch_add(1, Ordering::Relaxed);
+        let Snapshot { graph, backend, .. } = &e.snapshot;
         match *query {
-            Query::Dist(u, v) => Response::Dist(e.oracle.query(u, v)),
-            Query::Route(u, v) => Response::Route(e.oracle.route(u, v)),
+            Query::Dist(u, v) => Response::Dist(backend.query(u, v)),
+            Query::Route(u, v) => Response::Route(backend.route(graph, u, v)),
             Query::KNearest(u, k) => Response::KNearest(self.k_nearest(e, u, k)),
         }
     }
@@ -533,9 +516,10 @@ impl OracleService {
         // but the prefix they compute is identical. Dense backends expose
         // the row zero-copy; landmark backends materialize it per miss
         // (which the cache then amortizes).
-        let nearest = match e.oracle.backend().as_dense() {
+        let backend = &e.snapshot.backend;
+        let nearest = match backend.as_dense() {
             Some(matrix) => k_nearest_from_dists(matrix.row(u), k),
-            None => k_nearest_from_dists(&e.oracle.backend().dist_row(u), k),
+            None => k_nearest_from_dists(&backend.dist_row(u), k),
         };
         lock_recovering(&e.cache).insert(e.version, u, k, &nearest);
         nearest

@@ -154,8 +154,7 @@ impl Snapshot {
     ///
     /// # Panics
     ///
-    /// Panics if the estimate dimension differs from the graph's node count
-    /// (the same contract as [`cc_apsp::oracle::DistanceOracle::new`]).
+    /// Panics if the estimate dimension differs from the graph's node count.
     pub fn new(graph: Graph, estimate: DistMatrix, meta: SnapshotMeta) -> Self {
         Self::with_backend(graph, OracleBackend::Dense(estimate), meta)
     }
@@ -197,27 +196,6 @@ impl Snapshot {
     /// anchored.
     pub fn state_fingerprint(&self) -> u64 {
         cc_dynamic::backend_state_fingerprint(&self.graph, &self.backend)
-    }
-
-    /// Applies a dynamic-update delta, producing the successor snapshot
-    /// (same provenance metadata, updated graph and backend). The delta's
-    /// base fingerprint must match [`Snapshot::state_fingerprint`], and the
-    /// result is verified against the delta's recorded result fingerprint
-    /// before anything is returned.
-    ///
-    /// # Errors
-    ///
-    /// See [`cc_dynamic::Delta::apply`].
-    pub fn apply_delta(
-        &self,
-        delta: &cc_dynamic::Delta,
-    ) -> Result<Snapshot, cc_dynamic::DeltaError> {
-        let (graph, backend) = delta.apply(&self.graph, &self.backend)?;
-        Ok(Snapshot {
-            graph,
-            backend,
-            meta: self.meta.clone(),
-        })
     }
 
     /// Serializes to the canonical byte form (see the [module docs](self)).

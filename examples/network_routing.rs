@@ -8,11 +8,12 @@
 //! APSP in the Congested Clique is motivated by network routing (Section 1):
 //! every node ends up knowing its (approximate) distance to every other
 //! node. This example builds a random geometric network whose weights are
-//! link latencies, runs the pipeline, wraps the result in a
-//! [`cc_apsp::oracle::DistanceOracle`], and measures greedy next-hop routing
-//! quality against exact shortest paths.
+//! link latencies, runs the pipeline, serves the estimate through a dense
+//! [`cc_apsp::oracle::OracleBackend`], and measures greedy next-hop routing
+//! ([`cc_apsp::oracle::OracleBackend::route`]) against exact shortest
+//! paths.
 
-use cc_apsp::oracle::DistanceOracle;
+use cc_apsp::oracle::OracleBackend;
 use cc_apsp::pipeline::{approximate_apsp, PipelineConfig};
 use cc_graph::{apsp, generators, INF};
 use rand::rngs::StdRng;
@@ -39,7 +40,7 @@ fn main() {
         result.rounds, stats.max_stretch, stats.mean_stretch, result.stretch_bound
     );
 
-    let oracle = DistanceOracle::new(g, result.estimate);
+    let oracle = OracleBackend::Dense(result.estimate);
 
     // Latency queries.
     println!("\nlatency queries (true → oracle):");
@@ -58,7 +59,7 @@ fn main() {
     }
 
     // Greedy routing over a sample of all connected pairs.
-    let quality = oracle.routing_quality(&exact, 17);
+    let quality = oracle.routing_quality(&g, &exact, 17);
     println!(
         "\ngreedy routing over {} sampled pairs: {} delivered ({:.1}%)",
         quality.attempted,
@@ -71,7 +72,7 @@ fn main() {
     );
 
     // One concrete route.
-    if let Some(path) = oracle.route(0, n - 1) {
+    if let Some(path) = oracle.route(&g, 0, n - 1) {
         println!(
             "\nroute 0 → {}: {} hops via {:?}",
             n - 1,

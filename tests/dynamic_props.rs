@@ -12,6 +12,7 @@ use cc_graph::graph::Direction;
 use cc_graph::{apsp, Graph};
 use cc_matrix::engine::KernelMode;
 use cc_par::ExecPolicy;
+use cc_serve::service::OracleService;
 use cc_serve::snapshot::{Snapshot, SnapshotMeta};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -214,11 +215,11 @@ proptest! {
             rounds: 0,
             source: "dynamic_props".into(),
         };
-        let mut snap = Snapshot::new(g, estimate, meta);
+        let (mut service, id) = OracleService::single(Snapshot::new(g, estimate, meta));
         for d in &deltas {
-            snap = snap.apply_delta(d).expect("snapshot applies delta");
+            service.apply_delta("default", d).expect("service applies delta");
         }
-        prop_assert_eq!(snap.state_fingerprint(), direct);
+        prop_assert_eq!(service.export(id).state_fingerprint(), direct);
     }
 }
 

@@ -9,7 +9,7 @@
 //! count, with a matching backend state fingerprint.
 
 use cc_apsp::landmark::LandmarkSketch;
-use cc_apsp::oracle::{DistanceOracle, OracleBackend};
+use cc_apsp::oracle::OracleBackend;
 use cc_dynamic::backend_state_fingerprint;
 use cc_graph::{apsp, generators, Graph, INF};
 use cc_par::ExecPolicy;
@@ -73,12 +73,12 @@ proptest! {
     ) {
         let g = instance(family, size, seed);
         let sketch = LandmarkSketch::build(&g, seed, ExecPolicy::Seq);
-        let oracle = DistanceOracle::with_backend(g.clone(), OracleBackend::Landmark(sketch));
+        let oracle = OracleBackend::Landmark(sketch);
         for u in 0..g.n() {
             for v in 0..g.n() {
                 // `route` must return (its visited-set bounds it to ≤ n
                 // hops); a Some must be a genuine u → v walk.
-                if let Some(path) = oracle.route(u, v) {
+                if let Some(path) = oracle.route(&g, u, v) {
                     prop_assert_eq!(path.first().copied(), Some(u));
                     prop_assert_eq!(path.last().copied(), Some(v));
                     prop_assert!(path.len() <= g.n());
