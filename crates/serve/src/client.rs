@@ -19,24 +19,20 @@ const OVERLOAD_BACKOFF: Duration = Duration::from_millis(2);
 /// A blocking client over one TCP connection.
 pub struct Client {
     stream: TcpStream,
-    frame_cap: u64,
 }
 
 impl Client {
-    /// Connects with the default frame cap.
+    /// Connects; replies are read under [`wire::DEFAULT_FRAME_CAP`].
     pub fn connect(addr: impl ToSocketAddrs) -> std::io::Result<Self> {
         let stream = TcpStream::connect(addr)?;
         stream.set_nodelay(true).ok();
-        Ok(Self {
-            stream,
-            frame_cap: wire::DEFAULT_FRAME_CAP,
-        })
+        Ok(Self { stream })
     }
 
     /// Sends one request and reads one reply.
     pub fn request(&mut self, request: &Request) -> Result<Reply, WireError> {
         wire::write_frame(&mut self.stream, &request.to_frame())?;
-        match wire::read_frame(&mut self.stream, self.frame_cap)? {
+        match wire::read_frame(&mut self.stream, wire::DEFAULT_FRAME_CAP)? {
             Some(frame) => Reply::from_frame(&frame),
             None => Err(WireError::Io(std::io::Error::new(
                 std::io::ErrorKind::UnexpectedEof,

@@ -16,16 +16,18 @@
 //!   never hang shutdown. Query batches are enqueued to the batcher;
 //!   metrics/info/admin frames are answered inline.
 //! * **The batcher** coalesces whatever jobs are queued (up to
-//!   [`ServerConfig::batch_max`] queries) into single
+//!   [`BATCH_MAX`] queries) into single
 //!   [`OracleService::run_batch`] calls under a read lock — concurrent
 //!   clients' queries share one parallel sweep — and demultiplexes the
 //!   responses back to each connection's writer in request order.
-//! * **Admission control**: the job queue is a bounded channel; when it is
-//!   full the reader answers [`Reply::Overload`] immediately instead of
-//!   buffering without limit.
+//! * **Admission control**: the job queue is a bounded channel
+//!   ([`QUEUE_CAP`] jobs); when it is full the reader answers
+//!   [`Reply::Overload`] immediately instead of buffering without limit.
+//!   A frame whose payload exceeds [`wire::DEFAULT_FRAME_CAP`] is a wire
+//!   error.
 //! * **Slow readers**: each connection's outbound frames go through a
-//!   bounded writer queue; a client that stops draining its socket gets
-//!   disconnected rather than wedging the batcher.
+//!   bounded writer queue ([`WRITER_CAP`] frames); a client that stops
+//!   draining its socket gets disconnected rather than wedging the batcher.
 //! * **Blue/green swaps**: [`Request::ApplyDelta`] / `SwapSnapshot` take
 //!   the service write lock, which waits for the in-flight batch and then
 //!   bumps the version in place — queued queries run against the new
@@ -54,21 +56,22 @@ use crate::wire::{self, Frame, Reply, Request, ServeInfo, WireError};
 /// How often blocked reads/receives re-check the stop flag.
 const POLL: Duration = Duration::from_millis(200);
 
+/// Bounded job-queue depth (pending batch requests across all
+/// connections); a full queue answers [`Reply::Overload`].
+pub const QUEUE_CAP: usize = 128;
+
+/// Maximum queries the batcher coalesces into one `run_batch` call.
+pub const BATCH_MAX: usize = 4096;
+
+/// Bounded per-connection outbound queue (frames); a slow reader that
+/// fills it is disconnected.
+pub const WRITER_CAP: usize = 128;
+
 /// Tuning knobs for [`Server::spawn`].
 #[derive(Debug, Clone, Copy)]
 pub struct ServerConfig {
     /// Thread policy for the batched query sweeps.
     pub exec: ExecPolicy,
-    /// Bounded job-queue depth (pending batch requests across all
-    /// connections); a full queue answers [`Reply::Overload`].
-    pub queue_cap: usize,
-    /// Maximum queries coalesced into one `run_batch` call.
-    pub batch_max: usize,
-    /// Per-frame payload cap in bytes ([`wire::DEFAULT_FRAME_CAP`]).
-    pub frame_cap: u64,
-    /// Bounded per-connection outbound queue (frames); a slow reader that
-    /// fills it is disconnected.
-    pub writer_cap: usize,
     /// Slow-query threshold in microseconds for the flight-recorder log;
     /// 0 disables the slow-query log (`serve --slow-query-us`).
     pub slow_query_us: u64,
@@ -82,10 +85,6 @@ impl Default for ServerConfig {
     fn default() -> Self {
         Self {
             exec: ExecPolicy::Seq,
-            queue_cap: 128,
-            batch_max: 4096,
-            frame_cap: wire::DEFAULT_FRAME_CAP,
-            writer_cap: 128,
             slow_query_us: 0,
             metrics_addr: None,
         }
@@ -163,7 +162,7 @@ impl Server {
         let stats = Arc::new(ServerStats::default());
         let telemetry = Arc::new(ServeTelemetry::new(cfg.slow_query_us));
         let service = Arc::new(RwLock::new(service));
-        let (job_tx, job_rx) = std::sync::mpsc::sync_channel::<Job>(cfg.queue_cap);
+        let (job_tx, job_rx) = std::sync::mpsc::sync_channel::<Job>(QUEUE_CAP);
 
         // The optional second listener: plain-HTTP `GET /metrics` with the
         // Prometheus-style exposition, so a stock scraper can poll without
@@ -379,7 +378,7 @@ fn connection_loop(stream: TcpStream, ctx: ConnCtx) {
     ctx.telemetry.connections_live.add(1);
     ctx.telemetry.event("conn-accept", format!("peer {peer}"));
     let tally = Arc::new(ConnTally::default());
-    let (out_tx, out_rx) = std::sync::mpsc::sync_channel::<Frame>(ctx.cfg.writer_cap);
+    let (out_tx, out_rx) = std::sync::mpsc::sync_channel::<Frame>(WRITER_CAP);
     let writer = {
         let stats = Arc::clone(&ctx.stats);
         let telemetry = Arc::clone(&ctx.telemetry);
@@ -394,7 +393,7 @@ fn connection_loop(stream: TcpStream, ctx: ConnCtx) {
         telemetry: &ctx.telemetry,
     };
     loop {
-        let frame = match wire::read_frame(&mut reader, ctx.cfg.frame_cap) {
+        let frame = match wire::read_frame(&mut reader, wire::DEFAULT_FRAME_CAP) {
             Ok(Some(frame)) => frame,
             // Clean EOF, stop-flag abort, or reset: just close.
             Ok(None) | Err(WireError::Io(_)) => break,
@@ -481,12 +480,9 @@ fn handle_request(request: Request, ctx: &ConnCtx, out_tx: &SyncSender<Frame>) -
                     ctx.stats.overloads.fetch_add(1, Ordering::Relaxed);
                     ctx.telemetry.event(
                         "overload",
-                        format!(
-                            "rejected batch of {queued} (queue_cap={})",
-                            ctx.cfg.queue_cap
-                        ),
+                        format!("rejected batch of {queued} (queue_cap={QUEUE_CAP})"),
                     );
-                    send_or_close(out_tx, Reply::Overload(ctx.cfg.queue_cap as u64), ctx)
+                    send_or_close(out_tx, Reply::Overload(QUEUE_CAP as u64), ctx)
                 }
                 Err(TrySendError::Disconnected(_)) => {
                     send_or_close(out_tx, Reply::Error("server stopping".into()), ctx)
@@ -628,7 +624,7 @@ fn batcher_loop(
         telemetry.queue_depth.sub(1);
         let mut jobs = vec![first];
         let mut total: usize = jobs[0].queries.len();
-        while total < cfg.batch_max {
+        while total < BATCH_MAX {
             match job_rx.try_recv() {
                 Ok(job) => {
                     telemetry.queue_depth.sub(1);

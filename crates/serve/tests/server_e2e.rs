@@ -244,7 +244,6 @@ fn live_metrics_scrape_and_flight_dump() {
         exec: ExecPolicy::Seq,
         slow_query_us: 1,
         metrics_addr: Some("127.0.0.1:0".parse().unwrap()),
-        ..ServerConfig::default()
     };
     let handle = Server::spawn(service, "127.0.0.1:0", cfg).expect("bind ephemeral port");
     let addr = handle.local_addr();

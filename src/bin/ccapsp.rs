@@ -171,15 +171,7 @@ const COMMANDS: &[Command] = &[
     Command {
         name: "serve",
         synopsis: "<snap.ccsnap>",
-        flags: &[
-            ADDR,
-            NAME,
-            THREADS,
-            ("--queue-cap", "Q"),
-            ("--batch-max", "B"),
-            METRICS_ADDR,
-            ("--slow-query-us", "N"),
-        ],
+        flags: &[ADDR, NAME, THREADS, METRICS_ADDR, ("--slow-query-us", "N")],
         run: cmd_serve,
     },
     Command {
@@ -857,14 +849,10 @@ fn cmd_serve(args: &Args) -> Result<(), ExitCode> {
     };
     let snapshot = load_snapshot(path)?;
     let exec = args.exec()?;
-    let defaults = ServerConfig::default();
     let cfg = ServerConfig {
         exec,
-        queue_cap: args.value_or("--queue-cap", defaults.queue_cap)?,
-        batch_max: args.value_or("--batch-max", defaults.batch_max)?,
-        slow_query_us: args.value_or("--slow-query-us", defaults.slow_query_us)?,
+        slow_query_us: args.value_or("--slow-query-us", ServerConfig::default().slow_query_us)?,
         metrics_addr: args.parse("--metrics-addr", |s| s.parse().ok())?,
-        ..defaults
     };
     let addr = args.get("--addr").unwrap_or("127.0.0.1:7199");
     let name = args.get("--name").unwrap_or("default");

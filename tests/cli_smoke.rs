@@ -332,8 +332,9 @@ fn bad_invocations_exit_nonzero_with_usage() {
     // nothing gets written: an unparsable value, a value flag with no value,
     // a flag the subcommand does not take, a flag given twice (`-o` is
     // `--out`), a graph too small to query, a graph path next to --n, and
-    // the retired `--repair-fraction`, `bench-serve --out` and
-    // `bench-serve --write-ratio`.
+    // the retired `--repair-fraction`, `bench-serve --out`,
+    // `bench-serve --write-ratio`, `serve --queue-cap` and
+    // `serve --batch-max`.
     let out = TempEdges::with_ext("bad_out", "ccsnap");
     let (e, o) = (edges.as_str(), out.as_str());
     for (args, why) in [
@@ -385,6 +386,14 @@ fn bad_invocations_exit_nonzero_with_usage() {
                 "0.5",
             ],
             "update does not take --repair-fraction",
+        ),
+        (
+            &["serve", "s.ccsnap", "--queue-cap", "4"],
+            "serve does not take --queue-cap",
+        ),
+        (
+            &["serve", "s.ccsnap", "--batch-max", "8"],
+            "serve does not take --batch-max",
         ),
     ] {
         let bad = ccapsp(args);
