@@ -46,9 +46,7 @@ pub fn doubling_k_nearest_central(
     kernel: KernelMode,
     exec: ExecPolicy,
 ) -> FilteredMatrix {
-    let mut sp = cc_obs::span("doubling-knearest-central");
-    sp.attr("k", k as f64);
-    sp.attr("hop_target", hop_target as f64);
+    let _sp = cc_obs::span("doubling-knearest-central");
     let start = FilteredMatrix::from_graph(g, k);
     filtered_power_engine(&start, doubling_iterations(hop_target), kernel, exec)
 }

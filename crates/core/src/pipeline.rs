@@ -73,14 +73,6 @@ pub struct PipelineConfig {
     /// bit-identical across modes. Defaults to the `CC_KERNEL` environment
     /// default ([`KernelMode::from_env`]).
     pub kernel: KernelMode,
-    /// Which oracle backend the run's servable artifact should use (the
-    /// `--oracle` / `CC_ORACLE` axis). The pipeline's *internal* estimates
-    /// are always dense; this selects what snapshot-producing callers
-    /// package for serving: the dense matrix itself, or a sublinear
-    /// [`crate::landmark::LandmarkSketch`] built straight from the graph.
-    /// Defaults to the `CC_ORACLE` environment default
-    /// ([`crate::oracle::OracleKind::from_env`]).
-    pub oracle: crate::oracle::OracleKind,
 }
 
 impl Default for PipelineConfig {
@@ -92,7 +84,6 @@ impl Default for PipelineConfig {
             k0: None,
             exec: ExecPolicy::from_env(),
             kernel: KernelMode::from_env(),
-            oracle: crate::oracle::OracleKind::from_env(),
         }
     }
 }
@@ -247,7 +238,6 @@ pub fn theorem_1_1(
 /// and returns the packaged [`ApspResult`].
 pub fn approximate_apsp(g: &Graph, cfg: &PipelineConfig) -> ApspResult {
     let mut sp = cc_obs::span("pipeline");
-    sp.attr("n", g.n() as f64);
     let mut clique = Clique::new(g.n().max(1), Bandwidth::standard(g.n().max(1)));
     let mut rng = StdRng::seed_from_u64(cfg.seed);
     let (estimate, bound) = theorem_1_1(&mut clique, g, cfg, &mut rng);

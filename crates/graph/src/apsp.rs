@@ -23,8 +23,7 @@ pub fn exact_apsp(g: &Graph) -> DistMatrix {
 /// so the per-source allocation cost is amortized away.
 pub fn exact_apsp_with(g: &Graph, exec: ExecPolicy) -> DistMatrix {
     let n = g.n();
-    let mut sp = cc_obs::span("exact-apsp");
-    sp.attr("n", n as f64);
+    let _sp = cc_obs::span("exact-apsp");
     let rows_per_block = exec.row_block_len(n, 1);
     let mut data = vec![INF; n * n];
     exec.for_each_chunk_mut(&mut data, rows_per_block * n.max(1), |block, chunk| {

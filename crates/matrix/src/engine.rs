@@ -345,16 +345,12 @@ fn fits(a: &DistMatrix, b: &DistMatrix, bound: Weight) -> bool {
 }
 
 /// Opens the per-multiply `cc_obs` span (`op[choice]`, e.g.
-/// `minplus[dense-ultra]`) tagged with the operand size and sampled fill.
-/// One relaxed atomic load when tracing is off — the name is never
-/// formatted.
-fn kernel_span(op: &str, n: usize, plan: &KernelPlan) -> cc_obs::SpanGuard {
-    let mut sp = cc_obs::span_lazy(|| format!("{op}[{}]", plan.choice.name()));
-    if sp.is_active() {
-        sp.attr("n", n as f64);
-        sp.attr("fill", plan.fill_a * plan.fill_b);
-    }
-    sp
+/// `minplus[dense-ultra]`). It carries no attributes: the name says which
+/// kernel ran, and the recorder sums attributes across a path's
+/// executions, so an operand size would read as a meaningless total. One
+/// relaxed atomic load when tracing is off — the name is never formatted.
+fn kernel_span(op: &str, choice: KernelChoice) -> cc_obs::SpanGuard {
+    cc_obs::span_lazy(|| format!("{op}[{}]", choice.name()))
 }
 
 /// The one dispatch behind [`min_plus_planned`] and [`square_planned`]. A
@@ -403,7 +399,7 @@ pub fn min_plus_planned(
     plan: &KernelPlan,
     exec: ExecPolicy,
 ) -> DistMatrix {
-    let _sp = kernel_span("minplus", a.n(), plan);
+    let _sp = kernel_span("minplus", plan.choice);
     run_planned(a, b, plan, exec)
 }
 
@@ -418,7 +414,7 @@ pub fn square(a: &DistMatrix, mode: KernelMode, exec: ExecPolicy) -> DistMatrix 
 
 /// [`square`] with a precomputed [`KernelPlan`].
 pub fn square_planned(a: &DistMatrix, plan: &KernelPlan, exec: ExecPolicy) -> DistMatrix {
-    let _sp = kernel_span("square", a.n(), plan);
+    let _sp = kernel_span("square", plan.choice);
     run_planned(a, a, plan, exec)
 }
 
@@ -480,16 +476,7 @@ pub fn sparse_product_planned(
         KernelMode::Auto => fill_s * fill_t > SPARSE_FILL_CUTOFF,
     };
     if !go_dense {
-        let _sp = kernel_span(
-            "spmm",
-            n,
-            &KernelPlan {
-                mode,
-                choice: KernelChoice::SparseSharded,
-                fill_a: fill_s,
-                fill_b: fill_t,
-            },
-        );
+        let _sp = kernel_span("spmm", KernelChoice::SparseSharded);
         return (
             sparse_product_with(s, t, rho_out_hint, exec),
             KernelChoice::SparseSharded,
@@ -503,7 +490,7 @@ pub fn sparse_product_planned(
         fill_a: fill_s,
         fill_b: fill_t,
     };
-    let _sp = kernel_span("spmm", n, &plan);
+    let _sp = kernel_span("spmm", plan.choice);
     let c = min_plus_planned(&a, &b, &plan, exec);
     let out = dense_to_sparse(&c);
     let rho_s = s.density();

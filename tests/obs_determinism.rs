@@ -261,7 +261,6 @@ fn network_fingerprint_is_telemetry_invariant() {
                 exec: ExecPolicy::with_threads(threads),
                 slow_query_us: 1,
                 metrics_addr: Some("127.0.0.1:0".parse().unwrap()),
-                ..ServerConfig::default()
             };
             let handle = Server::spawn(service, "127.0.0.1:0", cfg).expect("bind");
             assert!(handle.metrics_addr().is_some(), "metrics listener bound");
@@ -325,13 +324,16 @@ fn exact_squaring_spans_name_each_planned_kernel() {
     cc_obs::reset();
     assert_eq!(est, cur);
 
-    let recorded: Vec<(String, u64)> = snapshot
+    let squares = &snapshot
         .find("exact-squaring")
         .expect("the phase span was recorded")
-        .children
-        .iter()
-        .map(|c| (c.name.clone(), c.count))
-        .collect();
+        .children;
+    // The name says which kernel ran; an operand size summed over the
+    // squarings would mean nothing, so kernel spans carry no attrs.
+    for c in squares {
+        assert!(c.attrs.is_empty(), "{} carries {:?}", c.name, c.attrs);
+    }
+    let recorded: Vec<(String, u64)> = squares.iter().map(|c| (c.name.clone(), c.count)).collect();
     let mut want = BTreeMap::new();
     for choice in &planned {
         *want
