@@ -4,7 +4,10 @@
 //! An [`OracleService`] holds one live [`Snapshot`] per name, versioned like
 //! a blue/green deploy of a freshly recomputed estimate: registering a name
 //! again, or applying a delta to it, replaces its state in place under the
-//! next version number. It answers three query types:
+//! next version number. Each entry holds the registered [`Snapshot`]
+//! itself: [`OracleService::export`] clones it, and
+//! [`OracleService::apply_delta`] verifies a delta against its graph and
+//! backend before assigning the results. It answers three query types:
 //!
 //! * [`Query::Dist`] — the estimate δ(u, v), a single matrix read;
 //! * [`Query::Route`] — the greedy next-hop walk of
