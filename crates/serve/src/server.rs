@@ -16,17 +16,17 @@
 //!   never hang shutdown. Query batches are enqueued to the batcher;
 //!   metrics/info/admin frames are answered inline.
 //! * **The batcher** coalesces whatever jobs are queued (up to
-//!   [`BATCH_MAX`] queries) into single
+//!   `BATCH_MAX` queries) into single
 //!   [`OracleService::run_batch`] calls under a read lock — concurrent
 //!   clients' queries share one parallel sweep — and demultiplexes the
 //!   responses back to each connection's writer in request order.
 //! * **Admission control**: the job queue is a bounded channel
-//!   ([`QUEUE_CAP`] jobs); when it is full the reader answers
+//!   (`QUEUE_CAP` jobs); when it is full the reader answers
 //!   [`Reply::Overload`] immediately instead of buffering without limit.
 //!   A frame whose payload exceeds [`wire::DEFAULT_FRAME_CAP`] is a wire
 //!   error.
 //! * **Slow readers**: each connection's outbound frames go through a
-//!   bounded writer queue ([`WRITER_CAP`] frames); a client that stops
+//!   bounded writer queue (`WRITER_CAP` frames); a client that stops
 //!   draining its socket gets disconnected rather than wedging the batcher.
 //! * **Blue/green swaps**: [`Request::ApplyDelta`] / `SwapSnapshot` take
 //!   the service write lock, which waits for the in-flight batch and then
@@ -58,14 +58,14 @@ const POLL: Duration = Duration::from_millis(200);
 
 /// Bounded job-queue depth (pending batch requests across all
 /// connections); a full queue answers [`Reply::Overload`].
-pub const QUEUE_CAP: usize = 128;
+const QUEUE_CAP: usize = 128;
 
 /// Maximum queries the batcher coalesces into one `run_batch` call.
-pub const BATCH_MAX: usize = 4096;
+const BATCH_MAX: usize = 4096;
 
 /// Bounded per-connection outbound queue (frames); a slow reader that
 /// fills it is disconnected.
-pub const WRITER_CAP: usize = 128;
+const WRITER_CAP: usize = 128;
 
 /// Tuning knobs for [`Server::spawn`].
 #[derive(Debug, Clone, Copy)]
