@@ -64,8 +64,8 @@ impl std::fmt::Display for OracleKind {
     }
 }
 
-/// The estimate store behind every oracle: either the classic dense matrix
-/// or a sublinear landmark sketch. Every layer above (snapshots, the
+/// The distance estimate an oracle answers from: either the classic dense
+/// matrix or a sublinear landmark sketch. Every layer above (snapshots, the
 /// serving engine, the dynamic engine, the benches) is generic over this
 /// enum; the dense arm answers bit-identically to the pre-refactor code.
 #[derive(Debug, Clone, PartialEq)]
