@@ -14,15 +14,23 @@
 //! section framing of [`cc_graph::codec`] under [`MAGIC`].
 //!
 //! Sections: header (n, strategy, base/result fingerprints), batch (ops),
-//! rows (repaired row indices + entries). Serialization is canonical, and
-//! [`Delta::apply`] verifies **both** fingerprints, so a delta can neither
-//! be applied to the wrong base nor silently produce a wrong result. A
-//! landmark state's delta carries no rows: the sketch is rebuilt from the
-//! new graph and its seed.
+//! rows (repaired row indices + entries). Serialization is canonical.
+//!
+//! Every apply goes through one primitive, [`Delta::apply_in_place`]. It
+//! takes the live state's kept fingerprint, so the base check is a
+//! compare. It then streams the result fingerprint over the live rows with
+//! the delta's rows substituted, and writes those rows in place only once
+//! that fingerprint matches. So a delta can neither be applied to the
+//! wrong base nor silently produce a wrong result, a rejected delta writes
+//! nothing, and no successor copy of the estimate is built: a write costs
+//! O(rows·n) plus one full-state hash. A landmark state's delta carries no
+//! rows: the sketch is rebuilt from the new graph and its seed.
 //!
 //! Chains compose: [`replay`] folds `state + delta*` forward, and
 //! [`compact`] collapses a chain into one equivalent delta whose batch is
 //! the canonical base→final diff and whose rows carry the final values.
+//! Both hash the base state once and then chain each link's verified
+//! result fingerprint into the next link's base check.
 
 use cc_apsp::landmark::LandmarkSketch;
 use cc_apsp::oracle::OracleBackend;
@@ -55,9 +63,27 @@ const OP_REWEIGHT: u8 = 3;
 /// word instead of per byte keeps the two fingerprints in every delta
 /// application well under the cost of a single repaired row.
 pub fn state_fingerprint(graph: &Graph, estimate: &DistMatrix) -> u64 {
+    fingerprint_with_rows(graph, estimate, &[])
+}
+
+/// [`state_fingerprint`] of `graph` and `estimate` with `rows` (sorted by
+/// index) standing in for the estimate's rows of the same index, streamed
+/// row by row: the substituted matrix is never built.
+fn fingerprint_with_rows(
+    graph: &Graph,
+    estimate: &DistMatrix,
+    rows: &[(NodeId, Vec<Weight>)],
+) -> u64 {
     let mut h = graph_hash(graph);
-    for &d in estimate.raw() {
-        h.word(d);
+    let mut rows = rows.iter().peekable();
+    for i in 0..estimate.n() {
+        let row = match rows.next_if(|(idx, _)| *idx == i) {
+            Some((_, row)) => row.as_slice(),
+            None => estimate.row(i),
+        };
+        for &d in row {
+            h.word(d);
+        }
     }
     h.finish()
 }
@@ -340,41 +366,97 @@ impl Delta {
         Self::from_bytes(&data)
     }
 
-    /// Applies the delta to a base state, verifying the base fingerprint
-    /// before touching anything and the result fingerprint after. The
-    /// returned state is fully constructed before the caller sees it, so a
-    /// blue/green swap can never expose a half-applied update.
+    /// Applies the delta to a live state in place. `fingerprint` is the
+    /// state's [`backend_state_fingerprint`], which the caller keeps, so
+    /// the base check is a compare. Everything is verified before anything
+    /// is written: the shape of the rows, the batch, and the result
+    /// fingerprint, streamed over the live rows with the delta's rows
+    /// substituted. Only then does the state take the new graph and the
+    /// delta's rows, in O(rows·n) with no copy of the estimate. On success
+    /// the state's fingerprint is [`Delta::result_fingerprint`]; on any
+    /// error the state is untouched.
     ///
-    /// A dense state takes the delta's rows over a copy of its estimate. A
-    /// landmark state **rebuilds its sketch** from `(new graph, sketch
+    /// A landmark state **rebuilds its sketch** from `(new graph, sketch
     /// seed)` — sketch construction is a deterministic pure function of
     /// those two, which is why a landmark delta ships no rows.
     ///
     /// # Errors
     ///
     /// [`DeltaError::BaseMismatch`] when applied to the wrong state,
+    /// [`DeltaError::Malformed`] when the node counts differ, a row index
+    /// is out of range, repeated or out of order, a row is not `n` long,
+    /// or a delta carrying dense rows meets a landmark state,
     /// [`DeltaError::Batch`] when the embedded batch does not validate,
-    /// [`DeltaError::ResultMismatch`] when the recorded rows do not
-    /// reproduce the promised result, and [`DeltaError::Malformed`] when
-    /// the node counts differ or a delta carrying dense rows is applied to
-    /// a landmark state.
+    /// and [`DeltaError::ResultMismatch`] when the recorded rows do not
+    /// reproduce the promised result.
+    pub fn apply_in_place(
+        &self,
+        graph: &mut Graph,
+        backend: &mut OracleBackend,
+        fingerprint: u64,
+    ) -> Result<(), DeltaError> {
+        if fingerprint != self.base_fingerprint {
+            return Err(DeltaError::BaseMismatch {
+                expected: self.base_fingerprint,
+                actual: fingerprint,
+            });
+        }
+        self.check_shape(graph.n(), backend)?;
+        let (new_graph, _changes) = self.batch.apply_to(graph)?;
+        let mut rebuilt = None;
+        let produced = match &*backend {
+            OracleBackend::Dense(estimate) => {
+                fingerprint_with_rows(&new_graph, estimate, &self.rows)
+            }
+            OracleBackend::Landmark(sketch) => {
+                let sketch =
+                    LandmarkSketch::build(&new_graph, sketch.seed(), ExecPolicy::from_env());
+                backend_state_fingerprint(
+                    &new_graph,
+                    rebuilt.insert(OracleBackend::Landmark(sketch)),
+                )
+            }
+        };
+        if produced != self.result_fingerprint {
+            return Err(DeltaError::ResultMismatch {
+                expected: self.result_fingerprint,
+                actual: produced,
+            });
+        }
+        *graph = new_graph;
+        if let Some(rebuilt) = rebuilt {
+            *backend = rebuilt;
+        } else if let OracleBackend::Dense(estimate) = backend {
+            for (idx, row) in &self.rows {
+                estimate.row_mut(*idx).copy_from_slice(row);
+            }
+        }
+        Ok(())
+    }
+
+    /// [`Delta::apply_in_place`] on a copy of a base state whose
+    /// fingerprint is not kept: hashes the base, then returns the new
+    /// state. Equivalent to [`replay`] of this one delta.
+    ///
+    /// # Errors
+    ///
+    /// See [`Delta::apply_in_place`].
     pub fn apply(
         &self,
         graph: &Graph,
         backend: &OracleBackend,
     ) -> Result<(Graph, OracleBackend), DeltaError> {
-        let actual = backend_state_fingerprint(graph, backend);
-        if actual != self.base_fingerprint {
-            return Err(DeltaError::BaseMismatch {
-                expected: self.base_fingerprint,
-                actual,
-            });
-        }
-        if graph.n() != self.n {
+        replay(graph, backend, std::slice::from_ref(self))
+    }
+
+    /// The checks that need no hashing: the node count, and rows sorted by
+    /// strictly increasing index below `n`, each `n` long, and only on a
+    /// dense state.
+    fn check_shape(&self, n: usize, backend: &OracleBackend) -> Result<(), DeltaError> {
+        if n != self.n {
             return Err(DeltaError::Malformed(format!(
-                "delta is for n={}, state has n={}",
-                self.n,
-                graph.n()
+                "delta is for n={}, state has n={n}",
+                self.n
             )));
         }
         if backend.as_landmark().is_some() && !self.rows.is_empty() {
@@ -382,30 +464,35 @@ impl Delta {
                 "delta carries dense rows but the state is a landmark sketch".into(),
             ));
         }
-        let (new_graph, _changes) = self.batch.apply_to(graph)?;
-        let new_backend = match backend {
-            OracleBackend::Dense(estimate) => {
-                let mut new_estimate = estimate.clone();
-                for (idx, row) in &self.rows {
-                    new_estimate.row_mut(*idx).copy_from_slice(row);
-                }
-                OracleBackend::Dense(new_estimate)
+        let mut prev = None;
+        for (idx, row) in &self.rows {
+            check_row_index(*idx, prev, n)?;
+            if row.len() != n {
+                return Err(DeltaError::Malformed(format!(
+                    "row {idx} has {} entries, not n={n}",
+                    row.len()
+                )));
             }
-            OracleBackend::Landmark(sketch) => OracleBackend::Landmark(LandmarkSketch::build(
-                &new_graph,
-                sketch.seed(),
-                ExecPolicy::from_env(),
-            )),
-        };
-        let produced = backend_state_fingerprint(&new_graph, &new_backend);
-        if produced != self.result_fingerprint {
-            return Err(DeltaError::ResultMismatch {
-                expected: self.result_fingerprint,
-                actual: produced,
-            });
+            prev = Some(*idx);
         }
-        Ok((new_graph, new_backend))
+        Ok(())
     }
+}
+
+/// Rows are listed by strictly increasing index below `n`; `prev` is the
+/// index before `idx`.
+fn check_row_index(idx: NodeId, prev: Option<NodeId>, n: usize) -> Result<(), DeltaError> {
+    if idx >= n {
+        return Err(DeltaError::Malformed(format!(
+            "row index {idx} out of range for n={n}"
+        )));
+    }
+    if prev.is_some_and(|p| p >= idx) {
+        return Err(DeltaError::Malformed(
+            "row indices must be strictly increasing".into(),
+        ));
+    }
+    Ok(())
 }
 
 fn decode_head(payload: &[u8]) -> Result<(usize, DeltaStrategy, u64, u64), DeltaError> {
@@ -458,16 +545,7 @@ fn decode_rows(payload: &[u8], n: usize) -> Result<Vec<(NodeId, Vec<Weight>)>, D
     let mut prev: Option<NodeId> = None;
     for _ in 0..count {
         let idx = cur.len_u64()?;
-        if idx >= n {
-            return Err(DeltaError::Malformed(format!(
-                "row index {idx} out of range for n={n}"
-            )));
-        }
-        if prev.is_some_and(|p| p >= idx) {
-            return Err(DeltaError::Malformed(
-                "row indices must be strictly increasing".into(),
-            ));
-        }
+        check_row_index(idx, prev, n)?;
         prev = Some(idx);
         let row = cur.u64s(n)?;
         if let Some(d) = row.iter().find(|&&d| d > INF) {
@@ -481,8 +559,9 @@ fn decode_rows(payload: &[u8], n: usize) -> Result<Vec<(NodeId, Vec<Weight>)>, D
     Ok(rows)
 }
 
-/// Replays a delta chain: folds `state + deltas` forward with
-/// [`Delta::apply`], verifying every link's fingerprints.
+/// Replays a delta chain: folds `state + deltas` forward over one copy of
+/// the state with [`Delta::apply_in_place`], verifying every link's
+/// fingerprints.
 ///
 /// # Errors
 ///
@@ -492,12 +571,26 @@ pub fn replay(
     backend: &OracleBackend,
     deltas: &[Delta],
 ) -> Result<(Graph, OracleBackend), DeltaError> {
-    let mut g = graph.clone();
-    let mut b = backend.clone();
-    for d in deltas {
-        (g, b) = d.apply(&g, &b)?;
-    }
+    let (g, b, _, _) = replay_fingerprinted(graph, backend, deltas)?;
     Ok((g, b))
+}
+
+/// [`replay`], also returning the chain's base and result fingerprints:
+/// the base is hashed once, and each link's verified result fingerprint is
+/// the next link's base.
+fn replay_fingerprinted(
+    graph: &Graph,
+    backend: &OracleBackend,
+    deltas: &[Delta],
+) -> Result<(Graph, OracleBackend, u64, u64), DeltaError> {
+    let base = backend_state_fingerprint(graph, backend);
+    let (mut g, mut b) = (graph.clone(), backend.clone());
+    let mut fingerprint = base;
+    for d in deltas {
+        d.apply_in_place(&mut g, &mut b, fingerprint)?;
+        fingerprint = d.result_fingerprint;
+    }
+    Ok((g, b, base, fingerprint))
 }
 
 /// Collapses a delta chain into one equivalent delta: the batch is the
@@ -517,7 +610,8 @@ pub fn compact(
     backend: &OracleBackend,
     deltas: &[Delta],
 ) -> Result<(Delta, Graph, OracleBackend), DeltaError> {
-    let (final_graph, final_backend) = replay(graph, backend, deltas)?;
+    let (final_graph, final_backend, base_fingerprint, result_fingerprint) =
+        replay_fingerprinted(graph, backend, deltas)?;
     let mut indices: Vec<NodeId> = deltas
         .iter()
         .flat_map(|d| d.rows.iter().map(|(i, _)| *i))
@@ -538,8 +632,8 @@ pub fn compact(
     let delta = Delta {
         n: graph.n(),
         strategy,
-        base_fingerprint: backend_state_fingerprint(graph, backend),
-        result_fingerprint: backend_state_fingerprint(&final_graph, &final_backend),
+        base_fingerprint,
+        result_fingerprint,
         batch: UpdateBatch::diff(graph, &final_graph),
         rows,
     };

@@ -22,6 +22,14 @@
 //!    The fold runs in parallel row blocks against copies of rows `u`
 //!    and `v`.
 //!
+//! Both steps write the live matrix in place. Only the flagged rows' old
+//! values are kept, swapped out as Dijkstra's rows go in, and each fold
+//! reports the rows it lowers. The delta's rows are the flagged rows that
+//! differ from their kept values plus the rows a fold lowered (a fold
+//! never raises an entry, so a lowered row always differs). So a write
+//! copies no matrix and diffs no other row; one full-state hash refreshes
+//! the fingerprint.
+//!
 //! **Why the result is exact.** Let `d_W` be the distances of the old graph
 //! with only the worsened changes applied. Unflagged rows equal `d_W`, and
 //! flagged rows equal `d_new`. Since `d_new ≤ d_W`, every entry lies
@@ -78,6 +86,7 @@ use cc_graph::apsp::exact_rows_with;
 use cc_graph::{DistMatrix, Graph, NodeId, Weight, INF};
 use cc_matrix::engine::KernelMode;
 use cc_par::ExecPolicy;
+use std::sync::atomic::{AtomicBool, Ordering};
 
 use crate::delta::{backend_state_fingerprint, Delta, DeltaStrategy};
 use crate::rebuild::run_algorithm;
@@ -293,15 +302,17 @@ impl IncrementalOracle {
             });
         }
 
-        // Produce the new backend without touching the current one (the
-        // delta needs the old rows to diff against, and errors must leave
-        // the state intact).
-        let (strategy, backend) = match &self.backend {
-            OracleBackend::Dense(old) if self.supports_repair() => {
-                let (estimate, strategy) = repair_exact(old, &new_graph, &changes, self.cfg.exec);
-                (strategy, OracleBackend::Dense(estimate))
+        // The exact path repairs the live matrix in place and cannot fail.
+        // Each rebuild is built beside the live state and assigned only
+        // once it exists, so an error leaves the state intact. Every arm
+        // records only the rows that actually changed: canonical, minimal,
+        // and independent of which path produced them.
+        let repair = self.supports_repair();
+        let (strategy, rows) = match &mut self.backend {
+            OracleBackend::Dense(estimate) if repair => {
+                repair_exact(estimate, &new_graph, &changes, self.cfg.exec)
             }
-            OracleBackend::Dense(_) => {
+            OracleBackend::Dense(old) => {
                 // The re-entered pipeline's phase spans nest under this one.
                 let mut sp = cc_obs::span("dyn-rebuild");
                 sp.attr("changed_edges", changes.len() as f64);
@@ -312,30 +323,23 @@ impl IncrementalOracle {
                     self.cfg.exec,
                     self.cfg.kernel,
                 )?;
-                (ApplyStrategy::Rebuilt, OracleBackend::Dense(estimate))
+                let rows = (0..n)
+                    .filter(|&s| estimate.row(s) != old.row(s))
+                    .map(|s| (s, estimate.row(s).to_vec()))
+                    .collect();
+                *old = estimate;
+                (ApplyStrategy::Rebuilt, rows)
             }
             OracleBackend::Landmark(sketch) => {
                 // The receiver of the row-free delta rebuilds the same way;
-                // see `Delta::apply`.
+                // see `Delta::apply_in_place`.
                 let mut sp = cc_obs::span("dyn-rebuild");
                 sp.attr("changed_edges", changes.len() as f64);
-                let rebuilt = LandmarkSketch::build(&new_graph, sketch.seed(), self.cfg.exec);
-                (ApplyStrategy::Rebuilt, OracleBackend::Landmark(rebuilt))
+                *sketch = LandmarkSketch::build(&new_graph, sketch.seed(), self.cfg.exec);
+                (ApplyStrategy::Rebuilt, Vec::new())
             }
         };
-
-        // Record only the rows that actually changed: canonical, minimal,
-        // and independent of which path produced them (a repaired row may
-        // equal the old one, since the flagged set is conservative).
-        let rows: Vec<(NodeId, Vec<Weight>)> = match (&self.backend, &backend) {
-            (OracleBackend::Dense(old), OracleBackend::Dense(new)) => (0..n)
-                .filter(|&s| new.row(s) != old.row(s))
-                .map(|s| (s, new.row(s).to_vec()))
-                .collect(),
-            _ => Vec::new(),
-        };
         self.graph = new_graph;
-        self.backend = backend;
         self.fingerprint = backend_state_fingerprint(&self.graph, &self.backend);
         let delta_strategy = match strategy {
             ApplyStrategy::Repaired { .. } => {
@@ -362,26 +366,32 @@ impl IncrementalOracle {
     }
 }
 
-/// The exact write path of the [module docs](self): Dijkstra on the rows
-/// the worsened edges can lengthen, then one fold per improved edge.
+/// The exact write path of the [module docs](self), in place: Dijkstra on
+/// the rows the worsened edges can lengthen, then one fold per improved
+/// edge. Returns the strategy and the rows that changed, with their new
+/// values. Only the flagged rows' old values are kept, and the folds
+/// report the rows they lower, so no copy of the matrix is made and no
+/// row outside those two sets is compared.
 fn repair_exact(
-    old: &DistMatrix,
+    estimate: &mut DistMatrix,
     new_graph: &Graph,
     changes: &[EdgeChange],
     exec: ExecPolicy,
-) -> (DistMatrix, ApplyStrategy) {
-    let n = old.n();
+) -> (ApplyStrategy, Vec<(NodeId, Vec<Weight>)>) {
+    let n = estimate.n();
     // `apply_to` drops no-op changes, so every change is one or the other.
     let (improved, worsened): (Vec<&EdgeChange>, Vec<&EdgeChange>) =
         changes.iter().partition(|c| match (c.old, c.new) {
             (Some(w_old), Some(w_new)) => w_new < w_old,
             (w_old, _) => w_old.is_none(),
         });
-    let mut data = old.raw().to_vec();
 
+    // The flagged rows, sorted, and their values before Dijkstra.
     let mut affected: Vec<NodeId> = Vec::new();
+    let mut saved: Vec<Vec<Weight>> = Vec::new();
     if !worsened.is_empty() {
         let mut sp = cc_obs::span("dyn-repair");
+        let old = &*estimate;
         let flags: Vec<bool> = exec.map_collect(n, |s| {
             let row_s = old.row(s);
             worsened.iter().any(|c| {
@@ -403,39 +413,60 @@ fn repair_exact(
         affected = (0..n).filter(|&s| flags[s]).collect();
         sp.attr("affected_rows", affected.len() as f64);
         sp.attr("worsened_edges", worsened.len() as f64);
-        let rows = exact_rows_with(new_graph, &affected, exec);
-        for (&s, row) in affected.iter().zip(&rows) {
-            data[s * n..(s + 1) * n].copy_from_slice(row);
+        // Swapping the Dijkstra rows in leaves the old rows in `saved`.
+        saved = exact_rows_with(new_graph, &affected, exec);
+        for (&s, row) in affected.iter().zip(&mut saved) {
+            row.swap_with_slice(estimate.row_mut(s));
         }
     }
 
+    // Rows a fold lowered. Relaxed: a flag publishes no other data, and
+    // `for_each_chunk_mut` joins its workers before the flags are read.
+    let lowered: Vec<AtomicBool> = (0..n).map(|_| AtomicBool::new(false)).collect();
     if !improved.is_empty() {
         let mut sp = cc_obs::span("dyn-fold");
         sp.attr("folded_edges", improved.len() as f64);
         let block = exec.row_block_len(n, n);
         for c in &improved {
             let w = c.new.expect("an improved edge has a weight");
-            let row_u = data[c.u * n..(c.u + 1) * n].to_vec();
-            let row_v = data[c.v * n..(c.v + 1) * n].to_vec();
-            exec.for_each_chunk_mut(&mut data, block, |_, chunk| {
-                for row in chunk.chunks_mut(n) {
+            let row_u = estimate.row(c.u).to_vec();
+            let row_v = estimate.row(c.v).to_vec();
+            exec.for_each_chunk_mut(estimate.raw_mut(), block, |b, chunk| {
+                for (i, row) in chunk.chunks_mut(n).enumerate() {
                     // x → u → v → y and x → v → u → y, read before the row
                     // changes under them.
                     let via_uv = row[c.u] + w;
                     let via_vu = row[c.v] + w;
+                    let mut lower = false;
                     for (d, (&d_uy, &d_vy)) in row.iter_mut().zip(row_u.iter().zip(&row_v)) {
-                        *d = (*d).min(via_uv + d_vy).min(via_vu + d_uy);
+                        let m = (*d).min(via_uv + d_vy).min(via_vu + d_uy);
+                        lower |= m < *d;
+                        *d = m;
+                    }
+                    if lower {
+                        lowered[b * block / n + i].store(true, Ordering::Relaxed);
                     }
                 }
             });
         }
     }
 
+    // A flagged row changed iff it differs from its saved value. Any other
+    // row was written only by the folds, which never raise an entry, so it
+    // changed iff a fold lowered it.
+    let mut saved = affected.iter().zip(&saved).peekable();
+    let rows = (0..n)
+        .filter(|&s| match saved.next_if(|(&a, _)| a == s) {
+            Some((_, old)) => estimate.row(s) != old.as_slice(),
+            None => lowered[s].load(Ordering::Relaxed),
+        })
+        .map(|s| (s, estimate.row(s).to_vec()))
+        .collect();
     let strategy = ApplyStrategy::Repaired {
         affected: affected.len(),
         folded: improved.len(),
     };
-    (DistMatrix::from_raw(n, data), strategy)
+    (strategy, rows)
 }
 
 #[cfg(test)]

@@ -245,29 +245,11 @@ impl UpdateBatch {
                 changes.push(EdgeChange { u, v, old, new });
             }
         }
-        if changes.is_empty() {
-            return Ok((base.clone(), changes));
-        }
-        // Rebuild the edge list through a map so deletes and reweights are
-        // O(log m) and the output is canonical (Graph::from_edges sorts).
-        let mut edges: BTreeMap<(NodeId, NodeId), Weight> = base
-            .edges()
-            .into_iter()
-            .map(|(u, v, w)| ((u, v), w))
-            .collect();
-        for c in &changes {
-            match c.new {
-                Some(w) => {
-                    edges.insert((c.u, c.v), w);
-                }
-                None => {
-                    edges.remove(&(c.u, c.v));
-                }
-            }
-        }
-        let list: Vec<(NodeId, NodeId, Weight)> =
-            edges.into_iter().map(|((u, v), w)| (u, v, w)).collect();
-        Ok((Graph::from_edges(n, Direction::Undirected, &list), changes))
+        // One O(n + m) pass over the CSR arrays; the validation above makes
+        // every change a distinct in-range pair.
+        let edits: Vec<(NodeId, NodeId, Option<Weight>)> =
+            changes.iter().map(|c| (c.u, c.v, c.new)).collect();
+        Ok((base.patched(&edits), changes))
     }
 
     /// The batch that turns `base` into `target` (both undirected, same

@@ -106,6 +106,11 @@ impl DistMatrix {
         &self.data
     }
 
+    /// Mutable raw row-major data, for row-blocked in-place updates.
+    pub fn raw_mut(&mut self) -> &mut [Weight] {
+        &mut self.data
+    }
+
     /// Approximate resident memory of the matrix in bytes: the n² weight
     /// cells (struct overhead excluded). For dense backends, the daemon's
     /// `ccapsp_estimate_mem_bytes` gauge, `serve-admin info` and

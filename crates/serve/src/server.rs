@@ -44,7 +44,7 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::mpsc::{Receiver, RecvTimeoutError, SyncSender, TrySendError};
 use std::sync::{Arc, RwLock};
 use std::thread::JoinHandle;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use cc_par::ExecPolicy;
 
@@ -161,6 +161,10 @@ impl Server {
         let stop = Arc::new(AtomicBool::new(false));
         let stats = Arc::new(ServerStats::default());
         let telemetry = Arc::new(ServeTelemetry::new(cfg.slow_query_us));
+        // Each state's fingerprint is hashed before any lock exists.
+        for id in service.ids() {
+            service.state_fingerprint(id);
+        }
         let service = Arc::new(RwLock::new(service));
         let (job_tx, job_rx) = std::sync::mpsc::sync_channel::<Job>(QUEUE_CAP);
 
@@ -525,11 +529,19 @@ fn handle_request(request: Request, ctx: &ConnCtx, out_tx: &SyncSender<Frame>) -
                 Err(e) => Reply::Error(format!("cannot decode delta: {e}")),
                 Ok(delta) => {
                     let mut svc = write_recovering(&ctx.service);
-                    match svc.apply_delta(&name, &delta) {
+                    let locked = Instant::now();
+                    let applied = svc.apply_delta(&name, &delta);
+                    let hold_us = locked.elapsed().as_micros();
+                    match applied {
                         Ok(id) => {
                             let (_, version) = svc.label(id);
-                            ctx.telemetry
-                                .event("delta-apply", format!("{name} now v{version}"));
+                            ctx.telemetry.event(
+                                "delta-apply",
+                                format!(
+                                    "{name} now v{version}, {} rows, write lock {hold_us} us",
+                                    delta.rows.len()
+                                ),
+                            );
                             Reply::AdminOk(format!("applied delta: {name} now v{version}"))
                         }
                         Err(e) => Reply::Error(e.to_string()),
@@ -542,9 +554,14 @@ fn handle_request(request: Request, ctx: &ConnCtx, out_tx: &SyncSender<Frame>) -
             let reply = match Snapshot::from_bytes(&snapshot) {
                 Err(e) => Reply::Error(format!("cannot decode snapshot: {e}")),
                 Ok(snapshot) => {
-                    let mut svc = write_recovering(&ctx.service);
-                    let id = svc.register(&name, snapshot);
-                    let (_, version) = svc.label(id);
+                    let (id, version) = {
+                        let mut svc = write_recovering(&ctx.service);
+                        let id = svc.register(&name, snapshot);
+                        (id, svc.label(id).1)
+                    };
+                    // Hash the new state under the read lock, so the next
+                    // delta's base check is a compare under the write lock.
+                    read_recovering(&ctx.service).state_fingerprint(id);
                     ctx.telemetry
                         .event("snapshot-swap", format!("{name} now v{version}"));
                     Reply::AdminOk(format!("swapped snapshot: {name} now v{version}"))

@@ -5,9 +5,11 @@
 //! a blue/green deploy of a freshly recomputed estimate: registering a name
 //! again, or applying a delta to it, replaces its state in place under the
 //! next version number. Each entry holds the registered [`Snapshot`]
-//! itself: [`OracleService::export`] clones it, and
-//! [`OracleService::apply_delta`] verifies a delta against its graph and
-//! backend before assigning the results. It answers three query types:
+//! itself, and keeps its state fingerprint once first computed:
+//! [`OracleService::export`] clones the snapshot, and
+//! [`OracleService::apply_delta`] checks a delta against the kept
+//! fingerprint and writes its rows into the snapshot in place. It answers
+//! three query types:
 //!
 //! * [`Query::Dist`] — the estimate δ(u, v), a single matrix read;
 //! * [`Query::Route`] — the greedy next-hop walk of
@@ -34,7 +36,7 @@ use cc_graph::{NodeId, Weight};
 use cc_par::ExecPolicy;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Mutex;
+use std::sync::{Mutex, OnceLock};
 use std::time::Instant;
 
 use crate::snapshot::{Snapshot, SnapshotMeta};
@@ -286,6 +288,9 @@ struct Entry {
     name: String,
     version: u32,
     snapshot: Snapshot,
+    /// [`Snapshot::state_fingerprint`] of `snapshot`, hashed on first use
+    /// rather than at registration, then advanced by each applied delta.
+    fingerprint: OnceLock<u64>,
     cache: Mutex<RowCache>,
     hits: AtomicU64,
     misses: AtomicU64,
@@ -300,6 +305,7 @@ impl Entry {
             name: name.to_string(),
             version,
             snapshot,
+            fingerprint: OnceLock::new(),
             cache: Mutex::new(RowCache::new(cfg.cache_rows)),
             hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
@@ -397,12 +403,15 @@ impl OracleService {
     }
 
     /// Applies a dynamic-update delta to the snapshot registered under
-    /// `name`, as an in-place blue/green version bump: the successor graph
-    /// and backend are fully constructed (both delta fingerprints verified)
-    /// before they replace the live ones, and the bumped version re-keys
-    /// the hot-row cache, so no query can ever observe a half-applied
-    /// update or a stale cached row. On any error the previous state stays
-    /// live and untouched.
+    /// `name`, as an in-place version bump through
+    /// [`cc_dynamic::Delta::apply_in_place`]: the base check compares the
+    /// kept fingerprint, the result fingerprint is verified before any row
+    /// is written, and only the delta's rows are copied in, with no
+    /// successor copy of the estimate. The caller holds `&mut self` (the
+    /// server's write lock) throughout, and the bumped version re-keys the
+    /// hot-row cache, so no query can ever observe a half-applied update
+    /// or a stale cached row. On any error the previous state stays live
+    /// and untouched.
     ///
     /// # Errors
     ///
@@ -416,14 +425,24 @@ impl OracleService {
         let id = self
             .resolve(name)
             .ok_or_else(|| ApplyDeltaError::UnknownSnapshot(name.to_string()))?;
+        let fingerprint = self.state_fingerprint(id);
         let e = &mut self.entries[id.0];
-        let (graph, backend) = delta
-            .apply(&e.snapshot.graph, &e.snapshot.backend)
+        let Snapshot { graph, backend, .. } = &mut e.snapshot;
+        delta
+            .apply_in_place(graph, backend, fingerprint)
             .map_err(ApplyDeltaError::Delta)?;
-        e.snapshot.graph = graph;
-        e.snapshot.backend = backend;
+        e.fingerprint = OnceLock::from(delta.result_fingerprint);
         e.version += 1;
         Ok(id)
+    }
+
+    /// The live state's [`Snapshot::state_fingerprint`], kept per entry:
+    /// hashed on the first call after registration, then advanced by each
+    /// applied delta. Needs only `&self`, so a server can compute it under
+    /// its read lock after a swap instead of in the next write.
+    pub fn state_fingerprint(&self, id: SnapshotId) -> u64 {
+        let e = &self.entries[id.0];
+        *e.fingerprint.get_or_init(|| e.snapshot.state_fingerprint())
     }
 
     /// The live snapshot registered under `name`.
@@ -932,11 +951,22 @@ mod tests {
         bad_batch.batch = UpdateBatch::new(vec![EdgeOp::Insert(0, 99, 1)]);
         let mut resized = good.clone();
         resized.n += 1;
+        // `Delta`'s fields are public, so rows built in code can break the
+        // shape `Delta::from_bytes` enforces.
+        let mut out_of_range = good.clone();
+        out_of_range.rows.last_mut().expect("a row").0 = good.n;
+        let mut short_row = good.clone();
+        short_row.rows[0].1.pop();
+        let mut repeated = good.clone();
+        repeated.rows.insert(1, good.rows[0].clone());
         for (broken, expect) in [
             (flipped, "ResultMismatch"),
             (rebased, "BaseMismatch"),
             (bad_batch, "Batch"),
             (resized, "Malformed"),
+            (out_of_range, "Malformed"),
+            (short_row, "Malformed"),
+            (repeated, "Malformed"),
         ] {
             let err = service.apply_delta("g", &broken);
             let matched = match &err {
@@ -960,6 +990,47 @@ mod tests {
             .apply_delta("g", &good)
             .expect("the good delta applies");
         assert_eq!(service.label(id), ("g", 2));
+    }
+
+    #[test]
+    fn kept_fingerprint_follows_deltas_and_swaps() {
+        use cc_dynamic::incremental::{DynamicConfig, IncrementalOracle};
+        use cc_dynamic::update::{EdgeOp, UpdateBatch};
+
+        let snap = exact_snapshot(16, 4);
+        let exact = snap.dense_estimate().expect("dense snapshot").clone();
+        let (u, v, _) = snap
+            .graph
+            .edges()
+            .into_iter()
+            .find(|&(_, _, w)| w > 1)
+            .expect("an edge heavier than 1");
+        let mut engine = IncrementalOracle::new(
+            snap.graph.clone(),
+            exact,
+            "exact",
+            0,
+            DynamicConfig::default(),
+        );
+        let delta = engine
+            .apply(&UpdateBatch::new(vec![EdgeOp::Reweight(u, v, 1)]))
+            .expect("valid batch")
+            .delta;
+        let mut service = OracleService::default();
+        let id = service.register("g", snap.clone());
+        assert_eq!(service.state_fingerprint(id), snap.state_fingerprint());
+        service.apply_delta("g", &delta).expect("applies");
+        assert_eq!(service.state_fingerprint(id), delta.result_fingerprint);
+        assert_eq!(
+            service.state_fingerprint(id),
+            service.export(id).state_fingerprint()
+        );
+        // A swap back to the base forgets the advanced fingerprint.
+        service.register("g", snap);
+        service
+            .apply_delta("g", &delta)
+            .expect("applies to the base again");
+        assert_eq!(service.label(id), ("g", 4));
     }
 
     #[test]

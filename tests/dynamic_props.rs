@@ -6,7 +6,7 @@
 use cc_apsp::oracle::OracleBackend;
 use cc_dynamic::delta::{backend_state_fingerprint, compact, replay, state_fingerprint, Delta};
 use cc_dynamic::incremental::{DynamicConfig, IncrementalOracle};
-use cc_dynamic::update::{random_batch, EdgeOp, MutationProfile, UpdateBatch};
+use cc_dynamic::update::{random_batch, EdgeChange, EdgeOp, MutationProfile, UpdateBatch};
 use cc_graph::generators::Family;
 use cc_graph::graph::Direction;
 use cc_graph::{apsp, Graph};
@@ -17,6 +17,7 @@ use cc_serve::snapshot::{Snapshot, SnapshotMeta};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
+use std::collections::BTreeMap;
 
 /// The golden-fixture families the equivalence invariant is pinned on.
 const FAMILIES: [Family; 4] = [
@@ -122,7 +123,20 @@ fn drive_family(family: Family, seed: u64, threads: usize, kernel: KernelMode) -
     .enumerate()
     {
         let batch = random_batch(engine.graph(), 4, profile, &mut mutation_rng);
+        let before = engine.estimate().clone();
         let outcome = engine.apply(&batch).expect("generated batches are valid");
+        // The delta carries exactly the rows that changed: the all-rows
+        // diff against the state before the write is the reference.
+        let diff: Vec<(usize, Vec<u64>)> = (0..n)
+            .filter(|&s| engine.estimate().row(s) != before.row(s))
+            .map(|s| (s, engine.estimate().row(s).to_vec()))
+            .collect();
+        assert_eq!(
+            outcome.delta.rows,
+            diff,
+            "family {} step {step}: delta rows are not the changed rows",
+            family.name()
+        );
         let rebuilt = apsp::exact_apsp_with(engine.graph(), exec);
         assert_eq!(
             engine.estimate().raw(),
@@ -220,6 +234,95 @@ proptest! {
             service.apply_delta("default", d).expect("service applies delta");
         }
         prop_assert_eq!(service.export(id).state_fingerprint(), direct);
+    }
+}
+
+/// The reference for `UpdateBatch::apply_to`'s graph, as `apply_to` built
+/// it before the CSR patch: the base edge list edited through a map and
+/// rebuilt by `Graph::from_edges`.
+fn rebuilt_through_edge_map(base: &Graph, changes: &[EdgeChange]) -> Graph {
+    let mut edges: BTreeMap<(usize, usize), u64> = base
+        .edges()
+        .into_iter()
+        .map(|(u, v, w)| ((u, v), w))
+        .collect();
+    for c in changes {
+        match c.new {
+            Some(w) => {
+                edges.insert((c.u, c.v), w);
+            }
+            None => {
+                edges.remove(&(c.u, c.v));
+            }
+        }
+    }
+    let list: Vec<(usize, usize, u64)> = edges.into_iter().map(|((u, v), w)| (u, v, w)).collect();
+    Graph::from_edges(base.n(), Direction::Undirected, &list)
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig { cases: 16, ..ProptestConfig::default() })]
+
+    /// The CSR patch equals the rebuild on every family, under chained
+    /// topology- and reweight-heavy batches.
+    #[test]
+    fn csr_patch_equals_the_rebuild(seed in 1u64..500) {
+        for family in Family::ALL {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let mut g = family.generate(40, 40, &mut rng);
+            for profile in [
+                MutationProfile::TopologyHeavy,
+                MutationProfile::ReweightHeavy,
+                MutationProfile::TopologyHeavy,
+            ] {
+                let batch = random_batch(&g, 6, profile, &mut rng);
+                let (patched, changes) = batch.apply_to(&g).expect("generated batches are valid");
+                prop_assert_eq!(&patched, &rebuilt_through_edge_map(&g, &changes), "{}", family.name());
+                g = patched;
+            }
+        }
+    }
+}
+
+/// The CSR patch at the array ends and on nodes it empties or fills.
+#[test]
+fn csr_patch_handles_the_ends_and_emptied_nodes() {
+    let path = Graph::from_edges(
+        5,
+        Direction::Undirected,
+        &[(0, 1, 2), (1, 2, 3), (2, 3, 1), (3, 4, 5), (1, 3, 7)],
+    );
+    let cases = [
+        (path.clone(), vec![EdgeOp::Delete(0, 1)]),
+        (path.clone(), vec![EdgeOp::Delete(4, 3)]),
+        (path.clone(), vec![EdgeOp::Insert(0, 4, 9)]),
+        (
+            path.clone(),
+            vec![EdgeOp::Delete(0, 1), EdgeOp::Insert(4, 0, 1)],
+        ),
+        (
+            path,
+            vec![
+                EdgeOp::Delete(0, 1),
+                EdgeOp::Delete(3, 4),
+                EdgeOp::Insert(0, 2, 1),
+                EdgeOp::Reweight(1, 3, 1),
+            ],
+        ),
+        (
+            Graph::empty(3, Direction::Undirected),
+            vec![EdgeOp::Insert(0, 2, 4)],
+        ),
+    ];
+    for (base, ops) in cases {
+        let (patched, changes) = UpdateBatch::new(ops.clone())
+            .apply_to(&base)
+            .expect("valid");
+        assert_eq!(
+            patched,
+            rebuilt_through_edge_map(&base, &changes),
+            "{ops:?}"
+        );
     }
 }
 
