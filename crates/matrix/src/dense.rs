@@ -7,26 +7,31 @@
 //!   deliberately left simple.
 //! * [`distance_product_lanes_opts`] — the **lane kernel** and the
 //!   production dense path ([`crate::engine`] routes every dense multiply,
-//!   squares included, here). Loop order is `i, k, j`: the innermost loop
-//!   broadcasts one pre-clamped `A[i,k]` against a contiguous row of `B`
-//!   and min-folds it into the contiguous output row — a pure branchless
-//!   `add + min` stream over fixed-width lanes with a scalar tail, no
-//!   transposition, no `∞` branches, no reduction across lanes. The `k`
-//!   dimension is walked in [`TILE`]-row blocks. The same generic kernel
-//!   instantiates at `u64` (full range), `u32` (compact), and `u16`
-//!   (ultra-compact) entry widths. The `u64` arm stays whatever its speed
-//!   against the naive loop: it is the same generic code as the narrow
-//!   arms, not a kernel of its own, and it is the only lawful arm for
-//!   entries past the `u32` bound.
+//!   squares included, here). It is register-blocked: for each [`TILE`] of
+//!   the `k` dimension, an `R × W` block of the output stays in vector
+//!   registers while each pre-clamped `A[i,k]` is broadcast against a
+//!   `W`-wide row of a `B` panel and min-folded in — a branchless
+//!   `add + min` with no transposition, no `∞` branches and no reduction
+//!   across lanes — and every row group of a row strip reuses each
+//!   `TILE × W` panel of `B` before the next. A plain row loop covers the
+//!   rows and columns past the last full block. The one generic body is
+//!   compiled for AVX-512, for AVX2 and for the portable baseline, and the
+//!   kernel runs on the widest of them the host has, picked once at run
+//!   time ([`simd_isa`]); no setting changes it. It instantiates at `u64`
+//!   (full range), `u32` (compact) and `u16` (ultra-compact) entry widths.
+//!   The `u64` arm stays whatever its speed against the naive loop: it is
+//!   the same generic code as the narrow arms, not a kernel of its own,
+//!   and it is the only lawful arm for entries past the `u32` bound.
 //!
 //! Both kernels compute the exact entrywise minimum over all `k`, so their
-//! outputs are **bit-identical** for every tile size, lane width, and thread
-//! count — `min` over unsigned integers has no rounding. The
-//! auto-dispatching front end that picks the lane kernel's width or the
+//! outputs are **bit-identical** for every tile size, block shape,
+//! instruction set and thread count — an integer `min` has no rounding.
+//! The auto-dispatching front end that picks the lane kernel's width or the
 //! sparse kernel is [`crate::engine`].
 
 use cc_graph::{wadd, DistMatrix, Graph, Weight, INF};
 use cc_par::ExecPolicy;
+use std::sync::OnceLock;
 
 /// The weighted adjacency matrix of `g` over the tropical semiring:
 /// `A[u,v] = w(u,v)` for edges, `A[v,v] = 0`, `∞` elsewhere.
@@ -85,25 +90,139 @@ pub fn distance_product_with(a: &DistMatrix, b: &DistMatrix, exec: ExecPolicy) -
     DistMatrix::from_raw(n, data)
 }
 
-/// Rows of the `k` dimension per block in the lane kernel: small enough
-/// that a full `TILE × n` slice of the right operand fits in L2 at the
-/// sizes the pipelines use. The tile never changes results, only
-/// wall-clock time.
+/// Rows of the `k` dimension per block in the lane kernel. A `TILE × W`
+/// panel of the right operand (at most 16 KiB: 64 rows of a 256-byte
+/// AVX-512 block row) is reread by every row group of a strip, so it stays
+/// in L1. The strip's `TILE`-column slice of the left operand (128 KiB for
+/// a 256-row strip of `u64` entries) is reread for every panel, so it
+/// stays in L2. Each block of the output is loaded and stored once per
+/// tile. The tile never changes results, only wall-clock time.
 pub const TILE: usize = 64;
 
-/// Lane width of the wide (`u64`) lane kernel: 8 × 8 bytes = one 64-byte
-/// cache line per lane group.
+/// Unrolled lane count of the `u64` row loop that covers a strip's tails.
+/// In the register block, `u64` lanes lower to `vpaddq` + `vpminsq` on
+/// AVX-512; to `vpaddq` + `vpcmpgtq` + `vblendvpd` on AVX2, which has no
+/// packed 64-bit min; and to scalar `add` + `cmp` + `cmovl` on portable
+/// SSE2, which has no 64-bit compare (`pcmpgtq` is SSE4.2).
 pub const WIDE_LANES: usize = 8;
 
-/// Lane width of the compact (`u32`) lane kernel: 8 × 4 bytes = one 256-bit
-/// vector per lane group on AVX2, two 128-bit vectors on SSE2.
+/// Unrolled lane count of the `u32` row loop that covers a strip's tails.
+/// In the register block, `u32` lanes lower to `vpaddd` + `vpminsd` on
+/// AVX-512 and AVX2, and to `paddd` + `pcmpgtd` and a mask blend
+/// (`pand`/`pandn`/`por`) on portable SSE2, which has no 32-bit min
+/// (`pminsd` is SSE4.1).
 pub const COMPACT_LANES: usize = 8;
 
-/// Lane width of the ultra-compact (`u16`) lane kernel: 16 × 2 bytes. All
-/// clamped `u16` values stay below `2^15`, so unsigned and signed 16-bit
-/// min agree and the lane loop lowers to plain `paddw`/`pminsw` even on
-/// baseline SSE2.
+/// Unrolled lane count of the `u16` row loop that covers a strip's tails.
+/// In the register block, `u16` lanes lower to `vpaddw` + `vpminsw` on
+/// AVX-512 and AVX2, and to `paddw` + `pminsw` on portable SSE2. SSE2 has
+/// a signed 16-bit min but no unsigned one (`pminuw` is SSE4.1), so the
+/// kernel compares lanes as signed integers at every width: exact, because
+/// no operand (at most twice the `u16` infinity sentinel, `2 × 16383`)
+/// reaches `2^15`.
 pub const ULTRA_LANES: usize = 16;
+
+/// An instruction set the lane kernel has an entry point for. Each entry
+/// point compiles the one generic block body ([`strip`]) with its target
+/// features enabled; the kernel runs on the widest one the host has,
+/// detected once ([`Isa::host`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Isa {
+    /// AVX-512F + AVX-512BW: 512-bit vectors, with a packed min at every
+    /// width (BW adds the 16-bit one).
+    #[cfg(target_arch = "x86_64")]
+    Avx512,
+    /// AVX2: 256-bit vectors, with a packed min at 16 and 32 bits.
+    #[cfg(target_arch = "x86_64")]
+    Avx2,
+    /// The target's baseline: SSE2's 128-bit vectors on x86-64.
+    Portable,
+}
+
+impl Isa {
+    /// Every instruction set this host can run the kernel on, widest first.
+    pub(crate) fn available() -> Vec<Isa> {
+        let mut isas = Vec::new();
+        #[cfg(target_arch = "x86_64")]
+        {
+            if is_x86_feature_detected!("avx512f") && is_x86_feature_detected!("avx512bw") {
+                isas.push(Isa::Avx512);
+            }
+            if is_x86_feature_detected!("avx2") {
+                isas.push(Isa::Avx2);
+            }
+        }
+        isas.push(Isa::Portable);
+        isas
+    }
+
+    /// The widest instruction set the host has, detected on first use and
+    /// cached: the one every lane-kernel product runs on.
+    pub(crate) fn host() -> Isa {
+        static HOST: OnceLock<Isa> = OnceLock::new();
+        *HOST.get_or_init(|| Isa::available()[0])
+    }
+
+    /// `avx512`, `avx2` or `portable`.
+    pub(crate) fn name(self) -> &'static str {
+        match self {
+            #[cfg(target_arch = "x86_64")]
+            Isa::Avx512 => "avx512",
+            #[cfg(target_arch = "x86_64")]
+            Isa::Avx2 => "avx2",
+            Isa::Portable => "portable",
+        }
+    }
+
+    /// Bytes per vector register.
+    fn vector_bytes(self) -> usize {
+        match self {
+            #[cfg(target_arch = "x86_64")]
+            Isa::Avx512 => 64,
+            #[cfg(target_arch = "x86_64")]
+            Isa::Avx2 => 32,
+            Isa::Portable => 16,
+        }
+    }
+}
+
+/// The instruction set the lane kernel runs on in this process: `avx512`,
+/// `avx2` or `portable`. Picked once from the host's CPU features, widest
+/// first; no setting changes it, and outputs are bit-identical on all three.
+pub fn simd_isa() -> &'static str {
+    Isa::host().name()
+}
+
+/// Lanes of `T` per vector instruction on the host's instruction set.
+pub(crate) fn vector_lanes<T>() -> usize {
+    Isa::host().vector_bytes() / std::mem::size_of::<T>()
+}
+
+/// One row strip of the lane kernel: `(n, a, b, c, tile)` min-folds
+/// `a ⋆ b` into `c`, where `a` and `c` hold the strip's rows.
+type StripFn<T> = unsafe fn(usize, &[T], &[T], &mut [T], usize);
+
+/// A lane-kernel entry point with its register block: `rows × lanes`
+/// entries of the output stay in registers across a tile of `k`.
+pub(crate) struct Entry<T> {
+    rows: usize,
+    /// The block width `W`, which only the tests read.
+    #[cfg(test)]
+    lanes: usize,
+    run: StripFn<T>,
+}
+
+/// `entry!(f::<T, R, W>)`: the [`Entry`] of `f` at block shape `R × W`.
+macro_rules! entry {
+    ($f:ident::<$t:ty, $r:literal, $w:literal>) => {
+        Entry {
+            rows: $r,
+            #[cfg(test)]
+            lanes: $w,
+            run: $f::<$t, $r, $w>,
+        }
+    };
+}
 
 /// An entry type the lane kernel can run over: `u64` for full-range
 /// tropical weights, `u32` for the compact bounded-entry path, `u16` for
@@ -123,10 +242,16 @@ pub(crate) trait TropicalEntry:
 {
     /// The infinity sentinel for this width (≤ `MAX/4`).
     const TOP: Self;
-    /// Unrolled lane count of the branchless inner loop for this width.
+    /// Unrolled lane count of the row loop ([`lane_min_into`]).
     const LANES: usize;
     /// Semiring addition under the clamped-input precondition.
     fn tadd(self, rhs: Self) -> Self;
+    /// The smaller of two entries, compared as signed integers: exact
+    /// under the precondition, where no operand (at most `2·TOP`) has its
+    /// top bit set, and the only packed 16-bit min SSE2 has (`pminsw`).
+    fn tmin(self, rhs: Self) -> Self;
+    /// This width's entry point on `isa`.
+    fn entry(isa: Isa) -> Entry<Self>;
 
     /// A tropical weight at this width, clamped to `TOP`: `∞` (any
     /// `w ≥ INF`) becomes `TOP`. Exact for every finite `w` within the
@@ -157,6 +282,19 @@ impl TropicalEntry for u64 {
     fn tadd(self, rhs: u64) -> u64 {
         self.wrapping_add(rhs)
     }
+    #[inline(always)]
+    fn tmin(self, rhs: u64) -> u64 {
+        (self as i64).min(rhs as i64) as u64
+    }
+    fn entry(isa: Isa) -> Entry<u64> {
+        match isa {
+            #[cfg(target_arch = "x86_64")]
+            Isa::Avx512 => entry!(avx512::<u64, 4, 32>),
+            #[cfg(target_arch = "x86_64")]
+            Isa::Avx2 => entry!(avx2::<u64, 3, 16>),
+            Isa::Portable => entry!(strip::<u64, 4, 4>),
+        }
+    }
 }
 
 impl TropicalEntry for u32 {
@@ -165,6 +303,19 @@ impl TropicalEntry for u32 {
     #[inline(always)]
     fn tadd(self, rhs: u32) -> u32 {
         self.wrapping_add(rhs)
+    }
+    #[inline(always)]
+    fn tmin(self, rhs: u32) -> u32 {
+        (self as i32).min(rhs as i32) as u32
+    }
+    fn entry(isa: Isa) -> Entry<u32> {
+        match isa {
+            #[cfg(target_arch = "x86_64")]
+            Isa::Avx512 => entry!(avx512::<u32, 4, 64>),
+            #[cfg(target_arch = "x86_64")]
+            Isa::Avx2 => entry!(avx2::<u32, 3, 32>),
+            Isa::Portable => entry!(strip::<u32, 1, 32>),
+        }
     }
 }
 
@@ -175,13 +326,27 @@ impl TropicalEntry for u16 {
     fn tadd(self, rhs: u16) -> u16 {
         self.wrapping_add(rhs)
     }
+    #[inline(always)]
+    fn tmin(self, rhs: u16) -> u16 {
+        (self as i16).min(rhs as i16) as u16
+    }
+    fn entry(isa: Isa) -> Entry<u16> {
+        match isa {
+            #[cfg(target_arch = "x86_64")]
+            Isa::Avx512 => entry!(avx512::<u16, 4, 128>),
+            #[cfg(target_arch = "x86_64")]
+            Isa::Avx2 => entry!(avx2::<u16, 3, 64>),
+            Isa::Portable => entry!(strip::<u16, 1, 64>),
+        }
+    }
 }
 
-/// Min-folds `aik + brow[j]` into `crow[j]` for every `j`: the branchless
-/// inner loop of the lane kernel. The main loop runs over fixed
-/// [`TropicalEntry::LANES`]-wide chunks — a shape LLVM turns into packed
-/// integer `add`/`min` with no branches and no cross-lane reduction — and
-/// the sub-lane remainder is handled by an explicit scalar tail.
+/// Min-folds `aik + brow[j]` into `crow[j]` for every `j`: the lane
+/// kernel's row loop, which covers the row and column tails of a strip.
+/// The main loop runs over fixed [`TropicalEntry::LANES`]-wide chunks — a
+/// shape LLVM turns into packed integer `add`/`min` with no branches and no
+/// cross-lane reduction — and the sub-lane remainder is handled by an
+/// explicit scalar tail.
 #[inline(always)]
 fn lane_min_into<T: TropicalEntry>(crow: &mut [T], brow: &[T], aik: T) {
     debug_assert_eq!(crow.len(), brow.len());
@@ -190,28 +355,129 @@ fn lane_min_into<T: TropicalEntry>(crow: &mut [T], brow: &[T], aik: T) {
     let btail = bb.remainder();
     for (cl, bl) in (&mut cc).zip(bb) {
         for (c, &b) in cl.iter_mut().zip(bl) {
-            *c = (*c).min(aik.tadd(b));
+            *c = c.tmin(aik.tadd(b));
         }
     }
     for (c, &b) in cc.into_remainder().iter_mut().zip(btail) {
-        *c = (*c).min(aik.tadd(b));
+        *c = c.tmin(aik.tadd(b));
     }
+}
+
+/// The one block body of the lane kernel, over a strip of rows: `a` and
+/// `c` hold the strip's rows of the left operand and of the output, `b` is
+/// the whole right operand, all row-major with `n` columns.
+///
+/// For each `tile` of `k`, an `R × W` block of `c` is loaded into
+/// registers, min-folded with `a[i][k] + b[k][j0..j0 + W]` for every `k` of
+/// the tile, and stored back; every row group of the strip reuses each
+/// `tile × W` panel of `b` before the next panel. The rows past the last
+/// full group and the columns past the last full panel take the row loop
+/// [`lane_min_into`], which skips `∞` left entries. The block itself has no
+/// branch: a `TOP` entry of `a` adds to at least `TOP` and never wins.
+#[inline(always)]
+fn strip<T: TropicalEntry, const R: usize, const W: usize>(
+    n: usize,
+    a: &[T],
+    b: &[T],
+    c: &mut [T],
+    tile: usize,
+) {
+    let rows = c.len() / n;
+    let (full_rows, full_cols) = (rows - rows % R, n - n % W);
+    let mut kk = 0;
+    while kk < n {
+        let kmax = (kk + tile).min(n);
+        for j0 in (0..full_cols).step_by(W) {
+            for i0 in (0..full_rows).step_by(R) {
+                let mut acc = [[T::TOP; W]; R];
+                for (r, row) in acc.iter_mut().enumerate() {
+                    row.copy_from_slice(&c[(i0 + r) * n + j0..][..W]);
+                }
+                let arows: [&[T]; R] = std::array::from_fn(|r| &a[(i0 + r) * n..][kk..kmax]);
+                for t in 0..kmax - kk {
+                    let panel: &[T; W] = b[(kk + t) * n + j0..][..W].try_into().unwrap();
+                    for (row, arow) in acc.iter_mut().zip(&arows) {
+                        let aik = arow[t];
+                        for (cj, &bj) in row.iter_mut().zip(panel) {
+                            *cj = cj.tmin(aik.tadd(bj));
+                        }
+                    }
+                }
+                for (r, row) in acc.iter().enumerate() {
+                    c[(i0 + r) * n + j0..][..W].copy_from_slice(row);
+                }
+            }
+        }
+        for i in 0..rows {
+            let j0 = if i < full_rows { full_cols } else { 0 };
+            if j0 == n {
+                continue;
+            }
+            for k in kk..kmax {
+                let aik = a[i * n + k];
+                if aik < T::TOP {
+                    lane_min_into(
+                        &mut c[i * n + j0..(i + 1) * n],
+                        &b[k * n + j0..(k + 1) * n],
+                        aik,
+                    );
+                }
+            }
+        }
+        kk = kmax;
+    }
+}
+
+/// [`strip`] compiled for AVX-512F + AVX-512BW; a host without them must
+/// never call it.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx512f,avx512bw")]
+fn avx512<T: TropicalEntry, const R: usize, const W: usize>(
+    n: usize,
+    a: &[T],
+    b: &[T],
+    c: &mut [T],
+    tile: usize,
+) {
+    strip::<T, R, W>(n, a, b, c, tile)
+}
+
+/// [`strip`] compiled for AVX2; a host without it must never call it.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+fn avx2<T: TropicalEntry, const R: usize, const W: usize>(
+    n: usize,
+    a: &[T],
+    b: &[T],
+    c: &mut [T],
+    tile: usize,
+) {
+    strip::<T, R, W>(n, a, b, c, tile)
 }
 
 /// The lane min-plus kernel over raw **row-major** `a` and `b` (both
 /// clamped to `TOP`): returns row-major `C` with
-/// `C[i][j] = min_k (a[i][k] + b[k][j])`.
+/// `C[i][j] = min_k (a[i][k] + b[k][j])`, computed on the host's widest
+/// instruction set ([`Isa::host`]).
 ///
-/// Loop order is `i, k, j`: for each output row, each `a[i][k]` is
-/// broadcast against the contiguous row `b[k]` and min-folded into the
-/// contiguous output row by [`lane_min_into`] — no transposition, no
-/// horizontal reductions, and the only branch outside the O(n²) bookkeeping
-/// is the per-`(i,k)` skip of `∞` left entries (which never changes the
-/// minimum). The `k` dimension is walked in `tile`-sized blocks so the
-/// `tile × n` slice of `b` is reused across every row of a strip; row
-/// strips are computed in disjoint chunks (parallel under `exec`). Exact
-/// min ⇒ bit-identical output for every `(tile, exec)`.
+/// Row strips, each a whole number of register blocks where `n` allows,
+/// are computed in disjoint chunks (parallel under `exec`) by the entry
+/// point's [`strip`]. Exact min ⇒ bit-identical output for every
+/// `(tile, exec)` and every instruction set.
 pub(crate) fn lanes_kernel<T: TropicalEntry>(
+    n: usize,
+    a: &[T],
+    b: &[T],
+    exec: ExecPolicy,
+    tile: usize,
+) -> Vec<T> {
+    lanes_kernel_on(Isa::host(), n, a, b, exec, tile)
+}
+
+/// [`lanes_kernel`] on the entry point for `isa`, which must be one of
+/// [`Isa::available`].
+pub(crate) fn lanes_kernel_on<T: TropicalEntry>(
+    isa: Isa,
     n: usize,
     a: &[T],
     b: &[T],
@@ -220,27 +486,16 @@ pub(crate) fn lanes_kernel<T: TropicalEntry>(
 ) -> Vec<T> {
     debug_assert_eq!(a.len(), n * n);
     debug_assert_eq!(b.len(), n * n);
+    debug_assert!(Isa::available().contains(&isa));
     let tile = tile.max(1);
-    let rows_per_block = exec.row_block_len(n, 1);
+    let entry = T::entry(isa);
+    let strip_len = exec.row_block_len(n.div_ceil(entry.rows), entry.rows * n);
     let mut data = vec![T::TOP; n * n];
-    exec.for_each_chunk_mut(&mut data, rows_per_block * n.max(1), |block, chunk| {
-        let i0 = block * rows_per_block;
-        let rows_here = chunk.len() / n.max(1);
-        let mut kk = 0;
-        while kk < n {
-            let kmax = (kk + tile).min(n);
-            for off in 0..rows_here {
-                let arow = &a[(i0 + off) * n..(i0 + off) * n + n];
-                let crow = &mut chunk[off * n..off * n + n];
-                for (k, &aik) in arow.iter().enumerate().take(kmax).skip(kk) {
-                    if aik >= T::TOP {
-                        continue;
-                    }
-                    lane_min_into(crow, &b[k * n..k * n + n], aik);
-                }
-            }
-            kk = kmax;
-        }
+    exec.for_each_chunk_mut(&mut data, strip_len, |block, chunk| {
+        let a = &a[block * strip_len..][..chunk.len()];
+        // SAFETY: `entry` is `isa`'s entry point, and `isa` is one of
+        // `Isa::available()`, whose features the host was checked for.
+        unsafe { (entry.run)(n, a, b, chunk, tile) }
     });
     data
 }
@@ -333,7 +588,10 @@ pub(crate) fn power_by(
 }
 
 /// Exact APSP by repeated squaring until fixpoint; returns the distance
-/// matrix and the number of squarings (`⌈log₂(n-1)⌉` at most).
+/// matrix and the number of squarings. For an adjacency matrix (zero
+/// diagonal) on `n ≥ 2` nodes that is at most `⌈log₂(n-1)⌉ + 1`: the
+/// squarings that reach the fixpoint, plus the last one, which only
+/// confirms it. A path graph takes every one of them.
 pub fn closure(a: &DistMatrix) -> (DistMatrix, usize) {
     closure_by(a, distance_product)
 }
@@ -408,6 +666,18 @@ mod tests {
         let (closed, squarings) = closure(&a);
         assert_eq!(closed, exact_apsp(&g));
         assert!(squarings <= 5, "squarings = {squarings}"); // ceil(log2(13)) + 1
+    }
+
+    #[test]
+    fn closure_squarings_on_paths_are_pinned() {
+        // ⌈log₂(n-1)⌉ squarings reach the fixpoint; one more confirms it.
+        for (n, want) in [(2, 1), (3, 2), (5, 3), (9, 4), (17, 5), (33, 6)] {
+            let edges: Vec<_> = (1..n).map(|v| (v - 1, v, 1)).collect();
+            let g = Graph::from_edges(n, Direction::Undirected, &edges);
+            let (closed, squarings) = closure(&adjacency_matrix(&g));
+            assert_eq!(squarings, want, "n={n}");
+            assert_eq!(closed, exact_apsp(&g), "n={n}");
+        }
     }
 
     #[test]
@@ -503,6 +773,67 @@ mod tests {
             assert_eq!(lanes_product::<u32>(x, y, ExecPolicy::Seq, 7), want);
             assert_eq!(lanes_product::<u16>(x, y, ExecPolicy::Seq, 7), want);
         }
+    }
+
+    /// An `n × n` matrix with finite entries in `0..=max_w` at fill 0.8,
+    /// and with row 0 and row `n / 2` all `∞`.
+    fn with_infinite_rows(n: usize, max_w: Weight, seed: u64) -> DistMatrix {
+        let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+        let data = (0..n * n)
+            .map(|cell| {
+                let row = cell / n;
+                if row == 0 || row == n / 2 || rng.gen_bool(0.2) {
+                    INF
+                } else {
+                    rng.gen_range(0..=max_w)
+                }
+            })
+            .collect();
+        DistMatrix::from_raw(n, data)
+    }
+
+    /// Every entry point the host can run, at every width, against the
+    /// naive product on sizes that give no full block, full `R × W` blocks,
+    /// a row tail, a column tail and both, at every tile and thread count.
+    #[test]
+    fn every_entry_point_matches_naive_on_block_shapes() {
+        fn check<T: TropicalEntry>(seed: u64) {
+            let narrow =
+                |m: &DistMatrix| -> Vec<T> { m.raw().iter().map(|&w| T::from_weight(w)).collect() };
+            let max_w = (T::TOP.into() - 1) / 2;
+            for isa in Isa::available() {
+                let Entry {
+                    rows: r, lanes: w, ..
+                } = T::entry(isa);
+                let mut sizes = vec![1, r - 1, w - 1, w + 1, 2 * w + 3];
+                sizes.retain(|&n| n > 0);
+                sizes.dedup();
+                for n in sizes {
+                    let a = with_infinite_rows(n, max_w, seed + n as u64);
+                    let b = with_infinite_rows(n, max_w, seed + 2 * n as u64 + 1);
+                    let want = narrow(&distance_product_with(&a, &b, ExecPolicy::Seq));
+                    let (an, bn) = (narrow(&a), narrow(&b));
+                    // Two panels wide, one thread count keeps the unoptimized
+                    // test build fast; strips still split at every count.
+                    let threads: &[usize] = if n <= w + 1 { &[1, 2, 4] } else { &[2] };
+                    for tile in [1, 7, 64, n] {
+                        for &threads in threads {
+                            let exec = ExecPolicy::with_threads(threads);
+                            let got = lanes_kernel_on(isa, n, &an, &bn, exec, tile);
+                            assert!(
+                                got == want,
+                                "{} {} n={n} tile={tile} threads={threads}",
+                                isa.name(),
+                                std::any::type_name::<T>()
+                            );
+                        }
+                    }
+                }
+            }
+        }
+        check::<u64>(100);
+        check::<u32>(200);
+        check::<u16>(300);
     }
 
     #[test]

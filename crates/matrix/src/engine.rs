@@ -25,6 +25,13 @@
 //! a span of their own, with the one matrix narrowed once for both
 //! operands.
 //!
+//! Every dense choice runs the one register-blocked lane kernel of
+//! [`crate::dense`] on the widest instruction set the host has (AVX-512,
+//! AVX2 or portable), detected once per process and named by
+//! [`dense::simd_isa`]. [`KernelChoice::lane_width`] reports the lanes per
+//! vector instruction there, so a number read on one host compares with
+//! another host's only when both name their instruction set.
+//!
 //! The dispatch can be overridden with [`KernelMode::Dense`] /
 //! [`KernelMode::Sparse`] — threaded through `PipelineConfig` and
 //! `ccapsp run --kernel {auto,dense,sparse}` — or process-wide with the
@@ -34,8 +41,8 @@
 //!
 //! The lane kernel at every width and the sparse kernel compute the exact
 //! entrywise minimum over the same candidate set, so the engine's output
-//! is **bit-identical** for every mode, tile size, and thread count —
-//! kernel selection is purely a wall-clock decision. The
+//! is **bit-identical** for every mode, tile size, instruction set and
+//! thread count — kernel selection is purely a wall-clock decision. The
 //! golden-conformance suite and `tests/kernel_props.rs` pin this contract.
 
 use crate::dense::{self, lanes_product, TropicalEntry, TILE};
@@ -181,13 +188,16 @@ impl KernelChoice {
         }
     }
 
-    /// Unrolled lane width of the dense kernel this choice runs on (the
-    /// sparse kernel has no fixed lane shape and reports `None`).
+    /// Lanes per vector instruction of the dense kernel this choice runs
+    /// on, at its entry width on the host's instruction set
+    /// ([`dense::simd_isa`]): 8, 16 and 32 for `u64`, `u32` and `u16` on
+    /// AVX-512, half that on AVX2 and a quarter on portable. The sparse
+    /// kernel has no lane shape and reports `None`.
     pub fn lane_width(self) -> Option<usize> {
         match self {
-            KernelChoice::DenseLanes => Some(dense::WIDE_LANES),
-            KernelChoice::DenseCompact => Some(dense::COMPACT_LANES),
-            KernelChoice::DenseUltra => Some(dense::ULTRA_LANES),
+            KernelChoice::DenseLanes => Some(dense::vector_lanes::<u64>()),
+            KernelChoice::DenseCompact => Some(dense::vector_lanes::<u32>()),
+            KernelChoice::DenseUltra => Some(dense::vector_lanes::<u16>()),
             KernelChoice::SparseSharded => None,
         }
     }
@@ -666,9 +676,16 @@ mod tests {
 
     #[test]
     fn lane_width_and_density_are_reported() {
-        assert_eq!(KernelChoice::DenseLanes.lane_width(), Some(8));
-        assert_eq!(KernelChoice::DenseCompact.lane_width(), Some(8));
-        assert_eq!(KernelChoice::DenseUltra.lane_width(), Some(16));
+        // Lanes per vector instruction of the instruction set in use.
+        let (wide, compact, ultra) = match dense::simd_isa() {
+            "avx512" => (8, 16, 32),
+            "avx2" => (4, 8, 16),
+            "portable" => (2, 4, 8),
+            other => panic!("unknown instruction set {other}"),
+        };
+        assert_eq!(KernelChoice::DenseLanes.lane_width(), Some(wide));
+        assert_eq!(KernelChoice::DenseCompact.lane_width(), Some(compact));
+        assert_eq!(KernelChoice::DenseUltra.lane_width(), Some(ultra));
         assert_eq!(KernelChoice::SparseSharded.lane_width(), None);
         assert_eq!(KernelChoice::DenseLanes.code(), 0);
         assert_eq!(KernelChoice::DenseCompact.code(), 1);

@@ -7,8 +7,10 @@
 //! the weighted adjacency matrix of `G` (with zero diagonal), then `A^h[u,v]`
 //! is the h-hop distance from `u` to `v`. This crate provides:
 //!
-//! * [`dense`] — dense distance products and exponentiation (reference
-//!   semantics and ground truth);
+//! * [`dense`] — dense distance products and exponentiation: the naive
+//!   reference product (ground truth) and the register-blocked lane kernel,
+//!   compiled for AVX-512, AVX2 and a portable baseline and run on the
+//!   widest of them the host has ([`dense::simd_isa`] names it);
 //! * [`filtered`] — the *filtered* matrices of Section 5: each row keeps only
 //!   its `k` smallest entries (ties by column ID). [`filtered::FilteredMatrix::from_dense`]
 //!   and friends implement the `Ā` notation, and the crate's tests verify
@@ -23,8 +25,8 @@
 //!   narrowest lawful element width (`u64` wide / `u32` compact / `u16`
 //!   ultra — see [`engine::ULTRA_MAX_ENTRY`] and
 //!   [`engine::COMPACT_MAX_ENTRY`]) or to the sharded sparse kernel — with
-//!   bit-identical results across all of them. Every pipeline's hot
-//!   products go through it.
+//!   bit-identical results across all of them and across instruction
+//!   sets. Every pipeline's hot products go through it.
 //!
 //! # Example
 //!

@@ -37,6 +37,7 @@ use cc_dynamic::Delta;
 use cc_graph::generators::Family;
 use cc_graph::graph::Direction;
 use cc_graph::{apsp, io as gio, sssp, Graph, INF};
+use cc_matrix::dense::simd_isa;
 use cc_matrix::engine::KernelMode;
 use cc_par::ExecPolicy;
 use cc_serve::client::{chaos, replay_network, scrape_http_metrics, Client};
@@ -544,6 +545,7 @@ fn cmd_run(args: &Args) -> Result<(), ExitCode> {
     println!("algorithm      {algo}");
     println!("exec           {exec}");
     println!("kernel         {kernel}");
+    println!("simd           {}", simd_isa());
     println!("rounds         {rounds}");
     println!("guarantee      {bound:.1}×");
     if g.n() <= 2048 {

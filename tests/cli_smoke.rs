@@ -108,6 +108,17 @@ fn gen_info_run_round_trip() {
         run_out.contains("algorithm      thm11"),
         "run output: {run_out}"
     );
+    // The instruction set the lane kernel ran on, named right after the kernel mode.
+    let simd = line(&run_out, "simd ");
+    assert!(
+        ["avx512", "avx2", "portable"].contains(&simd.split_whitespace().nth(1).unwrap_or("")),
+        "run output: {run_out}"
+    );
+    let kernel = line(&run_out, "kernel ");
+    assert!(
+        run_out.contains(&format!("{kernel}\n{simd}\n")),
+        "run output: {run_out}"
+    );
     assert!(
         run_out.contains("valid          true"),
         "run output: {run_out}"
