@@ -1,11 +1,12 @@
 //! Exact APSP by tropical matrix squaring (the algebraic baseline).
 //!
 //! `A^(2^i)` after `i` squarings; `⌈log₂(n−1)⌉` squarings give the distance
-//! matrix. Each dense `n × n` min-plus product costs `Θ(n^(1/3))` rounds in
-//! the Congested Clique (\[CKK+19\]); we charge
-//! `max(1, ⌈n^(1/3)⌉)` per squaring, labeled with the citation. This is the
-//! "polynomial number of rounds" regime the paper's introduction contrasts
-//! against.
+//! matrix, and one more confirms the fixpoint. The squarings are the kernel
+//! engine's closure ([`engine::closure`]). Each dense `n × n` min-plus
+//! product costs `Θ(n^(1/3))` rounds in the Congested Clique (\[CKK+19\]);
+//! we charge `max(1, ⌈n^(1/3)⌉)` per squaring, from the closure's
+//! per-square hook, labeled with the citation. This is the "polynomial
+//! number of rounds" regime the paper's introduction contrasts against.
 
 use cc_graph::{DistMatrix, Graph};
 use cc_matrix::dense;
@@ -27,13 +28,15 @@ pub fn exact_apsp_squaring(clique: &mut Clique, g: &Graph) -> DistMatrix {
 }
 
 /// [`exact_apsp_squaring`] under an explicit [`ExecPolicy`] for the local
-/// min-plus squarings and an explicit [`KernelMode`]: every squaring runs
-/// through the kernel engine's self-product path ([`engine::square`]),
-/// which re-plans per multiply — the first squarings of an adjacency matrix
-/// dispatch sparse, the later (filled-in) ones to the dense lane kernel at
-/// the narrowest width the entries permit. Each squaring opens one
-/// `square[<kernel>]` span under the `exact-squaring` phase. Output and
-/// round charges are bit-identical across modes.
+/// min-plus squarings and an explicit [`KernelMode`]: the squarings are the
+/// kernel engine's closure ([`engine::closure`]), which plans every square
+/// as [`engine::KernelPlan::choose`] would — the first squarings of an
+/// adjacency matrix dispatch sparse, the later (filled-in) ones to the
+/// dense lane kernel at the narrowest width the entries permit — and keeps
+/// the matrix at that width between squares. Each squaring is charged
+/// `⌈n^(1/3)⌉` rounds and opens one `square[<kernel>]` span under the
+/// `exact-squaring` phase. Output and round charges are bit-identical
+/// across modes.
 pub fn exact_apsp_squaring_kernel(
     clique: &mut Clique,
     g: &Graph,
@@ -41,16 +44,9 @@ pub fn exact_apsp_squaring_kernel(
     kernel: KernelMode,
 ) -> DistMatrix {
     clique.phase("exact-squaring", |clique| {
-        let mut cur = dense::adjacency_matrix(g);
         let per_product = product_rounds(g.n());
-        loop {
-            let next = engine::square(&cur, kernel, exec);
-            clique.charge("minplus-square (CKK+19 n^(1/3))", per_product);
-            if next == cur {
-                return next;
-            }
-            cur = next;
-        }
+        let charge = |_| clique.charge("minplus-square (CKK+19 n^(1/3))", per_product);
+        engine::closure(&dense::adjacency_matrix(g), kernel, exec, charge).0
     })
 }
 

@@ -144,7 +144,7 @@ fn main() {
     let n_kern = 512;
     let kern_reps = if fast() { 1 } else { 3 };
     let adj = adjacency_matrix(&workload(n_kern, 11));
-    let (dense_mat, _) = engine::closure(&adj, KernelMode::Auto, ExecPolicy::from_env());
+    let (dense_mat, _) = engine::closure(&adj, KernelMode::Auto, ExecPolicy::from_env(), |_| {});
     let kernel_code = |c: KernelChoice| c.code() as f64;
     let lane_code = |c: KernelChoice| c.lane_width().map_or(-1.0, |w| w as f64);
     // The same closure matrix with every finite entry clamped to the u16

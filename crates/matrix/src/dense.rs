@@ -31,6 +31,7 @@
 
 use cc_graph::{wadd, DistMatrix, Graph, Weight, INF};
 use cc_par::ExecPolicy;
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::OnceLock;
 
 /// The weighted adjacency matrix of `g` over the tropical semiring:
@@ -242,6 +243,10 @@ pub(crate) trait TropicalEntry:
 {
     /// The infinity sentinel for this width (≤ `MAX/4`).
     const TOP: Self;
+    /// The largest finite entry the kernel takes at this width: the sum of
+    /// two such entries stays strictly below `TOP`, so the narrow kernel is
+    /// bit-identical to the wide one. The wide width takes every entry.
+    const MAX_ENTRY: Weight;
     /// Unrolled lane count of the row loop ([`lane_min_into`]).
     const LANES: usize;
     /// Semiring addition under the clamped-input precondition.
@@ -254,8 +259,8 @@ pub(crate) trait TropicalEntry:
     fn entry(isa: Isa) -> Entry<Self>;
 
     /// A tropical weight at this width, clamped to `TOP`: `∞` (any
-    /// `w ≥ INF`) becomes `TOP`. Exact for every finite `w` within the
-    /// width's entry bound, which the engine checks before narrowing.
+    /// `w ≥ INF`) becomes `TOP`. Exact for every finite `w` within
+    /// [`TropicalEntry::MAX_ENTRY`], which [`recast`] checks.
     #[inline]
     fn from_weight(w: Weight) -> Self {
         match Self::try_from(w) {
@@ -277,6 +282,7 @@ pub(crate) trait TropicalEntry:
 
 impl TropicalEntry for u64 {
     const TOP: u64 = INF;
+    const MAX_ENTRY: Weight = Weight::MAX;
     const LANES: usize = WIDE_LANES;
     #[inline(always)]
     fn tadd(self, rhs: u64) -> u64 {
@@ -299,6 +305,7 @@ impl TropicalEntry for u64 {
 
 impl TropicalEntry for u32 {
     const TOP: u32 = u32::MAX / 4;
+    const MAX_ENTRY: Weight = ((Self::TOP - 1) / 2) as Weight;
     const LANES: usize = COMPACT_LANES;
     #[inline(always)]
     fn tadd(self, rhs: u32) -> u32 {
@@ -321,6 +328,7 @@ impl TropicalEntry for u32 {
 
 impl TropicalEntry for u16 {
     const TOP: u16 = u16::MAX / 4;
+    const MAX_ENTRY: Weight = ((Self::TOP - 1) / 2) as Weight;
     const LANES: usize = ULTRA_LANES;
     #[inline(always)]
     fn tadd(self, rhs: u16) -> u16 {
@@ -500,29 +508,57 @@ pub(crate) fn lanes_kernel_on<T: TropicalEntry>(
     data
 }
 
-/// [`lanes_kernel`] at entry width `T` over tropical matrices: each operand
-/// is narrowed once with [`TropicalEntry::from_weight`] — a self-product
-/// (`a` and `b` the same matrix) narrows its one matrix once — and the
-/// output is widened back. Every finite entry of both operands must be
-/// within `T`'s entry bound; the engine checks it first.
-///
-/// # Panics
-///
-/// Panics if dimensions differ.
-pub(crate) fn lanes_product<T: TropicalEntry>(
-    a: &DistMatrix,
-    b: &DistMatrix,
+/// Entries held at width `S` recast to width `T` in one pass, a block per
+/// task under `exec`, or `None` when a finite entry is past `T`'s
+/// [`TropicalEntry::MAX_ENTRY`]: nothing is ever truncated. `∞` at either
+/// width maps to `∞` at the other, and to a wide `T` every finite entry is
+/// exact, so a widening never fails; from wide weights the pass also clamps
+/// every `w ≥ INF` to `TOP`, as the kernel requires. The output is
+/// allocated zeroed, which for a large matrix is fresh pages: each task
+/// faults in its own block's.
+pub(crate) fn recast<S: TropicalEntry, T: TropicalEntry>(
+    src: &[S],
+    exec: ExecPolicy,
+) -> Option<Vec<T>> {
+    let past = AtomicBool::new(false);
+    let mut out = vec![T::from_weight(0); src.len()];
+    let block = exec.row_block_len(src.len(), 1);
+    exec.for_each_chunk_mut(&mut out, block, |i, chunk| {
+        let mut over = false;
+        for (y, &x) in chunk.iter_mut().zip(&src[i * block..]) {
+            let w = x.to_weight();
+            over |= w < INF && w > T::MAX_ENTRY;
+            *y = T::from_weight(w);
+        }
+        if over {
+            // The flag publishes no other data, and the tasks are joined
+            // before it is read.
+            past.store(true, Ordering::Relaxed);
+        }
+    });
+    (!past.into_inner()).then_some(out)
+}
+
+/// [`lanes_kernel`] at entry width `T` over `n × n` operands held at width
+/// `S`: each operand is [`recast`] to `T` in one checked pass (a
+/// self-product, `a` and `b` the same slice, recasts its one matrix once),
+/// and the product comes back at width `T`. `None` when a finite entry of
+/// either operand is past `T`'s entry bound.
+pub(crate) fn lanes_product<S: TropicalEntry, T: TropicalEntry>(
+    n: usize,
+    a: &[S],
+    b: &[S],
     exec: ExecPolicy,
     tile: usize,
-) -> DistMatrix {
-    assert_eq!(a.n(), b.n(), "distance product dimension mismatch");
-    let n = a.n();
-    let narrow =
-        |m: &DistMatrix| -> Vec<T> { m.raw().iter().map(|&w| T::from_weight(w)).collect() };
-    let an = narrow(a);
-    let bn = (!std::ptr::eq(a, b)).then(|| narrow(b));
-    let c = lanes_kernel(n, &an, bn.as_deref().unwrap_or(&an), exec, tile);
-    DistMatrix::from_raw(n, c.into_iter().map(T::to_weight).collect())
+) -> Option<Vec<T>> {
+    let an = recast::<S, T>(a, exec)?;
+    let bn = if std::ptr::eq(a, b) {
+        None
+    } else {
+        Some(recast::<S, T>(b, exec)?)
+    };
+    let bn = bn.as_deref().unwrap_or(&an);
+    Some(lanes_kernel(n, &an, bn, exec, tile))
 }
 
 /// The lane-kernel distance product over full-range `u64` entries with
@@ -540,7 +576,12 @@ pub fn distance_product_lanes_opts(
     exec: ExecPolicy,
     tile: usize,
 ) -> DistMatrix {
-    lanes_product::<Weight>(a, b, exec, tile)
+    assert_eq!(a.n(), b.n(), "distance product dimension mismatch");
+    let n = a.n();
+    // The wide kernel's output entries are at most `INF` already.
+    let c = lanes_product::<Weight, Weight>(n, a.raw(), b.raw(), exec, tile)
+        .expect("the wide kernel takes every entry");
+    DistMatrix::from_raw(n, c)
 }
 
 /// `A^h` over the tropical semiring by binary exponentiation
@@ -591,21 +632,13 @@ pub(crate) fn power_by(
 /// matrix and the number of squarings. For an adjacency matrix (zero
 /// diagonal) on `n ≥ 2` nodes that is at most `⌈log₂(n-1)⌉ + 1`: the
 /// squarings that reach the fixpoint, plus the last one, which only
-/// confirms it. A path graph takes every one of them.
+/// confirms it. A path graph takes every one of them. This is the reference
+/// loop; [`crate::engine::closure`] is the production one.
 pub fn closure(a: &DistMatrix) -> (DistMatrix, usize) {
-    closure_by(a, distance_product)
-}
-
-/// The squaring-to-fixpoint loop shared by this module and the kernel
-/// engine, parameterized over the multiply.
-pub(crate) fn closure_by(
-    a: &DistMatrix,
-    multiply: impl Fn(&DistMatrix, &DistMatrix) -> DistMatrix,
-) -> (DistMatrix, usize) {
     let mut cur = a.clone();
     let mut squarings = 0;
     loop {
-        let next = multiply(&cur, &cur);
+        let next = distance_product(&cur, &cur);
         squarings += 1;
         if next == cur {
             return (next, squarings);
@@ -749,6 +782,10 @@ mod tests {
 
     #[test]
     fn narrow_lane_kernels_match_the_wide_one() {
+        fn widen<T: TropicalEntry>(n: usize, c: Option<Vec<T>>) -> DistMatrix {
+            let c = recast::<T, u64>(&c.unwrap(), ExecPolicy::with_threads(2));
+            DistMatrix::from_raw(n, c.unwrap())
+        }
         // The u32/u16 instantiations of the lane kernel compute the same
         // min-plus as the wide one on entries within their bounds, for a
         // product and a self-product (one narrowed matrix as both operands).
@@ -769,10 +806,43 @@ mod tests {
         let (a, b) = (mk(), mk());
         for (x, y) in [(&a, &b), (&a, &a)] {
             let want = distance_product(x, y);
-            assert_eq!(lanes_product::<u64>(x, y, ExecPolicy::Seq, 7), want);
-            assert_eq!(lanes_product::<u32>(x, y, ExecPolicy::Seq, 7), want);
-            assert_eq!(lanes_product::<u16>(x, y, ExecPolicy::Seq, 7), want);
+            let (x, y) = (x.raw(), y.raw());
+            let wide = lanes_product::<u64, u64>(n, x, y, ExecPolicy::Seq, 7);
+            let compact = lanes_product::<u64, u32>(n, x, y, ExecPolicy::Seq, 7);
+            let ultra = lanes_product::<u64, u16>(n, x, y, ExecPolicy::Seq, 7);
+            assert_eq!(DistMatrix::from_raw(n, wide.unwrap()), want);
+            assert_eq!(widen(n, compact), want);
+            assert_eq!(widen(n, ultra), want);
         }
+    }
+
+    #[test]
+    fn recast_refuses_entries_past_the_bound() {
+        let top = <u16 as TropicalEntry>::TOP;
+        let bound = <u16 as TropicalEntry>::MAX_ENTRY;
+        // At the bound and at `∞` (above `INF` too) the round trip is exact.
+        let wide = [0, bound, INF, INF + 5, Weight::MAX];
+        let seq = ExecPolicy::Seq;
+        let narrow = recast::<u64, u16>(&wide, seq).expect("every entry fits");
+        assert_eq!(narrow, [0, bound as u16, top, top, top]);
+        let back = recast::<u16, u64>(&narrow, seq);
+        assert_eq!(back, Some(vec![0, bound, INF, INF, INF]));
+        // One past the bound refuses the whole matrix, in any task's block.
+        for at in [0, 4500, 8999] {
+            for threads in [1, 2, 4] {
+                let exec = ExecPolicy::with_threads(threads);
+                let mut past = vec![1; 9000];
+                past[at] = bound + 1;
+                assert_eq!(recast::<u64, u16>(&past, exec), None, "at={at}");
+                assert!(recast::<u64, u32>(&past, exec).is_some(), "at={at}");
+            }
+        }
+        // A kernel output past the ultra bound (sums reach `2·bound`) widens
+        // to `u32` exactly.
+        let sum = [2 * bound as u16, top];
+        let top32 = <u32 as TropicalEntry>::TOP;
+        let compact = recast::<u16, u32>(&sum, seq);
+        assert_eq!(compact, Some(vec![2 * bound as u32, top32]));
     }
 
     /// An `n × n` matrix with finite entries in `0..=max_w` at fill 0.8,

@@ -20,10 +20,18 @@
 //! | [`KernelChoice::DenseCompact`] | lane kernel over `u32` | dense, and all finite entries ≤ [`COMPACT_MAX_ENTRY`] |
 //! | [`KernelChoice::DenseLanes`] | lane kernel over `u64` | dense, wide entries |
 //!
-//! Self-products (`A ⋆ A`, the shape of every [`power`]/[`closure`]
-//! squaring) route through [`square`]: the same dispatch and kernels under
-//! a span of their own, with the one matrix narrowed once for both
-//! operands.
+//! Self-products (`A ⋆ A`, the shape of every [`power`] squaring) route
+//! through [`square`]: the same dispatch and kernels under a span of their
+//! own, with the one matrix narrowed once for both operands. A sparse
+//! product of dense operands gathers their finite entries into rows once
+//! (a self-product's one matrix once) and min-folds each output row
+//! straight into the dense output.
+//!
+//! [`closure`] is the one squaring-to-fixpoint loop: the exact-squaring
+//! baseline and every exact snapshot build run it. It plans each square as
+//! [`KernelPlan::choose`] would on the wide matrix, but keeps the matrix at
+//! the width of the kernel that last ran, converting only when the largest
+//! entry it measures crosses a width bound or a sparse square comes next.
 //!
 //! Every dense choice runs the one register-blocked lane kernel of
 //! [`crate::dense`] on the widest instruction set the host has (AVX-512,
@@ -45,7 +53,7 @@
 //! thread count — kernel selection is purely a wall-clock decision. The
 //! golden-conformance suite and `tests/kernel_props.rs` pin this contract.
 
-use crate::dense::{self, lanes_product, TropicalEntry, TILE};
+use crate::dense::{self, TropicalEntry, TILE};
 use crate::sparse::{cdkl_rounds, sparse_product_with, SparseMatrix, SparseProduct};
 use cc_graph::{DistMatrix, NodeId, Weight, INF};
 use cc_par::ExecPolicy;
@@ -67,7 +75,7 @@ pub const SPARSE_FILL_CUTOFF: f64 = 1.0 / 16.0;
 /// infinity sentinel (its `TOP`, so this bound and the kernel's saturation
 /// point can never drift apart), keeping the compact kernel bit-identical
 /// to the wide one.
-pub const COMPACT_MAX_ENTRY: u64 = ((<u32 as TropicalEntry>::TOP - 1) / 2) as u64;
+pub const COMPACT_MAX_ENTRY: u64 = <u32 as TropicalEntry>::MAX_ENTRY;
 
 /// Largest finite entry the ultra-compact `u16` kernel accepts (8191):
 /// the sum of two finite entries stays strictly below the `u16` infinity
@@ -75,7 +83,7 @@ pub const COMPACT_MAX_ENTRY: u64 = ((<u32 as TropicalEntry>::TOP - 1) / 2) as u6
 /// the shape of the paper's weight-scaled instances (Lemma 8.1 rescales
 /// weights into a small integer range before each recursion level), at 4x
 /// the memory density of the original `u64` path.
-pub const ULTRA_MAX_ENTRY: u64 = ((<u16 as TropicalEntry>::TOP - 1) / 2) as u64;
+pub const ULTRA_MAX_ENTRY: u64 = <u16 as TropicalEntry>::MAX_ENTRY;
 
 /// Which kernel family a multiply is asked to use. `Auto` measures the
 /// operands; `Dense`/`Sparse` force the family (the wide/compact/ultra
@@ -210,10 +218,14 @@ impl std::fmt::Display for KernelChoice {
 }
 
 /// One multiply's dispatch decision: what was measured and which kernel
-/// runs. Plans are cheap (`O(n)` sampled entries plus, on the dense path,
-/// one `O(n²)` bound scan — negligible next to the `O(n³)` multiply) and
-/// are recomputed **per multiply**, so e.g. repeated squaring migrates from
-/// the sparse to the dense kernel as the matrix fills in.
+/// runs. A plan reads `O(n)` sampled entries plus, on the dense path, one
+/// `O(n²)` bound scan, and is recomputed **per multiply**, so e.g. repeated
+/// squaring migrates from the sparse to the dense kernel as the matrix
+/// fills in. The scan is not free next to the lane kernel: at n=2048, the
+/// `O(n²)` passes around four dense squares (bound scans, narrowing,
+/// widening, fixpoint tests) measured ~150 ms against ~400 ms of kernel.
+/// So [`closure`] plans from the largest entry its fixpoint pass measures
+/// and keeps its matrix narrow between squares.
 ///
 /// ```
 /// use cc_graph::DistMatrix;
@@ -263,32 +275,36 @@ impl KernelPlan {
     /// Plans one multiply `A ⋆ B` under `mode`; see the type-level docs for
     /// the dispatch rule.
     pub fn choose(a: &DistMatrix, b: &DistMatrix, mode: KernelMode) -> KernelPlan {
-        let fill_a = sampled_fill(a);
-        let fill_b = sampled_fill(b);
-        let choice = match mode {
-            KernelMode::Sparse => KernelChoice::SparseSharded,
-            KernelMode::Dense => dense_choice(a, b),
-            KernelMode::Auto => {
-                if fill_a * fill_b <= SPARSE_FILL_CUTOFF {
-                    KernelChoice::SparseSharded
-                } else {
-                    dense_choice(a, b)
-                }
-            }
-        };
+        let fill_a = sampled_fill(a.n(), a.raw());
+        let fill_b = sampled_fill(b.n(), b.raw());
         KernelPlan {
             mode,
-            choice,
+            choice: dispatch(fill_a * fill_b, mode, || dense_choice(a, b)),
             fill_a,
             fill_b,
         }
     }
 }
 
-/// Sampled fraction of finite (`< INF`) entries, over up to
+/// The dispatch rule: the sparse kernel when `mode` forces it, or under
+/// [`KernelMode::Auto`] when the product of the operands' sampled fills is
+/// at most [`SPARSE_FILL_CUTOFF`]; otherwise the dense width `dense` picks.
+fn dispatch(
+    fill_product: f64,
+    mode: KernelMode,
+    dense: impl FnOnce() -> KernelChoice,
+) -> KernelChoice {
+    match mode {
+        KernelMode::Sparse => KernelChoice::SparseSharded,
+        KernelMode::Auto if fill_product <= SPARSE_FILL_CUTOFF => KernelChoice::SparseSharded,
+        KernelMode::Auto | KernelMode::Dense => dense(),
+    }
+}
+
+/// Sampled fraction of finite (`< TOP`, which is `< INF` for wide
+/// weights) entries of an `n × n` matrix held at width `T`, over up to
 /// [`DENSITY_SAMPLE_ROWS`] evenly strided rows.
-fn sampled_fill(m: &DistMatrix) -> f64 {
-    let n = m.n();
+fn sampled_fill<T: TropicalEntry>(n: usize, m: &[T]) -> f64 {
     if n == 0 {
         return 0.0;
     }
@@ -299,8 +315,8 @@ fn sampled_fill(m: &DistMatrix) -> f64 {
         // `s·n/sample` spreads the sample over the whole index range even
         // when `sample` does not divide `n` (a plain `n/sample` stride
         // would sample a prefix and mis-plan half-empty matrices).
-        let row = m.row(s * n / sample);
-        finite += row.iter().filter(|&&w| w < INF).count();
+        let row = &m[s * n / sample * n..][..n];
+        finite += row.iter().filter(|&&w| w < T::TOP).count();
         seen += n;
     }
     finite as f64 / seen.max(1) as f64
@@ -354,6 +370,18 @@ fn fits(a: &DistMatrix, b: &DistMatrix, bound: Weight) -> bool {
     within(a) && (std::ptr::eq(a, b) || within(b))
 }
 
+/// The narrowest dense width whose entry bound `max`, the largest finite
+/// entry of the operands, fits: [`dense_choice`] on a measured maximum.
+fn width_for(max: Weight) -> KernelChoice {
+    if max <= ULTRA_MAX_ENTRY {
+        KernelChoice::DenseUltra
+    } else if max <= COMPACT_MAX_ENTRY {
+        KernelChoice::DenseCompact
+    } else {
+        KernelChoice::DenseLanes
+    }
+}
+
 /// Opens the per-multiply `cc_obs` span (`op[choice]`, e.g.
 /// `minplus[dense-ultra]`). It carries no attributes: the name says which
 /// kernel ran, and the recorder sums attributes across a path's
@@ -363,28 +391,96 @@ fn kernel_span(op: &str, choice: KernelChoice) -> cc_obs::SpanGuard {
     cc_obs::span_lazy(|| format!("{op}[{}]", choice.name()))
 }
 
-/// The one dispatch behind [`min_plus_planned`] and [`square_planned`]. A
-/// plan may be reused after its operands changed (the fields are public),
-/// so a narrow choice is re-checked against both operands — narrowing a
-/// wide entry would truncate it — and [`dense_choice`] picks again when it
-/// no longer fits. Same bits either way.
-fn run_planned(a: &DistMatrix, b: &DistMatrix, plan: &KernelPlan, exec: ExecPolicy) -> DistMatrix {
-    assert_eq!(a.n(), b.n(), "distance product dimension mismatch");
-    let choice = match plan.choice {
-        KernelChoice::DenseUltra if !fits(a, b, ULTRA_MAX_ENTRY) => dense_choice(a, b),
-        KernelChoice::DenseCompact if !fits(a, b, COMPACT_MAX_ENTRY) => dense_choice(a, b),
-        choice => choice,
+/// A matrix at the entry width of the kernel that produced it: `u16` or
+/// `u32` lanes as a narrow lane kernel leaves them (`TOP` is `∞`), or wide
+/// tropical weights from the wide lane kernel or the sparse kernel. Every
+/// width maps exactly to the wide one. Kernel outputs never exceed their
+/// width's `TOP`, the lane kernel's input precondition, so a held buffer is
+/// squared as it is.
+enum Held {
+    Wide(Vec<Weight>),
+    Compact(Vec<u32>),
+    Ultra(Vec<u16>),
+}
+
+/// `with_held!(held, m => body)`: `body` with `m` bound to the entries of
+/// a `&Held`, at whichever width it holds them.
+macro_rules! with_held {
+    ($held:expr, $m:ident => $body:expr) => {
+        match $held {
+            Held::Wide($m) => $body,
+            Held::Compact($m) => $body,
+            Held::Ultra($m) => $body,
+        }
     };
-    match choice {
-        KernelChoice::DenseLanes => lanes_product::<u64>(a, b, exec, TILE),
-        KernelChoice::DenseCompact => lanes_product::<u32>(a, b, exec, TILE),
-        KernelChoice::DenseUltra => lanes_product::<u16>(a, b, exec, TILE),
-        KernelChoice::SparseSharded => {
-            let s = dense_to_sparse(a);
-            let t = dense_to_sparse(b);
-            sparse_to_dense(&sparse_product_with(&s, &t, None, exec).matrix)
+}
+
+impl Held {
+    /// `A ⋆ A` on `choice`'s kernel. A dense square of a matrix already at
+    /// the kernel's width runs on it in place; any other is [`product_at`],
+    /// which recasts or gathers first.
+    fn square(&self, n: usize, choice: KernelChoice, exec: ExecPolicy) -> Held {
+        match (self, choice) {
+            (Held::Wide(m), KernelChoice::DenseLanes) => {
+                Held::Wide(dense::lanes_kernel(n, m, m, exec, TILE))
+            }
+            (Held::Compact(m), KernelChoice::DenseCompact) => {
+                Held::Compact(dense::lanes_kernel(n, m, m, exec, TILE))
+            }
+            (Held::Ultra(m), KernelChoice::DenseUltra) => {
+                Held::Ultra(dense::lanes_kernel(n, m, m, exec, TILE))
+            }
+            _ => with_held!(self, m => product_at(n, m, m, choice, exec))
+                .expect("the measured max fits the planned width"),
         }
     }
+
+    /// The matrix as wide tropical weights.
+    fn into_wide(self, n: usize, exec: ExecPolicy) -> DistMatrix {
+        let wide = match self {
+            Held::Wide(m) => m,
+            Held::Compact(m) => dense::recast(&m, exec).expect("a widening never fails"),
+            Held::Ultra(m) => dense::recast(&m, exec).expect("a widening never fails"),
+        };
+        DistMatrix::from_raw(n, wide)
+    }
+}
+
+/// `A ⋆ B` on `choice`'s kernel, over `n × n` operands held at width `S`
+/// (the caller's wide matrices, or a closure step's [`Held`] entries). A
+/// lane kernel recasts both operands to its width in one checked pass each
+/// (one for a self-product) and returns `None` when a finite entry is past
+/// that width's bound; the sparse kernel gathers their rows
+/// ([`sparse_product_dense`]). The product comes back at the width of the
+/// kernel that ran.
+fn product_at<S: TropicalEntry>(
+    n: usize,
+    a: &[S],
+    b: &[S],
+    choice: KernelChoice,
+    exec: ExecPolicy,
+) -> Option<Held> {
+    Some(match choice {
+        KernelChoice::DenseLanes => Held::Wide(dense::lanes_product(n, a, b, exec, TILE)?),
+        KernelChoice::DenseCompact => Held::Compact(dense::lanes_product(n, a, b, exec, TILE)?),
+        KernelChoice::DenseUltra => Held::Ultra(dense::lanes_product(n, a, b, exec, TILE)?),
+        KernelChoice::SparseSharded => Held::Wide(sparse_product_dense(n, a, b, exec)),
+    })
+}
+
+/// The one dispatch behind [`min_plus_planned`] and [`square_planned`]. A
+/// plan may be reused after its operands changed (the fields are public),
+/// so a narrow kernel's recast checks every entry against its bound — it
+/// never truncates — and [`dense_choice`] picks again when one is past it.
+/// Same bits either way.
+fn run_planned(a: &DistMatrix, b: &DistMatrix, plan: &KernelPlan, exec: ExecPolicy) -> DistMatrix {
+    assert_eq!(a.n(), b.n(), "distance product dimension mismatch");
+    let n = a.n();
+    let run = |choice| product_at(n, a.raw(), b.raw(), choice, exec);
+    run(plan.choice)
+        .or_else(|| run(dense_choice(a, b)))
+        .expect("dense_choice picks a width every entry fits")
+        .into_wide(n, exec)
 }
 
 /// The engine's distance product `A ⋆ B`: plans the multiply under `mode`
@@ -444,17 +540,83 @@ pub fn power(a: &DistMatrix, h: u64, mode: KernelMode, exec: ExecPolicy) -> Dist
     })
 }
 
-/// Exact APSP by repeated engine squaring until fixpoint — every multiply
-/// is a self-product and goes through [`square`]; returns the distance
-/// matrix and the number of squarings. Bit-identical to
-/// [`dense::closure`].
-pub fn closure(a: &DistMatrix, mode: KernelMode, exec: ExecPolicy) -> (DistMatrix, usize) {
-    dense::closure_by(a, |x, y| {
-        if std::ptr::eq(x, y) {
-            square(x, mode, exec)
-        } else {
-            min_plus(x, y, mode, exec)
+/// Exact APSP by repeated engine squaring until fixpoint; returns the
+/// distance matrix and the number of squarings, bit-identical to
+/// [`dense::closure`] for every mode and thread count. `on_square` runs once
+/// per squaring, before it, with the kernel it runs on; that is the
+/// exact-squaring baseline's round charge.
+///
+/// Every squaring plans exactly as [`KernelPlan::choose`] would on the wide
+/// matrix and opens one `square[<kernel>]` span, but the matrix stays at
+/// the width of the kernel that last ran. A dense square runs the lane
+/// kernel on the held `u16`/`u32`/`u64` buffer itself. After each square,
+/// one pass over its output tests the fixpoint and measures the largest
+/// finite entry, which picks the next width. The measured maximum, not the
+/// doubling bound a zero diagonal allows, picks it, so no square runs wider
+/// than `choose` would plan it. The matrix is recast only when
+/// that maximum crosses a width bound, and gathered into sparse rows only
+/// for a sparse square, both inside the square's span. It is widened once,
+/// at the end. The first fixpoint test compares against `a` itself, as
+/// [`dense::closure`] does, so entries above `INF` count as a difference.
+pub fn closure(
+    a: &DistMatrix,
+    mode: KernelMode,
+    exec: ExecPolicy,
+    mut on_square: impl FnMut(KernelChoice),
+) -> (DistMatrix, usize) {
+    let n = a.n();
+    let choice = KernelPlan::choose(a, a, mode).choice;
+    on_square(choice);
+    let mut cur = {
+        let _sp = kernel_span("square", choice);
+        product_at(n, a.raw(), a.raw(), choice, exec).expect("the plan fits every entry")
+    };
+    let (mut same, mut max) =
+        with_held!(&cur, m => settle(n, m, a.raw(), |x, w| x.to_weight() == w, exec));
+    let mut squarings = 1;
+    while !same {
+        let fill = with_held!(&cur, m => sampled_fill(n, m));
+        let choice = dispatch(fill * fill, mode, || width_for(max));
+        on_square(choice);
+        let next = {
+            let _sp = kernel_span("square", choice);
+            cur.square(n, choice, exec)
+        };
+        squarings += 1;
+        (same, max) = with_held!(&next, x => with_held!(&cur, p => {
+            settle(n, x, p, |x, p| x.to_weight() == p.to_weight(), exec)
+        }));
+        cur = next;
+    }
+    (cur.into_wide(n, exec), squarings)
+}
+
+/// The closure's one pass over a fresh `n × n` square `next`, a row shard
+/// per task under `exec`: whether every entry equals `prev`'s under
+/// `same`, and the largest finite entry (`0` when there is none). A shard
+/// stops comparing at its first difference; the maximum reads every entry.
+fn settle<T: TropicalEntry, P: Copy + Sync>(
+    n: usize,
+    next: &[T],
+    prev: &[P],
+    same: impl Fn(T, P) -> bool + Sync,
+    exec: ExecPolicy,
+) -> (bool, Weight) {
+    let zero = T::from_weight(0);
+    let shards = exec.map_shards_collect(n, |rows| {
+        let (next, prev) = (&next[rows.start * n..rows.end * n], &prev[rows.start * n..]);
+        let mut equal = true;
+        let mut max = zero;
+        for (xs, ps) in next.chunks(4096).zip(prev.chunks(4096)) {
+            equal = equal && xs.iter().zip(ps).all(|(&x, &p)| same(x, p));
+            max = xs
+                .iter()
+                .fold(max, |m, &x| m.max(if x < T::TOP { x } else { zero }));
         }
+        vec![(equal, max)]
+    });
+    shards.into_iter().fold((true, 0), |(equal, max), (e, m)| {
+        (equal && e, max.max(m.into()))
     })
 }
 
@@ -515,6 +677,70 @@ pub fn sparse_product_planned(
         },
         plan.choice,
     )
+}
+
+/// `A ⋆ B` on the sparse kernel, dense in and dense out, over `n × n`
+/// operands held at width `S`: the finite entries of each operand are
+/// gathered into compressed rows once (a self-product gathers its one
+/// matrix once, for both sides), and each output row is min-folded straight
+/// into the wide dense output — no sparse output rows to build, sort or
+/// scatter. The same candidates as [`sparse_product_with`], so the same
+/// bits.
+fn sparse_product_dense<S: TropicalEntry>(
+    n: usize,
+    a: &[S],
+    b: &[S],
+    exec: ExecPolicy,
+) -> Vec<Weight> {
+    let t = Rows::gather(n, b);
+    let s = (!std::ptr::eq(a, b)).then(|| Rows::gather(n, a));
+    let s = s.as_ref().unwrap_or(&t);
+    // A large zeroed allocation is fresh pages: each task sets its own rows
+    // to `∞`, faulting them in on its own thread.
+    let mut out = vec![0; n * n];
+    let rows_per_block = exec.row_block_len(n, 1);
+    exec.for_each_chunk_mut(&mut out, rows_per_block * n.max(1), |block, chunk| {
+        for (off, crow) in chunk.chunks_mut(n).enumerate() {
+            crow.fill(INF);
+            for &(k, sik) in s.row(block * rows_per_block + off) {
+                for &(j, tkj) in t.row(k) {
+                    crow[j] = crow[j].min(sik + tkj);
+                }
+            }
+        }
+    });
+    out
+}
+
+/// The finite entries of a dense matrix as compressed rows, each in column
+/// order: row `u` is `entries[offsets[u]..offsets[u + 1]]`.
+struct Rows {
+    offsets: Vec<usize>,
+    entries: Vec<(NodeId, Weight)>,
+}
+
+impl Rows {
+    /// Gathers the finite entries of an `n × n` matrix held at width `S`.
+    fn gather<S: TropicalEntry>(n: usize, m: &[S]) -> Rows {
+        let mut offsets = Vec::with_capacity(n + 1);
+        let mut entries = Vec::new();
+        offsets.push(0);
+        for row in m.chunks(n.max(1)) {
+            entries.extend(
+                row.iter()
+                    .enumerate()
+                    .map(|(v, &x)| (v, x.to_weight()))
+                    .filter(|&(_, w)| w < INF),
+            );
+            offsets.push(entries.len());
+        }
+        Rows { offsets, entries }
+    }
+
+    /// Row `u`'s finite entries.
+    fn row(&self, u: NodeId) -> &[(NodeId, Weight)] {
+        &self.entries[self.offsets[u]..self.offsets[u + 1]]
+    }
 }
 
 /// Dense → sparse: finite entries only, per-row in column order (the same
@@ -795,9 +1021,91 @@ mod tests {
         let a = random_matrix(12, 0.3, 50, 13);
         let (reference, ref_sq) = crate::dense::closure(&a);
         for mode in [KernelMode::Auto, KernelMode::Dense, KernelMode::Sparse] {
-            let (out, sq) = closure(&a, mode, ExecPolicy::Seq);
+            let (out, sq) = closure(&a, mode, ExecPolicy::Seq, |_| {});
             assert_eq!(out, reference, "mode={mode}");
             assert_eq!(sq, ref_sq, "mode={mode}");
+        }
+    }
+
+    /// The kernel of every squaring of the reference loop, planned by
+    /// [`KernelPlan::choose`] on the wide matrix at that step.
+    fn planned_squares(a: &DistMatrix, mode: KernelMode) -> Vec<KernelChoice> {
+        let mut cur = a.clone();
+        let mut planned = Vec::new();
+        loop {
+            planned.push(KernelPlan::choose(&cur, &cur, mode).choice);
+            let next = distance_product(&cur, &cur);
+            if next == cur {
+                return planned;
+            }
+            cur = next;
+        }
+    }
+
+    fn path(weights: &[Weight]) -> DistMatrix {
+        let edges: Vec<_> = weights
+            .iter()
+            .enumerate()
+            .map(|(u, &w)| (u, u + 1, w))
+            .collect();
+        adjacency_matrix(&Graph::from_edges(
+            weights.len() + 1,
+            Direction::Undirected,
+            &edges,
+        ))
+    }
+
+    #[test]
+    fn closure_plans_each_square_from_the_measured_matrix() {
+        use KernelChoice::{DenseCompact as C, DenseLanes as L, DenseUltra as U};
+        // A's largest entry is 5000 and A²'s is 8000, so the confirming
+        // square runs ultra; doubling 5000 would have planned it compact.
+        let short = path(&[5000, 3000]);
+        // The largest entry crosses the ultra bound at A⁴ (16000)…
+        let ultra_to_compact = path(&[4000; 5]);
+        // …and the compact bound at A² (600,000,000).
+        let compact_to_lanes = path(&[300_000_000; 3]);
+        assert_eq!(planned_squares(&short, KernelMode::Dense), [U, U]);
+        assert_eq!(
+            planned_squares(&ultra_to_compact, KernelMode::Dense),
+            [U, U, C, C]
+        );
+        assert_eq!(
+            planned_squares(&compact_to_lanes, KernelMode::Dense),
+            [C, L, L]
+        );
+        // Sparse squares first, then dense ones as it fills in.
+        let mut rng = rand::rngs::StdRng::seed_from_u64(15);
+        let g = cc_graph::generators::gnp_connected(48, 0.04, 1..=3000, &mut rng);
+        let filling = adjacency_matrix(&g);
+        let auto = planned_squares(&filling, KernelMode::Auto);
+        assert_eq!(auto[0], KernelChoice::SparseSharded, "{auto:?}");
+        assert!(auto.contains(&C), "{auto:?}");
+        // Entries above `INF` are `∞` to the plan and a difference to the
+        // first fixpoint test.
+        let mut above = random_matrix(9, 0.6, ULTRA_MAX_ENTRY, 16);
+        above.set(2, 5, INF + 3);
+        above.set(7, 7, Weight::MAX);
+
+        for a in [
+            &short,
+            &ultra_to_compact,
+            &compact_to_lanes,
+            &filling,
+            &above,
+        ] {
+            let (reference, ref_sq) = crate::dense::closure(a);
+            for mode in [KernelMode::Auto, KernelMode::Dense, KernelMode::Sparse] {
+                let planned = planned_squares(a, mode);
+                for threads in [1usize, 2] {
+                    let mut seen = Vec::new();
+                    let exec = ExecPolicy::with_threads(threads);
+                    let (out, sq) = closure(a, mode, exec, |c| seen.push(c));
+                    assert_eq!(seen, planned, "mode={mode} threads={threads}");
+                    assert_eq!(out, reference, "mode={mode} threads={threads}");
+                    assert_eq!(sq, ref_sq, "mode={mode} threads={threads}");
+                }
+            }
         }
     }
 

@@ -4,7 +4,9 @@
 //! **bit-identical** to the naive reference
 //! `cc_matrix::dense::distance_product` — across densities, tile sizes
 //! (including the degenerate `1` and `≥ n`), thread counts, weights
-//! straddling both compact entry bounds, and dispatch modes.
+//! straddling both compact entry bounds, and dispatch modes. The engine's
+//! closure, which holds its matrix narrow between squares, must equal the
+//! reference loop `cc_matrix::dense::closure`.
 
 use cc_graph::{DistMatrix, Weight, INF};
 use cc_matrix::dense::{distance_product_lanes_opts, distance_product_with};
@@ -32,8 +34,63 @@ fn arb_matrix(n: usize, den: u8, max_w: Weight) -> impl Strategy<Value = DistMat
     })
 }
 
+/// Strategy: an adjacency-shaped matrix (zero diagonal; roughly `1/den` of
+/// the other entries finite) with weights in `max_w/4..=max_w`. At `max_w`
+/// half an entry bound, a shortest path of three or more arcs is past that
+/// bound, so the largest finite entry crosses it between squarings.
+fn arb_adjacency(n: usize, den: u8, max_w: Weight) -> impl Strategy<Value = DistMatrix> {
+    proptest::collection::vec((0u8..den, max_w / 4..=max_w), n * n..=n * n).prop_map(move |cells| {
+        let data = cells
+            .into_iter()
+            .enumerate()
+            .map(|(i, (sel, w))| match (i / n == i % n, sel) {
+                (true, _) => 0,
+                (false, 0) => w,
+                (false, _) => INF,
+            })
+            .collect();
+        DistMatrix::from_raw(n, data)
+    })
+}
+
 proptest! {
     #![proptest_config(ProptestConfig { cases: 24, ..ProptestConfig::default() })]
+
+    /// The engine's closure, which keeps its matrix at the width of the
+    /// last kernel between squares, equals the reference loop
+    /// `dense::closure` in both matrix and squaring count, for every mode
+    /// and thread count: on adjacency-shaped inputs whose largest entry
+    /// crosses `ULTRA_MAX_ENTRY` or `COMPACT_MAX_ENTRY` between squarings
+    /// (sparse at first under auto when `den` is large), on inputs with an
+    /// arbitrary diagonal, and on inputs with a few entries above `INF`.
+    #[test]
+    fn engine_closure_equals_dense_closure_at_every_width(
+        adjacency in (0usize..2, 2u8..9).prop_flat_map(|(bound, den)| {
+            arb_adjacency(14, den, [ULTRA_MAX_ENTRY, COMPACT_MAX_ENTRY][bound] / 2)
+        }),
+        any_diagonal in arb_matrix(12, 3, ULTRA_MAX_ENTRY / 2),
+        above_inf in (
+            arb_matrix(10, 2, 400),
+            proptest::collection::vec((0usize..100, 0..=INF), 1..4),
+        ).prop_map(|(mut m, cells)| {
+            for (i, over) in cells {
+                m.set(i / 10, i % 10, INF + over);
+            }
+            m
+        }),
+    ) {
+        for a in [&adjacency, &any_diagonal, &above_inf] {
+            let (reference, ref_squarings) = cc_matrix::dense::closure(a);
+            for mode in MODES {
+                for threads in THREADS {
+                    let exec = ExecPolicy::with_threads(threads);
+                    let (out, squarings) = engine::closure(a, mode, exec, |_| {});
+                    prop_assert_eq!(&out, &reference, "mode={} threads={}", mode, threads);
+                    prop_assert_eq!(squarings, ref_squarings, "mode={} threads={}", mode, threads);
+                }
+            }
+        }
+    }
 
     /// Engine dispatch equivalence: every mode (and therefore every kernel
     /// the plans resolve to) produces the naive result, across a density
