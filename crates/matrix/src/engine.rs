@@ -1086,6 +1086,8 @@ mod tests {
         let mut above = random_matrix(9, 0.6, ULTRA_MAX_ENTRY, 16);
         above.set(2, 5, INF + 3);
         above.set(7, 7, Weight::MAX);
+        // The smallest shapes: no node, one node, one arc.
+        let (empty, single, pair) = (DistMatrix::infinite(0), DistMatrix::infinite(1), path(&[7]));
 
         for a in [
             &short,
@@ -1093,6 +1095,9 @@ mod tests {
             &compact_to_lanes,
             &filling,
             &above,
+            &empty,
+            &single,
+            &pair,
         ] {
             let (reference, ref_sq) = crate::dense::closure(a);
             for mode in [KernelMode::Auto, KernelMode::Dense, KernelMode::Sparse] {
